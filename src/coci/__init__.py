@@ -18,7 +18,6 @@ from .condition import (
 )
 from .core import (
     ConfidenceBox,
-    Decision,
     OracleSpec,
     ParameterVector,
     ProblemInstance,
@@ -50,12 +49,10 @@ from .oracles import (
     LinearCost,
     PowerCost,
     QuadraticCost,
-    TopKSpec,
     WaterSpec,
     make_best_arm_oracle,
     make_top_k_oracle,
     make_water_oracle,
-    top_k_maximizer,
     water_bi_monotone,
     water_maximizer,
 )
@@ -66,7 +63,6 @@ from .osa import (
     greedy_osa_detailed,
     greedy_scratch,
     make_osa_oracle,
-    osa_maximizer,
 )
 from .sim import (
     ArmModel,
@@ -93,7 +89,6 @@ __all__ = [
     "ConfidenceBox",
     "ConfigError",
     "CornerEnumeration",
-    "Decision",
     "DegenerateInstanceError",
     "DiscreteSupport",
     "DomainError",
@@ -112,7 +107,6 @@ __all__ = [
     "QuadraticCost",
     "RunResult",
     "ScaledBeta",
-    "TopKSpec",
     "UsageError",
     "WIDTH_TOP_K",
     "WaterSpec",
@@ -139,13 +133,11 @@ __all__ = [
     "make_osa_oracle",
     "make_top_k_oracle",
     "make_water_oracle",
-    "osa_maximizer",
     "reward",
     "run_coci",
     "run_uniform",
     "sample",
     "sample_complexity_bound",
-    "top_k_maximizer",
     "water_bi_monotone",
     "water_maximizer",
 ]

@@ -14,17 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .core import reward
 from .errors import CociError, ConfigError
 from .harness import (
     build_problem,
-    config_width,
     emit_results,
     load_config,
+    parse_config,
+    problem_hardness,
+    read_config,
     run_experiment,
 )
-from .hardness import hardness_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,26 +57,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.strategy is not None:
-        overrides["strategy"] = None if args.strategy == "auto" else args.strategy
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    # Overrides go into the raw mapping, so they are validated like the file.
+    raw = read_config(args.config)
+    flags = {
+        "trials": args.trials,
+        "master_seed": args.seed,
+        "mode": args.mode,
+        "strategy": args.strategy,
+        "workers": args.workers,
+    }
+    raw.update((field, value) for field, value in flags.items() if value is not None)
+    output = raw.setdefault("output", {})
+    if isinstance(output, dict):
+        if args.out is not None:
+            output["path"] = args.out
+        if args.format is not None:
+            output["format"] = args.format
+    config = parse_config(raw, name=Path(args.config).stem)
 
     result = run_experiment(config)
     if config.out_path:
@@ -88,14 +87,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_hardness(args) -> int:
     config = load_config(args.config)
-    instance = build_problem(config)
-    report = hardness_report(
-        instance.oracle,
-        config.theta_star,
-        epsilon=config.hardness_epsilon or 0.01,
-        width=config_width(config),
-        include_gaps=config.application in ("best-arm", "top-k"),
-    )
+    report = problem_hardness(config, build_problem(config))
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import ConfidenceBox, OracleSpec
 from .errors import CapacityError, UsageError
@@ -116,14 +116,7 @@ def candidate_on_bounds(
                 f"corner enumeration over {spec.arm_count} arms exceeds the "
                 f"{_CORNER_ARM_LIMIT}-arm limit"
             )
-        seen: float | None = None
-        for corner in itertools.product(*zip(lower, upper)):
-            value = spec.maximizer(corner)[i]
-            if seen is None:
-                seen = value
-            elif value != seen:
-                return True
-        return False
+        return _varies(spec, itertools.product(*zip(lower, upper)), i)
 
     if isinstance(strategy, GridScan):
         res = strategy.resolution
@@ -143,13 +136,14 @@ def candidate_on_bounds(
                     + [min(b, a + (b - a) * j / (res - 1)) for j in range(1, res - 1)]
                     + [b]
                 )
-        seen = None
-        for theta in itertools.product(*axes):
-            value = spec.maximizer(theta)[i]
-            if seen is None:
-                seen = value
-            elif value != seen:
-                return True
-        return False
+        return _varies(spec, itertools.product(*axes), i)
 
     raise UsageError(f"unknown condition strategy {strategy!r}")
+
+
+def _varies(spec: OracleSpec, points: Iterable[Sequence[float]], i: int) -> bool:
+    """True when the oracle's i-th component takes two values over ``points``
+    (evaluated in order, stopping at the first disagreement)."""
+    points = iter(points)
+    first = spec.maximizer(next(points))[i]
+    return any(spec.maximizer(theta)[i] != first for theta in points)

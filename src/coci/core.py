@@ -1,4 +1,4 @@
-"""Core domain types: parameter vectors, decisions, oracles, and instances.
+"""Core domain types: parameter vectors, confidence boxes, oracles, and instances.
 
 A problem is described by an :class:`OracleSpec`: a finite decision class
 ``Y`` of real vectors, a separable reward ``r(theta; y) = sum_i r_i(theta_i,
@@ -50,30 +50,6 @@ class ParameterVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", validate_parameters(self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class Decision:
-    """A decision vector y.
-
-    Components are stored as floats even for binary or integral decision
-    classes; membership (including integrality) is checked by the owning
-    :class:`OracleSpec`.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -139,9 +115,6 @@ class OracleSpec:
         True when each oracle component is monotone in its own parameter and
         oppositely monotone in every other parameter. Enables the two-corner
         candidate test.
-    orientation:
-        Per-arm own-parameter direction when ``bi_monotone``: +1 if the i-th
-        component is non-decreasing in theta_i, -1 if non-increasing.
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with
@@ -156,17 +129,11 @@ class OracleSpec:
     enumerate_decisions: Optional[Callable[[], Iterable[tuple[float, ...]]]] = None
     decision_count: Optional[int] = None
     bi_monotone: bool = False
-    orientation: Optional[tuple[int, ...]] = None
     batch_maximizer: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.arm_count < 1:
             raise UsageError("arm_count must be >= 1")
-        if self.bi_monotone and self.orientation is not None:
-            if len(self.orientation) != self.arm_count:
-                raise UsageError("orientation must have one entry per arm")
-            if any(d not in (-1, 1) for d in self.orientation):
-                raise UsageError("orientation entries must be +1 or -1")
 
 
 def reward(spec: OracleSpec, theta: Sequence[float], y: Sequence[float]) -> float:
@@ -176,7 +143,7 @@ def reward(spec: OracleSpec, theta: Sequence[float], y: Sequence[float]) -> floa
     decision is not a member of the spec's decision class.
     """
     tvals = theta.values if isinstance(theta, ParameterVector) else tuple(theta)
-    yvals = y.values if isinstance(y, Decision) else tuple(y)
+    yvals = tuple(y)
     if len(tvals) != spec.arm_count or len(yvals) != spec.arm_count:
         raise UsageError(
             f"dimension mismatch: spec has {spec.arm_count} arms, "

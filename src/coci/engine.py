@@ -71,7 +71,7 @@ class RunResult:
     output: tuple[float, ...]
     rounds: int
     per_arm_pulls: tuple[int, ...]
-    correct: Optional[bool]
+    correct: bool
     xi_held: bool
     converged: bool
     mode: str
@@ -84,73 +84,37 @@ class RunResult:
     sample_log: Optional[tuple[tuple[float, ...], ...]] = None
 
 
-def run_coci(
-    instance: ProblemInstance,
-    delta: float,
-    strategy: ConditionStrategy | None = None,
-    seed: int | Sequence[int] = 0,
-    max_rounds: int | None = None,
-    *,
-    h_lambda: float | None = None,
-    lambda_lower: Sequence[float] | None = None,
-    record_trace: bool = False,
-    box_cap: float = 1.0,
-) -> RunResult:
-    """Run the adaptive sampler; see the module docstring."""
-    return _run(
-        instance,
-        delta,
-        strategy,
-        seed,
-        max_rounds,
-        uniform=False,
-        h_lambda=h_lambda,
-        lambda_lower=lambda_lower,
-        record_trace=record_trace,
-        box_cap=box_cap,
-    )
+def run_coci(instance: ProblemInstance, delta: float, *args, **kwargs) -> RunResult:
+    """Run the adaptive sampler; see the module docstring and :func:`_run`."""
+    return _run(instance, delta, *args, uniform=False, **kwargs)
 
 
-def run_uniform(
-    instance: ProblemInstance,
-    delta: float,
-    strategy: ConditionStrategy | None = None,
-    seed: int | Sequence[int] = 0,
-    max_rounds: int | None = None,
-    *,
-    h_lambda: float | None = None,
-    lambda_lower: Sequence[float] | None = None,
-    record_trace: bool = False,
-    box_cap: float = 1.0,
-) -> RunResult:
+def run_uniform(instance: ProblemInstance, delta: float, *args, **kwargs) -> RunResult:
     """Uniform-sampling ablation: pull the largest-radius arm overall."""
-    return _run(
-        instance,
-        delta,
-        strategy,
-        seed,
-        max_rounds,
-        uniform=True,
-        h_lambda=h_lambda,
-        lambda_lower=lambda_lower,
-        record_trace=record_trace,
-        box_cap=box_cap,
-    )
+    return _run(instance, delta, *args, uniform=True, **kwargs)
 
 
 def _run(
     instance: ProblemInstance,
     delta: float,
-    strategy: ConditionStrategy | None,
-    seed: int | Sequence[int],
-    max_rounds: int | None,
+    strategy: ConditionStrategy | None = None,
+    seed: int | Sequence[int] = 0,
+    max_rounds: int | None = None,
     *,
     uniform: bool,
-    h_lambda: float | None,
-    lambda_lower: Sequence[float] | None,
-    record_trace: bool,
-    box_cap: float,
+    h_lambda: float | None = None,
+    lambda_lower: Sequence[float] | None = None,
+    record_trace: bool = False,
+    box_cap: float = 1.0,
 ) -> RunResult:
+    """One run of either sampler.
+
+    ``strategy`` defaults to :func:`default_strategy` of the oracle, and
+    ``max_rounds`` to ten times the round bound implied by ``h_lambda``
+    (10^6 without one). ``lambda_lower`` enables the half-flip-radius pull
+    audit; ``record_trace`` keeps every round and sample; ``box_cap`` is the
+    upper clamp of the confidence box.
+    """
     if not (0.0 < delta < 1.0):
         raise UsageError(f"delta must be in (0, 1), got {delta!r}")
     oracle = instance.oracle
@@ -213,9 +177,8 @@ def _run(
             break
 
     lemma_violations = 0 if lam_half is not None else None
-    trace: list[dict] | None = [] if record_trace else None
-    if trace is not None:
-        trace.append(_snapshot(t, pulls, est, rad, lower, upper, None, None))
+    trace: list[CociState] | None = [] if record_trace else None
+    j = x = None  # the pull that produced the current state
 
     last_candidate = 0
     converged = True
@@ -225,10 +188,11 @@ def _run(
         chosen = -1
         if trace is not None:
             # Full candidate set for the trace record.
-            cands = [
+            cands = tuple(
                 i for i in arms if candidate_on_bounds(strategy, oracle, lower, upper, i)
-            ]
-            trace[-1]["candidates"] = tuple(cands)
+            )
+            box = ConfidenceBox(tuple(lower), tuple(upper))
+            trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
             if cands:
                 chosen = min(cands, key=lambda a: (-rad[a], a))
         elif uniform:
@@ -293,19 +257,12 @@ def _run(
                 if abs(est[i] - theta_star[i]) > rad[i]:
                     xi_held = False
                     break
-        if trace is not None:
-            trace.append(_snapshot(t, pulls, est, rad, lower, upper, j, x))
-
-    correct = None
-    y_star = instance.optimal_decision()
-    if y_star is not None:
-        correct = tuple(output) == tuple(y_star)
 
     return RunResult(
         output=tuple(output),
         rounds=t,
         per_arm_pulls=tuple(pulls),
-        correct=correct,
+        correct=tuple(output) == tuple(instance.optimal_decision()),
         xi_held=xi_held,
         converged=converged,
         mode="uniform" if uniform else "coci",
@@ -314,38 +271,8 @@ def _run(
         bound_satisfied=(t <= bound_value) if bound_value is not None else None,
         lemma_violations=lemma_violations,
         final_box=ConfidenceBox(tuple(lower), tuple(upper)),
-        trace=_freeze_trace(trace) if trace is not None else None,
+        trace=tuple(trace) if trace is not None else None,
         sample_log=tuple(tuple(s) for s in sample_log) if sample_log is not None else None,
-    )
-
-
-def _snapshot(t, pulls, est, rad, lower, upper, arm, obs) -> dict:
-    return {
-        "t": t,
-        "pulls": tuple(pulls),
-        "estimates": tuple(est),
-        "radii": tuple(rad),
-        "lower": tuple(lower),
-        "upper": tuple(upper),
-        "candidates": (),
-        "pulled_arm": arm,
-        "observation": obs,
-    }
-
-
-def _freeze_trace(records: list[dict]) -> tuple[CociState, ...]:
-    return tuple(
-        CociState(
-            t=r["t"],
-            pulls=r["pulls"],
-            estimates=r["estimates"],
-            radii=r["radii"],
-            box=ConfidenceBox(r["lower"], r["upper"]),
-            candidates=r["candidates"],
-            pulled_arm=r["pulled_arm"],
-            observation=r["observation"],
-        )
-        for r in records
     )
 
 

@@ -72,7 +72,8 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
 
     ``t`` is the global round index (total samples so far), ``pulls`` the
     number of samples of the arm in question. Natural logarithm; the radius
-    is strictly increasing in t and scales as 1/sqrt(pulls).
+    is strictly increasing in t and scales as 1/sqrt(pulls). Evaluated in the
+    sampler's float order, so it equals the sampler's radii bit for bit.
     """
     if not (0.0 < delta < 1.0):
         raise UsageError(f"delta must be in (0, 1), got {delta!r}")
@@ -80,10 +81,7 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
         raise UsageError(f"tau must be 1 or 2, got {tau!r}")
     if t < tau or pulls < tau:
         raise UsageError(f"need t >= tau and pulls >= tau, got t={t}, pulls={pulls}")
-    arg = 4.0 * t * t * t / (tau * delta)
-    if arg <= 0.0:  # unreachable under the checks above
-        raise AssertionError("nonpositive log argument in confidence_radius")
-    return math.sqrt(math.log(arg) / (2.0 * pulls))
+    return math.sqrt((math.log(4.0 / (tau * delta)) + 3.0 * math.log(t)) * (0.5 / pulls))
 
 
 def clamp_box(

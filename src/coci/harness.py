@@ -62,7 +62,7 @@ class ExperimentConfig:
     mode: str
     trials: int
     master_seed: int
-    strategy: Optional[str] = None  # None = auto
+    strategy: Optional[ConditionStrategy] = None  # None = auto
     k: Optional[int] = None
     n: Optional[tuple[int, ...]] = None
     water: Optional[WaterSpec] = None
@@ -123,6 +123,15 @@ _COST_KINDS = {
     "linear": lambda spec: LinearCost(float(spec.get("a", 0.0))),
 }
 
+#: Candidate-test strategies by config name, each built from the text after
+#: an optional colon ("grid-scan:N"); "auto" leaves the choice to the engine.
+_STRATEGIES = {
+    "auto": lambda arg: None,
+    "bi-monotone": lambda arg: BiMonotone(),
+    "corner-enumeration": lambda arg: CornerEnumeration(),
+    "grid-scan": lambda arg: GridScan(int(arg)) if arg else GridScan(),
+}
+
 _MODEL_KINDS = {
     "bernoulli": lambda spec: Bernoulli(float(spec["p"])),
     "point-mass": lambda spec: PointMass(float(spec["v"])),
@@ -164,13 +173,15 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError("trials", "must be >= 1")
     master_seed = int(raw.get("master_seed", 0))
 
-    strategy = raw.get("strategy")
-    if strategy is not None:
-        base = str(strategy).split(":", 1)[0]
-        if base not in ("auto", "bi-monotone", "corner-enumeration", "grid-scan"):
-            raise ConfigError("strategy", f"unknown strategy {strategy!r}")
-        if base == "auto":
-            strategy = None
+    strategy = None
+    if raw.get("strategy") is not None:
+        base, _, arg = str(raw["strategy"]).partition(":")
+        if base not in _STRATEGIES:
+            raise ConfigError("strategy", f"unknown strategy {raw['strategy']!r}")
+        try:
+            strategy = _STRATEGIES[base](arg)
+        except (CociError, ValueError) as exc:
+            raise ConfigError("strategy", f"bad strategy {raw['strategy']!r}: {exc}") from exc
 
     k = raw.get("k")
     n = raw.get("n")
@@ -274,8 +285,8 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
+def read_config(path: str | Path) -> dict:
+    """Read a JSON config file into the raw mapping :func:`parse_config` takes."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -285,7 +296,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(str(path), "top-level config must be an object")
-    return parse_config(raw, name=path.stem)
+    return raw
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON config file."""
+    return parse_config(read_config(path), name=Path(path).stem)
 
 
 _UNIQUENESS_CHECK_LIMIT = 100_000
@@ -321,22 +337,18 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
     return instance
 
 
-def resolve_strategy(config: ExperimentConfig) -> ConditionStrategy | None:
-    """Map the config's strategy string to a strategy object (None = auto)."""
-    if config.strategy is None:
-        return None
-    base, _, arg = config.strategy.partition(":")
-    if base == "bi-monotone":
-        return BiMonotone()
-    if base == "corner-enumeration":
-        return CornerEnumeration()
-    if base == "grid-scan":
-        return GridScan(int(arg) if arg else 21)
-    return None
-
-
-def config_width(config: ExperimentConfig) -> Optional[int]:
-    return WIDTH_TOP_K if config.application in ("best-arm", "top-k") else None
+def problem_hardness(config: ExperimentConfig, instance: ProblemInstance) -> HardnessReport:
+    """The hardness report of a config's instance at its ``hardness_epsilon``
+    (0.01 when the config turns hardness off); top-k problems also get
+    their reward gaps and exchange width."""
+    top_k = config.application in ("best-arm", "top-k")
+    return hardness_report(
+        instance.oracle,
+        config.theta_star,
+        epsilon=0.01 if config.hardness_epsilon is None else config.hardness_epsilon,
+        width=WIDTH_TOP_K if top_k else None,
+        include_gaps=top_k,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def _run_trial(args) -> list[TrialRecord]:
                 seed=seed,
                 mode=run_mode,
                 rounds=result.rounds,
-                correct=bool(result.correct),
+                correct=result.correct,
                 xi_held=result.xi_held,
                 bound_value=result.bound_value,
                 bound_satisfied=result.bound_satisfied,
@@ -388,19 +400,12 @@ def run_experiment(
     trial order, so worker count does not affect the results.
     """
     instance = build_problem(config)
-    strategy = resolve_strategy(config)
     workers = config.workers if workers is None else workers
 
     report: HardnessReport | None = None
     h_lambda: float | None = None
     if config.hardness_epsilon is not None:
-        report = hardness_report(
-            instance.oracle,
-            config.theta_star,
-            epsilon=config.hardness_epsilon,
-            width=config_width(config),
-            include_gaps=config.application in ("best-arm", "top-k"),
-        )
+        report = problem_hardness(config, instance)
         if math.isfinite(report.h_lambda):
             h_lambda = report.h_lambda
 
@@ -408,7 +413,7 @@ def run_experiment(
         (
             instance,
             config.delta,
-            strategy,
+            config.strategy,
             config.mode,
             trial,
             config.master_seed,
@@ -487,6 +492,22 @@ def _record_fields(m: int) -> list[str]:
     )
 
 
+def _record_row(r: TrialRecord) -> list:
+    """A record's values in :func:`_record_fields` order."""
+    return [
+        r.trial,
+        r.seed,
+        r.mode,
+        r.rounds,
+        r.correct,
+        r.xi_held,
+        r.bound_value,
+        r.bound_satisfied,
+        *r.pulls,
+        r.wall_ms,
+    ]
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -518,38 +539,13 @@ def emit_results(
             writer = csv.writer(fh)
             writer.writerow(fields)
             for r in records:
-                row = [
-                    r.trial,
-                    r.seed,
-                    r.mode,
-                    r.rounds,
-                    r.correct,
-                    r.xi_held,
-                    r.bound_value,
-                    r.bound_satisfied,
-                    *r.pulls,
-                    r.wall_ms,
-                ]
-                writer.writerow([_cell(v) for v in row])
+                writer.writerow([_cell(v) for v in _record_row(r)])
         written.append(path)
     else:
         path = out_dir / "records.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
             for r in records:
-                obj = {
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "mode": r.mode,
-                    "rounds": r.rounds,
-                    "correct": r.correct,
-                    "xi_held": r.xi_held,
-                    "bound_value": r.bound_value,
-                    "bound_satisfied": r.bound_satisfied,
-                }
-                for i, p in enumerate(r.pulls):
-                    obj[f"pulls_{i}"] = p
-                obj["wall_ms"] = r.wall_ms
-                fh.write(json.dumps(obj))
+                fh.write(json.dumps(dict(zip(fields, _record_row(r)))))
                 fh.write("\n")
         written.append(path)
 

@@ -29,30 +29,8 @@ _GRID_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopKSpec:
-    """Decision class: binary vectors selecting exactly k of m arms."""
-
-    m: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.m):
-            raise UsageError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
-
-
-def top_k_maximizer(spec: TopKSpec, theta: Sequence[float]) -> tuple[float, ...]:
-    """Indicator vector of the k largest parameters; ties keep lower indices."""
-    if len(theta) != spec.m:
-        raise UsageError(f"expected {spec.m} parameters, got {len(theta)}")
-    order = sorted(range(spec.m), key=lambda i: (-theta[i], i))
-    y = [0.0] * spec.m
-    for i in order[: spec.k]:
-        y[i] = 1.0
-    return tuple(y)
-
-
 def _top_k_phi(m: int, k: int, theta: Sequence[float]) -> tuple[float, ...]:
+    """Indicator vector of the k largest parameters; ties keep lower indices."""
     if len(theta) != m:
         raise UsageError(f"expected {m} parameters, got {len(theta)}")
     order = sorted(range(m), key=lambda i: (-theta[i], i))
@@ -113,7 +91,8 @@ def _enumerate_top_k(m: int, k: int):
 
 def make_top_k_oracle(m: int, k: int) -> OracleSpec:
     """Top-k selection as an :class:`OracleSpec` (bi-monotone, own-direction up)."""
-    TopKSpec(m, k)  # validate bounds
+    if not (1 <= k <= m):
+        raise UsageError(f"need 1 <= k <= m, got k={k}, m={m}")
     phi = partial(_best_arm_phi, m) if k == 1 else partial(_top_k_phi, m, k)
     return OracleSpec(
         arm_count=m,
@@ -124,7 +103,6 @@ def make_top_k_oracle(m: int, k: int) -> OracleSpec:
         enumerate_decisions=partial(_enumerate_top_k, m, k),
         decision_count=math.comb(m, k),
         bi_monotone=True,
-        orientation=(1,) * m,
         batch_maximizer=partial(_top_k_batch, m, k),
     )
 
@@ -317,10 +295,6 @@ def _water_term(spec: WaterSpec, i: int, theta_i: float, y_i: float) -> float:
     return theta_i * y_i - spec.costs[i](y_i)
 
 
-def _water_phi(spec: WaterSpec, theta: Sequence[float]) -> tuple[float, ...]:
-    return water_maximizer(spec, theta)
-
-
 def _water_contains(spec: WaterSpec, y: Sequence[float]) -> bool:
     if len(y) != spec.m:
         return False
@@ -350,15 +324,13 @@ def make_water_oracle(spec: WaterSpec) -> OracleSpec:
     build time; when the check fails, the condition module falls back to
     corner enumeration.
     """
-    bi = water_bi_monotone(spec)
     return OracleSpec(
         arm_count=spec.m,
         name=f"water(m={spec.m}, b={spec.b})",
         reward_term=partial(_water_term, spec),
-        maximizer=partial(_water_phi, spec),
+        maximizer=partial(water_maximizer, spec),
         contains=partial(_water_contains, spec),
         enumerate_decisions=partial(_enumerate_water, spec),
         decision_count=math.prod(c + 1 for c in spec.cap_units),
-        bi_monotone=bi,
-        orientation=(1,) * spec.m if bi else None,
+        bi_monotone=water_bi_monotone(spec),
     )

@@ -228,12 +228,6 @@ def _enumerate_allocations(m: int, k: int):
     yield from rec([], 0, 0)
 
 
-def osa_maximizer(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
-    """Reward-maximizer wrapper: maximizing -sum(n_i^2 theta_i / y_i) is the
-    allocation problem, so this simply delegates to :func:`greedy_osa`."""
-    return greedy_osa(spec, theta)
-
-
 def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:
     """Package the allocation problem as an :class:`OracleSpec`.
 
@@ -252,5 +246,4 @@ def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:
         enumerate_decisions=partial(_enumerate_allocations, m, spec.k),
         decision_count=math.comb(spec.k, m),
         bi_monotone=True,
-        orientation=(1,) * m,
     )

@@ -1,0 +1,34 @@
+"""The benchmark's tracing hooks still find every layer they wrap.
+
+``bench/tracing.py`` patches entry points by name (``harness.run_coci``,
+``engine.candidate_on_bounds``, ``BufferedArm.next`` and others). A rename
+in ``coci`` would leave a layer unwrapped or break the benchmark; this test
+fails first. It reads ``bench/`` and writes nothing there.
+"""
+
+import dataclasses
+import importlib
+import sys
+from pathlib import Path
+
+from coci.harness import load_config, run_experiment
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_traced_run_covers_every_layer_and_matches_untraced(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+
+    config = dataclasses.replace(load_config(ROOT / "configs" / "quick.json"), trials=2, workers=1)
+    plain = run_experiment(config)
+    recorder = tracing.Recorder(traced=True)
+    with recorder.installed():
+        traced = run_experiment(config)
+
+    for layer in tracing.TRIAL_LAYERS:
+        assert recorder.trial_totals(layer).calls > 0, layer
+    strip = lambda records: [dataclasses.replace(r, wall_ms=0.0) for r in records]  # noqa: E731
+    assert strip(traced.records) == strip(plain.records)
+    assert traced.summary == plain.summary

@@ -95,7 +95,7 @@ class TestDefaultStrategy:
     def test_grid_fallback_warns(self):
         from dataclasses import replace
 
-        spec = replace(make_best_arm_oracle(21), bi_monotone=False, orientation=None)
+        spec = replace(make_best_arm_oracle(21), bi_monotone=False)
         with pytest.warns(UserWarning):
             strategy = default_strategy(spec)
         assert isinstance(strategy, GridScan)

@@ -169,13 +169,13 @@ class TestTrace:
             assert audit_xi(result.trace, best_arm_instance.true_params.values) == result.xi_held
 
     def test_radii_match_reference_formula(self, best_arm_instance):
-        from coci import confidence_radius
+        from coci import clamp_box, confidence_radius
 
         result = run_coci(best_arm_instance, 0.05, seed=11, record_trace=True)
         for state in result.trace:
             for pulls_i, rad_i in zip(state.pulls, state.radii):
-                want = confidence_radius(state.t, pulls_i, 1, 0.05)
-                assert rad_i == pytest.approx(want, rel=1e-12)
+                assert rad_i == confidence_radius(state.t, pulls_i, 1, 0.05)
+            assert state.box == clamp_box(state.estimates, state.radii)
 
     def test_audit_xi_detects_violation(self):
         state = CociState(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coci import ConfigError
+from coci import BiMonotone, ConfigError, GridScan
 from coci.cli import main as cli_main
 from coci.harness import (
     ExperimentConfig,
@@ -90,6 +90,19 @@ class TestConfigParsing:
                 }
             )
         assert err.value.field == "arms"
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("auto", None),
+            ("bi-monotone", BiMonotone()),
+            ("grid-scan", GridScan()),
+            ("grid-scan:9", GridScan(9)),
+        ],
+    )
+    def test_strategy_parsed_to_object(self, text, want):
+        raw = {"application": "best-arm", "theta_star": [0.5, 0.2], "delta": 0.1, "strategy": text}
+        assert parse_config(raw).strategy == want
 
     def test_degenerate_parameters_rejected(self):
         from coci.harness import build_problem
@@ -279,6 +292,21 @@ class TestCli:
         assert (tmp_path / "records.jsonl").exists()
         assert (tmp_path / "summary.json").exists()
         assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--strategy", "bogus"],
+            ["--strategy", "grid-scan:abc"],
+            ["--strategy", "grid-scan:1"],
+            ["--trials", "0"],
+        ],
+        ids=["unknown-strategy", "grid-scan-not-int", "grid-scan-too-coarse", "zero-trials"],
+    )
+    def test_run_rejects_bad_override(self, flags, tmp_path, capsys):
+        args = ["run", str(CONFIG_DIR / "quick.json"), "--out", str(tmp_path), *flags]
+        assert cli_main(args) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # Flip-radius search over five arms at the default lattice exceeds

@@ -2,40 +2,61 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coci import (
     DomainError,
     LinearCost,
     PowerCost,
     QuadraticCost,
-    TopKSpec,
     UsageError,
     WaterSpec,
     brute_force_maximizer,
     make_top_k_oracle,
     make_water_oracle,
     reward,
-    top_k_maximizer,
     water_bi_monotone,
     water_maximizer,
 )
+from coci.oracles import _top_k_phi
 
 from _reference import continuous_water_optimum
 
 
 class TestTopK:
     def test_unique_maximum(self):
-        assert top_k_maximizer(TopKSpec(3, 1), (0.8, 0.2, 0.5)) == (1.0, 0.0, 0.0)
+        assert _top_k_phi(3, 1, (0.8, 0.2, 0.5)) == (1.0, 0.0, 0.0)
+        assert make_top_k_oracle(3, 1).maximizer((0.8, 0.2, 0.5)) == (1.0, 0.0, 0.0)
 
     def test_tie_break_by_index(self):
-        assert top_k_maximizer(TopKSpec(3, 2), (0.5, 0.5, 0.5)) == (1.0, 1.0, 0.0)
+        assert make_top_k_oracle(3, 2).maximizer((0.5, 0.5, 0.5)) == (1.0, 1.0, 0.0)
 
     def test_two_of_four(self):
-        assert top_k_maximizer(TopKSpec(4, 2), (0.1, 0.9, 0.3, 0.7)) == (0.0, 1.0, 0.0, 1.0)
+        assert make_top_k_oracle(4, 2).maximizer((0.1, 0.9, 0.3, 0.7)) == (0.0, 1.0, 0.0, 1.0)
 
     def test_bad_dimension(self):
         with pytest.raises(UsageError):
-            top_k_maximizer(TopKSpec(3, 1), (0.5, 0.5))
+            _top_k_phi(3, 1, (0.5, 0.5))
+        with pytest.raises(UsageError):
+            make_top_k_oracle(3, 1).maximizer((0.5, 0.5))
+
+    @pytest.mark.parametrize("m,k", [(3, 0), (3, 4)])
+    def test_subset_size_out_of_range(self, m, k):
+        with pytest.raises(UsageError):
+            make_top_k_oracle(m, k)
+
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_best_arm_fast_path_matches_general_path(self, theta):
+        # Values drawn from a small pool inject exact ties, where only the
+        # tie-break (lowest index wins) separates the two paths.
+        m = len(theta)
+        assert make_top_k_oracle(m, 1).maximizer(theta) == _top_k_phi(m, 1, theta)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_reward_matches_brute_force_on_grid(self, m):

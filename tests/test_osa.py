@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa, greedy_osa_detailed, greedy_scratch
-from coci.osa import marginal, osa_maximizer
+from coci.osa import make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum
 
@@ -185,7 +185,8 @@ class TestExactness:
 class TestMaximizerWrapper:
     def test_delegates(self):
         spec = OsaSpec((1, 1), 6)
-        assert osa_maximizer(spec, (0.25, 0.0)) == greedy_osa(spec, (0.25, 0.0))
+        oracle = make_osa_oracle(spec.n, spec.k)
+        assert oracle.maximizer((0.25, 0.0)) == tuple(map(float, greedy_osa(spec, (0.25, 0.0))))
 
     def test_own_parameter_monotone(self):
         spec = OsaSpec((1, 1), 6)
