@@ -161,16 +161,17 @@ def reward(spec: OracleSpec, theta: Sequence[float], y: Sequence[float]) -> floa
     return total
 
 
-def brute_force_maximizer(
+def scored_decisions(
     spec: OracleSpec,
     theta: Sequence[float],
     limit: int = ENUMERATION_LIMIT,
-) -> tuple[float, ...]:
-    """Maximize the reward by enumerating the whole decision class.
+) -> Iterator[tuple[tuple[float, ...], float]]:
+    """Stream ``(y, reward(theta; y))`` over the whole decision class, in
+    its enumeration order, without materialising it.
 
-    Ties are broken toward the lexicographically smallest decision vector,
-    which matches the tie-break of every shipped analytic oracle. Intended
-    as an independent check on the fast oracles, not as a production path.
+    Rewards are ``fsum``-ed like :func:`reward`, so tied decisions compare
+    equal. Raises ``UsageError`` when the class is not enumerable and
+    ``CapacityError`` when it holds more than ``limit`` decisions.
     """
     if spec.enumerate_decisions is None:
         raise UsageError(f"decision class of {spec.name} is not enumerable")
@@ -182,15 +183,26 @@ def brute_force_maximizer(
     tvals = theta.values if isinstance(theta, ParameterVector) else tuple(theta)
     if len(tvals) != spec.arm_count:
         raise UsageError(f"expected {spec.arm_count} parameters, got {len(tvals)}")
-
-    best_y: tuple[float, ...] | None = None
-    best_r = -np.inf
-    seen = 0
-    for y in spec.enumerate_decisions():
-        seen += 1
+    for seen, y in enumerate(spec.enumerate_decisions(), 1):
         if seen > limit:
             raise CapacityError(f"enumeration of {spec.name} exceeded limit {limit}")
-        r = math.fsum(spec.reward_term(i, tvals[i], y[i]) for i in range(spec.arm_count))
+        yield y, math.fsum(spec.reward_term(i, tvals[i], y[i]) for i in range(spec.arm_count))
+
+
+def brute_force_maximizer(
+    spec: OracleSpec,
+    theta: Sequence[float],
+    limit: int = ENUMERATION_LIMIT,
+) -> tuple[float, ...]:
+    """Maximize the reward by enumerating the whole decision class.
+
+    Ties are broken toward the lexicographically smallest decision vector,
+    which matches the tie-break of every shipped analytic oracle. Intended
+    as an independent check on the fast oracles, not as a production path.
+    """
+    best_y: tuple[float, ...] | None = None
+    best_r = -np.inf
+    for y, r in scored_decisions(spec, theta, limit):
         if r > best_r or (r == best_r and best_y is not None and y < best_y):
             best_r = r
             best_y = tuple(y)
@@ -236,26 +248,15 @@ class ProblemInstance:
         """The leading optimal decision under the true parameters."""
         return self.oracle.maximizer(self.true_params.values)
 
-    def check_unique_optimum(self, limit: int = ENUMERATION_LIMIT) -> None:
+    def check_unique_optimum(self) -> None:
         """Verify by enumeration that the true optimum is unique.
 
         Raises ``DegenerateInstanceError`` when two decisions tie for the
         optimum, and ``UsageError`` when the class is not enumerable.
         """
-        if self.oracle.enumerate_decisions is None:
-            raise UsageError("uniqueness check needs an enumerable decision class")
-        tvals = self.true_params.values
         best_r = -np.inf
         n_best = 0
-        seen = 0
-        for y in self.oracle.enumerate_decisions():
-            seen += 1
-            if seen > limit:
-                raise CapacityError(f"uniqueness check exceeded enumeration limit {limit}")
-            r = math.fsum(
-                self.oracle.reward_term(i, tvals[i], y[i])
-                for i in range(self.oracle.arm_count)
-            )
+        for _, r in scored_decisions(self.oracle, self.true_params.values):
             if r > best_r:
                 best_r = r
                 n_best = 1

@@ -3,14 +3,16 @@
 One run proceeds in rounds. After pulling every arm tau times (tau = 1 for
 mean estimation, 2 for variance estimation), each round
 
-1. recomputes which arms are *candidates* -- arms whose component of the
-   leading optimal decision varies over the current confidence box;
+1. recomputes every radius (they grow with the round index), the box, and
+   which arms are *candidates* -- arms whose component of the leading
+   optimal decision varies over the current confidence box;
 2. stops and returns the decision at the box's lower corner when no
    candidate remains (the decision is then constant over the whole box);
 3. otherwise pulls the candidate arm with the largest confidence radius
-   (the uniform ablation instead pulls the largest-radius arm overall,
-   which degenerates to round-robin), updates that arm's estimate, and
-   recomputes every radius (they grow with the round index).
+   (the uniform ablation pulls the largest-radius arm overall: round-robin).
+   Every radius is sqrt(level * 0.5 / pulls) with one ``level`` for all
+   arms, and each float step is monotone, so the largest radius is exactly
+   the fewest pulls, ties to the lower index; arms are picked that way.
 
 Runs are deterministic given (instance, delta, strategy, seed): each arm
 draws from a private sub-stream keyed by (seed, arm index), so an arm's
@@ -107,7 +109,9 @@ def _run(
     record_trace: bool = False,
     box_cap: float = 1.0,
 ) -> RunResult:
-    """One run of either sampler.
+    """One run of either sampler: each round pulls the fewest-pulled arm
+    (candidate, for coci), ties to the lower index. That is exactly the
+    largest-radius one, because all radii share the round's ``level``.
 
     ``strategy`` defaults to :func:`default_strategy` of the oracle, and
     ``max_rounds`` to ten times the round bound implied by ``h_lambda``
@@ -115,14 +119,14 @@ def _run(
     audit; ``record_trace`` keeps every round and sample; ``box_cap`` is the
     upper clamp of the confidence box.
     """
-    if not (0.0 < delta < 1.0):
-        raise UsageError(f"delta must be in (0, 1), got {delta!r}")
     oracle = instance.oracle
     m = oracle.arm_count
     if not instance.arm_models:
         raise UsageError("instance has no arm models to sample from")
     kind = instance.estimator_kind
     tau = kind.tau
+    if not (0.0 < delta < 1.0 and math.isfinite(4.0 / (tau * delta))):
+        raise UsageError(f"delta must be in (0, 1) with finite radii, got {delta!r}")
     if strategy is None:
         strategy = default_strategy(oracle)
 
@@ -144,47 +148,44 @@ def _run(
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
     theta_star = instance.true_params.values
 
-    pulls = [0] * m
     sums = [0.0] * m
     sums_sq = [0.0] * m
-    est = [0.0] * m
     sample_log: list[list[float]] | None = [[] for _ in range(m)] if record_trace else None
-
-    t = 0
     for i in range(m):
         for _ in range(tau):
             x = streams[i].next()
             sums[i] += x
             sums_sq[i] += x * x
-            pulls[i] += 1
-            t += 1
             if sample_log is not None:
                 sample_log[i].append(x)
-        est[i] = estimate_from_sums(kind, sums[i], sums_sq[i], tau)
+    pulls = [tau] * m
+    est = [estimate_from_sums(kind, sums[i], sums_sq[i], tau) for i in range(m)]
+    inv2 = [0.5 / tau] * m
+    t = tau * m
 
     # Radii: sqrt((log(4 / (tau delta)) + 3 log t) / (2 pulls)).
     log_const = math.log(4.0 / (tau * delta))
-    inv2 = [0.5 / pulls[i] for i in range(m)]
-    level = log_const + 3.0 * math.log(t)
-    rad = [math.sqrt(level * inv2[i]) for i in range(m)]
-    lower = [max(0.0, min(box_cap, est[i] - rad[i])) for i in range(m)]
-    upper = [min(box_cap, max(0.0, est[i] + rad[i])) for i in range(m)]
-
+    rad = [0.0] * m
+    lower = [0.0] * m
+    upper = [0.0] * m
     xi_held = True
-    for i in range(m):
-        if abs(est[i] - theta_star[i]) > rad[i]:
-            xi_held = False
-            break
-
     lemma_violations = 0 if lam_half is not None else None
     trace: list[CociState] | None = [] if record_trace else None
     j = x = None  # the pull that produced the current state
-
     last_candidate = 0
-    converged = True
     arms = list(range(m))
 
     while True:
+        level = log_const + 3.0 * math.log(t)
+        for i in arms:
+            r = math.sqrt(level * inv2[i])
+            rad[i] = r
+            e = est[i]
+            lower[i] = max(0.0, min(box_cap, e - r))
+            upper[i] = min(box_cap, max(0.0, e + r))
+            if abs(e - theta_star[i]) > r:
+                xi_held = False
+
         chosen = -1
         if trace is not None:
             # Full candidate set for the trace record.
@@ -193,8 +194,7 @@ def _run(
             )
             box = ConfidenceBox(tuple(lower), tuple(upper))
             trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
-            if cands:
-                chosen = min(cands, key=lambda a: (-rad[a], a))
+            chosen = min(cands, key=pulls.__getitem__, default=-1)
         elif uniform:
             # Only emptiness matters for the uniform rule; check the last
             # known candidate first (no results are cached, just the order).
@@ -208,29 +208,16 @@ def _run(
                         chosen = i
                         break
         else:
-            # Scanning arms by decreasing radius (ties: lower index), the
-            # first candidate found is the argmax-radius candidate.
-            for i in sorted(arms, key=lambda a: (-rad[a], a)):
+            # The first candidate by pull count has the largest radius.
+            for i in sorted(arms, key=pulls.__getitem__):
                 if candidate_on_bounds(strategy, oracle, lower, upper, i):
                     chosen = i
                     break
 
-        if chosen < 0:
-            output = oracle.maximizer(tuple(lower))
+        if chosen < 0 or t >= max_rounds:
             break
         last_candidate = chosen
-        if uniform:
-            j = 0
-            for i in range(1, m):
-                if rad[i] > rad[j]:
-                    j = i
-        else:
-            j = chosen
-        if t >= max_rounds:
-            converged = False
-            output = oracle.maximizer(tuple(lower))
-            break
-
+        j = pulls.index(min(pulls)) if uniform else chosen
         if lam_half is not None and rad[j] < lam_half[j]:
             lemma_violations += 1
 
@@ -244,20 +231,8 @@ def _run(
         if sample_log is not None:
             sample_log[j].append(x)
 
-        level = log_const + 3.0 * math.log(t)
-        for i in arms:
-            r = math.sqrt(level * inv2[i])
-            rad[i] = r
-            e = est[i]
-            lower[i] = max(0.0, min(box_cap, e - r))
-            upper[i] = min(box_cap, max(0.0, e + r))
-
-        if xi_held:
-            for i in arms:
-                if abs(est[i] - theta_star[i]) > rad[i]:
-                    xi_held = False
-                    break
-
+    converged = chosen < 0
+    output = oracle.maximizer(tuple(lower))
     return RunResult(
         output=tuple(output),
         rounds=t,

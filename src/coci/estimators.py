@@ -75,10 +75,10 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
     is strictly increasing in t and scales as 1/sqrt(pulls). Evaluated in the
     sampler's float order, so it equals the sampler's radii bit for bit.
     """
-    if not (0.0 < delta < 1.0):
-        raise UsageError(f"delta must be in (0, 1), got {delta!r}")
     if tau not in (1, 2):
         raise UsageError(f"tau must be 1 or 2, got {tau!r}")
+    if not (0.0 < delta < 1.0 and math.isfinite(4.0 / (tau * delta))):
+        raise UsageError(f"delta must be in (0, 1) with finite radii, got {delta!r}")
     if t < tau or pulls < tau:
         raise UsageError(f"need t >= tau and pulls >= tau, got t={t}, pulls={pulls}")
     return math.sqrt((math.log(4.0 / (tau * delta)) + 3.0 * math.log(t)) * (0.5 / pulls))

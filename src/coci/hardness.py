@@ -26,13 +26,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import OracleSpec, validate_parameters
+from .core import OracleSpec, scored_decisions, validate_parameters
 from .errors import CapacityError, DegenerateInstanceError, UsageError
 
 #: Analytic exchange width of top-k style classes (one element in, one out).
 WIDTH_TOP_K = 2
 
-_DEFAULT_POINT_LIMIT = 2 * 10**9
+_POINT_LIMIT = 2 * 10**9
 _BATCH_CHUNK = 1 << 16
 
 
@@ -113,7 +113,6 @@ def compute_lambda(
     spec: OracleSpec,
     theta_star: Sequence[float],
     epsilon: float = 0.01,
-    point_limit: int = _DEFAULT_POINT_LIMIT,
 ) -> LambdaEstimate:
     """Lower brackets of the per-arm flip radii via expanding lattice shells."""
     if epsilon <= 0:
@@ -121,10 +120,10 @@ def compute_lambda(
     m = spec.arm_count
     center = validate_parameters(theta_star, m)
     worst_case = (2 * math.ceil(1.0 / epsilon) + 1) ** m
-    if worst_case > point_limit:
+    if worst_case > _POINT_LIMIT:
         raise CapacityError(
             f"lattice over {m} arms at epsilon={epsilon} may visit {worst_case} points, "
-            f"over the limit {point_limit}"
+            f"over the limit {_POINT_LIMIT}"
         )
 
     y_star = spec.maximizer(center)
@@ -223,23 +222,20 @@ def compute_reward_gaps(spec: OracleSpec, theta_star: Sequence[float]) -> tuple[
     The gap of arm i is the optimal reward minus the best reward among
     decisions that disagree with the optimum at coordinate i (infinite when
     no decision disagrees there). Raises ``DegenerateInstanceError`` when
-    the optimum is not unique.
+    the optimum is not unique, and ``CapacityError`` past the enumeration
+    limit of :func:`~coci.core.scored_decisions`.
     """
     m = spec.arm_count
     center = validate_parameters(theta_star, m)
-    if spec.enumerate_decisions is None:
-        raise UsageError(f"decision class of {spec.name} is not enumerable")
-
     y_star = spec.maximizer(center)
     r_star = math.fsum(spec.reward_term(i, center[i], y_star[i]) for i in range(m))
 
     best_disagree = [-math.inf] * m
-    for y in spec.enumerate_decisions():
+    for y, r in scored_decisions(spec, center):
         if any(v not in (0.0, 1.0) for v in y):
             raise UsageError(f"decision class of {spec.name} is not binary")
         if tuple(y) == tuple(y_star):
             continue
-        r = math.fsum(spec.reward_term(i, center[i], y[i]) for i in range(m))
         if r >= r_star:
             raise DegenerateInstanceError(
                 f"optimum is not unique: {tuple(y)} matches the optimal reward"

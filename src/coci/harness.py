@@ -117,6 +117,18 @@ def _require(raw: dict, field: str, types, path: str):
     return value
 
 
+def _read(value, field: str, cast, low=-math.inf, high=math.inf):
+    """``cast(value)`` when that succeeds and lies in [low, high]; otherwise a
+    ``ConfigError`` naming ``field``."""
+    try:
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(field, f"expected {cast.__name__}, got {value!r}") from None
+    if not (low <= out <= high):
+        raise ConfigError(field, f"{out} is outside [{low}, {high}]")
+    return out
+
+
 _COST_KINDS = {
     "quadratic": lambda spec: QuadraticCost(float(spec.get("a", 1.0))),
     "power": lambda spec: PowerCost(float(spec.get("a", 1.0)), float(spec.get("p", 2.0))),
@@ -148,12 +160,12 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     application = _require(raw, "application", str, "")
     if application not in _APPLICATIONS:
         raise ConfigError("application", f"must be one of {_APPLICATIONS}")
-    theta = tuple(float(v) for v in _require(raw, "theta_star", list, ""))
+    theta = tuple(
+        _read(v, f"theta_star[{i}]", float, 0.0, 1.0)
+        for i, v in enumerate(_require(raw, "theta_star", list, ""))
+    )
     if not theta:
         raise ConfigError("theta_star", "must be a nonempty list")
-    for i, v in enumerate(theta):
-        if not (0.0 <= v <= 1.0):
-            raise ConfigError(f"theta_star[{i}]", f"value {v} outside [0, 1]")
 
     est_name = raw.get("estimator", "mean")
     try:
@@ -161,17 +173,15 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     except KeyError:
         raise ConfigError("estimator", f"unknown estimator {est_name!r}") from None
 
-    delta = float(_require(raw, "delta", (int, float), ""))
+    delta = _read(_require(raw, "delta", (int, float), ""), "delta", float)
     if not (0.0 < delta < 1.0):
         raise ConfigError("delta", f"must be in (0, 1), got {delta}")
 
     mode = raw.get("mode", "coci")
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
-    trials = int(raw.get("trials", 1))
-    if trials < 1:
-        raise ConfigError("trials", "must be >= 1")
-    master_seed = int(raw.get("master_seed", 0))
+    trials = _read(raw.get("trials", 1), "trials", int, 1)
+    master_seed = _read(raw.get("master_seed", 0), "master_seed", int, 0)
 
     strategy = None
     if raw.get("strategy") is not None:
@@ -189,22 +199,16 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     if application == "top-k":
         if k is None:
             raise ConfigError("k", "top-k requires a subset size k")
-        k = int(k)
-        if not (1 <= k <= len(theta)):
-            raise ConfigError("k", f"need 1 <= k <= {len(theta)}")
+        k = _read(k, "k", int, 1, len(theta))
     elif application == "best-arm":
         k = 1
     elif application == "osa":
         if n is None or k is None:
             raise ConfigError("n", "osa requires group sizes n and budget k")
-        n = tuple(int(v) for v in n)
-        k = int(k)
+        n = tuple(_read(v, f"n[{i}]", int, 1) for i, v in enumerate(_require(raw, "n", list, "")))
         if len(n) != len(theta):
             raise ConfigError("n", "group sizes must match theta_star length")
-        if any(v < 1 for v in n):
-            raise ConfigError("n", "group sizes must be >= 1")
-        if k < len(n):
-            raise ConfigError("k", f"budget must be >= group count {len(n)}")
+        k = _read(k, "k", int, len(n))
         if estimator is not EstimatorKind.VARIANCE:
             raise ConfigError("estimator", "osa estimates within-group variances")
     elif application == "water":
@@ -214,7 +218,10 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
             kind = cost.get("kind") if isinstance(cost, dict) else None
             if kind not in _COST_KINDS:
                 raise ConfigError(f"water.costs[{idx}]", f"unknown cost kind {kind!r}")
-            costs.append(_COST_KINDS[kind](cost))
+            try:
+                costs.append(_COST_KINDS[kind](cost))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"water.costs[{idx}]", str(exc)) from exc
         try:
             water = WaterSpec(
                 b=float(_require(wraw, "b", (int, float), "water.")),
@@ -247,7 +254,9 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     if hardness_raw is False:
         hardness_epsilon = None
     elif isinstance(hardness_raw, dict):
-        hardness_epsilon = float(hardness_raw.get("epsilon", 0.01))
+        hardness_epsilon = _read(hardness_raw.get("epsilon", 0.01), "hardness.epsilon", float)
+        if not hardness_epsilon > 0.0:
+            raise ConfigError("hardness.epsilon", f"must be positive, got {hardness_epsilon}")
     else:
         raise ConfigError("hardness", "must be false or an object like {'epsilon': 0.01}")
 
@@ -259,9 +268,10 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError("output.format", f"must be one of {_FORMATS}")
 
     max_rounds = raw.get("max_rounds")
-    workers = int(raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers", "must be >= 1")
+    if max_rounds is not None:
+        # The set-up pulls every arm tau times before the first round.
+        max_rounds = _read(max_rounds, "max_rounds", int, estimator.tau * len(theta))
+    workers = _read(raw.get("workers", 1), "workers", int, 1)
 
     return ExperimentConfig(
         name=str(raw.get("name", name)),
@@ -277,7 +287,7 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         n=n,
         water=water,
         models=models,
-        max_rounds=int(max_rounds) if max_rounds is not None else None,
+        max_rounds=max_rounds,
         hardness_epsilon=hardness_epsilon,
         out_path=output.get("path"),
         out_format=out_format,

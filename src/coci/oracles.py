@@ -267,7 +267,7 @@ def _derivative_direction(spec: WaterSpec, i: int) -> int | None:
     return None
 
 
-def water_bi_monotone(spec: WaterSpec, sweep_points: int = 5) -> bool:
+def water_bi_monotone(spec: WaterSpec) -> bool:
     """Conservative check that the water oracle is bi-monotone.
 
     True only when every cost derivative is strictly monotone in the same
@@ -281,7 +281,7 @@ def water_bi_monotone(spec: WaterSpec, sweep_points: int = 5) -> bool:
     if spec.required_units == 0:
         return False
 
-    grid = [j / (sweep_points - 1) for j in range(sweep_points)]
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     step = spec.grid_step
     for theta in itertools.product(grid, repeat=spec.m):
         y = water_maximizer(spec, theta)

@@ -21,6 +21,7 @@ from coci import (
     make_water_oracle,
     reward,
 )
+from coci.core import scored_decisions
 
 
 class TestTypes:
@@ -85,6 +86,13 @@ class TestBruteForce:
         spec = make_top_k_oracle(3, 2)
         with pytest.raises(CapacityError):
             brute_force_maximizer(spec, (0.9, 0.1, 0.5), limit=2)
+
+    def test_scored_decisions_stream_the_class(self):
+        spec = make_osa_oracle((1, 2, 1), 6)
+        theta = (0.25, 0.1, 0.2)
+        stream = scored_decisions(spec, theta)
+        assert not isinstance(stream, (list, tuple))
+        assert list(stream) == [(y, reward(spec, theta, y)) for y in spec.enumerate_decisions()]
 
     def test_determinism(self):
         spec = make_top_k_oracle(4, 2)

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from coci import (
     EstimatorKind,
@@ -9,6 +10,7 @@ from coci import (
     UsageError,
     audit_xi,
     build_instance,
+    confidence_radius,
     dump_trace,
     make_best_arm_oracle,
     make_osa_oracle,
@@ -209,6 +211,36 @@ class TestTrace:
             assert obj["estimates"] == list(state.estimates)
             assert obj["radii"] == list(state.radii)
             assert obj["candidates"] == len(state.candidates)
+
+
+class TestPullOrder:
+    """The sampler picks arms by pull count; that must be radius order."""
+
+    @given(
+        m=st.integers(1, 8),
+        tau=st.sampled_from([1, 2]),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        data=st.data(),
+    )
+    def test_radius_order_is_pull_order(self, m, tau, delta, data):
+        assume(math.isfinite(4.0 / (tau * delta)))
+        # A small pool of pull counts, with neighbours, so ties and
+        # near-ties occur.
+        base = data.draw(st.lists(st.integers(tau, 4 * 10**6 - 1), min_size=1, max_size=3))
+        pool = base + [p + 1 for p in base]
+        pulls = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        t = sum(pulls) + data.draw(st.integers(0, 2**40))
+        by_radius = sorted(
+            range(m), key=lambda a: (-confidence_radius(t, pulls[a], tau, delta), a)
+        )
+        assert by_radius == sorted(range(m), key=pulls.__getitem__)
+
+    def test_infinite_radius_delta_rejected(self, best_arm_instance):
+        # 4 / (tau delta) overflows: every radius would be inf, all tied.
+        with pytest.raises(UsageError):
+            confidence_radius(10, 5, 2, 5e-309)
+        with pytest.raises(UsageError):
+            run_coci(best_arm_instance, 1e-320, seed=0)
 
 
 class TestWaterApplication:

@@ -85,6 +85,11 @@ class TestRewardGaps:
         with pytest.raises(DegenerateInstanceError):
             compute_reward_gaps(make_best_arm_oracle(3), (0.5, 0.5, 0.2))
 
+    def test_capacity_limit(self):
+        # C(30, 15) decisions is past the 10^7 enumeration limit.
+        with pytest.raises(CapacityError):
+            compute_reward_gaps(make_top_k_oracle(30, 15), [0.5 + i / 100 for i in range(30)])
+
     def test_full_subset_has_no_disagreeing_decision(self):
         gaps = compute_reward_gaps(make_top_k_oracle(2, 2), (0.8, 0.2))
         assert gaps == (math.inf, math.inf)

@@ -308,6 +308,49 @@ class TestCli:
         assert cli_main(args) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"trials": "x"}, "trials"),
+            ({"master_seed": -1}, "master_seed"),
+            ({"workers": "two"}, "workers"),
+            ({"workers": 0}, "workers"),
+            ({"theta_star": ["a", 0.25]}, "theta_star[0]"),
+            ({"theta_star": [0.75, float("nan")]}, "theta_star[1]"),
+            ({"delta": float("nan")}, "delta"),
+            ({"hardness": {"epsilon": "x"}}, "hardness.epsilon"),
+            ({"hardness": {"epsilon": 0}}, "hardness.epsilon"),
+            ({"max_rounds": 1}, "max_rounds"),
+            ({"max_rounds": "many"}, "max_rounds"),
+            ({"application": "top-k", "k": "two"}, "k"),
+            ({"application": "top-k", "k": 3}, "k"),
+            (
+                {"application": "osa", "estimator": "variance", "n": [1, "x"], "k": 4},
+                "n[1]",
+            ),
+            ({"application": "osa", "estimator": "variance", "n": 2, "k": 4}, "n"),
+            ({"application": "osa", "estimator": "variance", "n": [1, 1], "k": 1}, "k"),
+            (
+                {
+                    "application": "water",
+                    "water": {
+                        "b": 0.5,
+                        "caps": [1.0, 1.0],
+                        "grid_step": 0.5,
+                        "costs": [{"kind": "quadratic", "a": "x"}, {"kind": "quadratic"}],
+                    },
+                },
+                "water.costs[0]",
+            ),
+        ],
+    )
+    def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):
+        raw = {**json.loads((CONFIG_DIR / "quick.json").read_text()), **patch}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # Flip-radius search over five arms at the default lattice exceeds
         # the capacity limit: a runtime (not config) failure, exit code 2.
