@@ -118,7 +118,8 @@ class OracleSpec:
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with
-        ``maximizer`` row by row.
+        ``maximizer`` row by row. No shipped oracle sets it and the package
+        never calls it.
     """
 
     arm_count: int

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .condition import ConditionStrategy, candidate_on_bounds, default_strategy
 from .core import ConfidenceBox, ProblemInstance
 from .errors import UsageError
-from .estimators import estimate_from_sums
+from .estimators import check_delta, estimate_from_sums
 from .hardness import sample_complexity_bound
 from .sim import BufferedArm, arm_stream
 
@@ -125,8 +125,7 @@ def _run(
         raise UsageError("instance has no arm models to sample from")
     kind = instance.estimator_kind
     tau = kind.tau
-    if not (0.0 < delta < 1.0 and math.isfinite(4.0 / (tau * delta))):
-        raise UsageError(f"delta must be in (0, 1) with finite radii, got {delta!r}")
+    check_delta(delta, tau)
     if strategy is None:
         strategy = default_strategy(oracle)
 

@@ -67,6 +67,13 @@ def estimate_from_sums(kind: EstimatorKind, total: float, total_sq: float, s: in
     return value
 
 
+def check_delta(delta: float, tau: int) -> None:
+    """Raise ``UsageError`` unless ``0 < delta < 1`` and ``4 / (tau delta)``
+    is finite; past that every radius is infinite and no run can stop."""
+    if not (0.0 < delta < 1.0 and math.isfinite(4.0 / (tau * delta))):
+        raise UsageError(f"delta must be in (0, 1) with finite radii, got {delta!r}")
+
+
 def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
     """Confidence radius sqrt(ln(4 t^3 / (tau delta)) / (2 pulls)).
 
@@ -77,8 +84,7 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
     """
     if tau not in (1, 2):
         raise UsageError(f"tau must be 1 or 2, got {tau!r}")
-    if not (0.0 < delta < 1.0 and math.isfinite(4.0 / (tau * delta))):
-        raise UsageError(f"delta must be in (0, 1) with finite radii, got {delta!r}")
+    check_delta(delta, tau)
     if t < tau or pulls < tau:
         raise UsageError(f"need t >= tau and pulls >= tau, got t={t}, pulls={pulls}")
     return math.sqrt((math.log(4.0 / (tau * delta)) + 3.0 * math.log(t)) * (0.5 / pulls))

@@ -2,12 +2,19 @@
 
 The *flip radius* of arm i is the largest L-infinity perturbation of the
 true parameters under which the i-th component of the leading optimal
-decision cannot change. It is estimated by expanding lattice shells around
-the true parameters and recording the first shell on which each component
-flips; the value reported is one lattice step below that shell (a lower
-bracket with +/- epsilon uncertainty). Shell-only evaluation is exact for
-oracles whose decision regions are unions of boxes and halfspaces, which
-covers every oracle shipped here; this is a documented assumption.
+decision cannot change. It is bracketed on a grid of step epsilon: shell s
+is the box of half-width ``s epsilon`` around the true parameters, clamped
+to the cube, and the value reported is one step below the first shell on
+which component i flips (a lower bracket with +/- epsilon uncertainty).
+
+For bi-monotone oracles that shell is found by bisection with the sampler's
+own two-corner candidate test, which is exact on any box; the boxes nest,
+so flipping within shell s is monotone in s. Other oracles enumerate the
+lattice points of each shell, with a point limit. Shell-only evaluation is
+exact for oracles whose decision regions are unions of boxes and
+halfspaces, which covers every oracle shipped here; this is a documented
+assumption. The lattice is also the reference the bisection is tested
+against.
 
 ``h_adaptive = sum(1 / radius_i^2)`` governs the adaptive sampler's round
 bound; ``h_uniform = m / min_i(radius_i^2)`` plays the same role for the
@@ -24,8 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from .condition import BiMonotone, candidate_on_bounds
 from .core import OracleSpec, scored_decisions, validate_parameters
 from .errors import CapacityError, DegenerateInstanceError, UsageError
 
@@ -33,7 +39,6 @@ from .errors import CapacityError, DegenerateInstanceError, UsageError
 WIDTH_TOP_K = 2
 
 _POINT_LIMIT = 2 * 10**9
-_BATCH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,11 +119,59 @@ def compute_lambda(
     theta_star: Sequence[float],
     epsilon: float = 0.01,
 ) -> LambdaEstimate:
-    """Lower brackets of the per-arm flip radii via expanding lattice shells."""
-    if epsilon <= 0:
+    """Lower brackets of the per-arm flip radii on the epsilon-shell grid.
+
+    Shell s is the box whose bounds are the ladder's generation-s values
+    (``theta* -/+ s epsilon``, clamped to the cube). Arm i's flip shell is
+    the least s whose box holds a point where the i-th component differs
+    from the optimum's; the bracket is one step below it.
+
+    Bi-monotone oracles find it by bisection over s with the exact
+    two-corner candidate test: the boxes nest, so "component i varies over
+    box s" is monotone in s, and the least such s is exactly the lattice's
+    first flip shell. Other oracles enumerate the lattice shell by shell,
+    which raises ``CapacityError`` past ``_POINT_LIMIT`` points.
+    """
+    if not epsilon > 0:
         raise UsageError(f"epsilon must be positive, got {epsilon!r}")
     m = spec.arm_count
     center = validate_parameters(theta_star, m)
+    if spec.bi_monotone:
+        flip_shell = [_bisect_flip_shell(spec, center, epsilon, i) for i in range(m)]
+    else:
+        flip_shell = _lattice_flip_shells(spec, center, epsilon)
+    return LambdaEstimate(
+        tuple(1.0 if s is None else (s - 1) * epsilon for s in flip_shell),
+        tuple(s is None for s in flip_shell),
+        epsilon,
+    )
+
+
+def _bisect_flip_shell(spec: OracleSpec, center, epsilon: float, i: int) -> Optional[int]:
+    """Least shell whose box lets component i vary; None when even the whole
+    cube does not."""
+
+    def varies(s: int) -> bool:
+        # The ladder's own float expressions, so the corners are lattice points.
+        lower = [c - s * epsilon if c - s * epsilon > 0.0 else 0.0 for c in center]
+        upper = [c + s * epsilon if c + s * epsilon < 1.0 else 1.0 for c in center]
+        return candidate_on_bounds(BiMonotone(), spec, lower, upper, i)
+
+    lo, hi = 0, math.ceil(1.0 / epsilon) + 1  # box(0) is theta*; box(hi) is the cube
+    if not varies(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if varies(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _lattice_flip_shells(spec: OracleSpec, center, epsilon: float) -> list[Optional[int]]:
+    """First lattice shell on which each component flips (None: never)."""
+    m = len(center)
     worst_case = (2 * math.ceil(1.0 / epsilon) + 1) ** m
     if worst_case > _POINT_LIMIT:
         raise CapacityError(
@@ -127,93 +180,30 @@ def compute_lambda(
         )
 
     y_star = spec.maximizer(center)
-    ladders = [_coordinate_ladder(center[i], epsilon) for i in range(m)]
-    max_gen = max(len(lad) - 1 for lad in ladders)
-    prefixes: list[list[float]] = [list(lad[0]) for lad in ladders]
-
-    flip_shell: list[int | None] = [None] * m
-    open_arms = set(range(m))
-
-    for s in range(1, max_gen + 1):
+    ladders = [_coordinate_ladder(c, epsilon) for c in center]
+    prefixes = [list(lad[0]) for lad in ladders]
+    flip_shell: list[Optional[int]] = [None] * m
+    for s in range(1, max(len(lad) for lad in ladders)):
         news = [lad[s] if s < len(lad) else [] for lad in ladders]
-        _scan_shell(prefixes, news, spec, open_arms, y_star, flip_shell, s)
-        for i in range(m):
-            prefixes[i].extend(news[i])
-        for i in list(open_arms):
-            if flip_shell[i] is not None:
-                open_arms.discard(i)
-        if not open_arms:
-            break
-
-    lower = []
-    saturated = []
-    for i in range(m):
-        if flip_shell[i] is None:
-            lower.append(1.0)
-            saturated.append(True)
-        else:
-            lower.append((flip_shell[i] - 1) * epsilon)
-            saturated.append(False)
-    return LambdaEstimate(tuple(lower), tuple(saturated), epsilon)
-
-
-def _scan_shell(prefixes, news, spec, open_arms, y_star, flip_shell, s) -> None:
-    """Evaluate all shell-s lattice points, recording first flips in place."""
-    m = len(prefixes)
-    for pivot in range(m):
-        if not news[pivot]:
-            continue
-        # Coordinates before the pivot stay strictly inside shell s-1 so no
-        # point is enumerated from two pivots.
-        axes = [prefixes[j] for j in range(pivot)]
-        axes.append(news[pivot])
-        axes.extend(prefixes[j] + news[j] for j in range(pivot + 1, m))
-        if any(not axis for axis in axes):
-            continue
-        if spec.batch_maximizer is not None:
-            _scan_batch(axes, spec, open_arms, y_star, flip_shell, s)
-        else:
-            _scan_points(axes, spec, open_arms, y_star, flip_shell, s)
-
-
-def _scan_points(axes, spec, open_arms, y_star, flip_shell, s) -> None:
-    remaining = {i for i in open_arms if flip_shell[i] is None}
-    if not remaining:
-        return
-    for point in itertools.product(*axes):
-        y = spec.maximizer(point)
-        for i in list(remaining):
-            if y[i] != y_star[i]:
-                flip_shell[i] = s
-                remaining.discard(i)
-        if not remaining:
-            return
-
-
-def _scan_batch(axes, spec, open_arms, y_star, flip_shell, s) -> None:
-    sizes = [len(a) for a in axes]
-    total = math.prod(sizes)
-    ref = np.asarray(y_star, dtype=np.float64)
-    arr_axes = [np.asarray(a, dtype=np.float64) for a in axes]
-    remaining = [i for i in open_arms if flip_shell[i] is None]
-    if not remaining:
-        return
-    for start in range(0, total, _BATCH_CHUNK):
-        stop = min(start + _BATCH_CHUNK, total)
-        idx = np.arange(start, stop)
-        cols = []
-        div = total
-        for a, size in zip(arr_axes, sizes):
-            div //= size
-            cols.append(a[(idx // div) % size])
-        points = np.column_stack(cols)
-        decisions = spec.batch_maximizer(points)
-        for i in list(remaining):
-            if np.any(decisions[:, i] != ref[i]):
-                flip_shell[i] = s
-                remaining.remove(i)
-        if not remaining:
-            return
+        open_arms = {i for i in range(m) if flip_shell[i] is None}
+        for pivot in range(m):
+            if not news[pivot]:
+                continue
+            # Coordinates before the pivot stay strictly inside shell s-1 so
+            # no point is enumerated from two pivots.
+            axes = prefixes[:pivot] + [news[pivot]]
+            axes += [prefixes[j] + news[j] for j in range(pivot + 1, m)]
+            for point in itertools.product(*axes):
+                y = spec.maximizer(point)
+                for i in list(open_arms):
+                    if y[i] != y_star[i]:
+                        flip_shell[i] = s
+                        open_arms.discard(i)
+                if not open_arms:
+                    return flip_shell
+        for prefix, new in zip(prefixes, news):
+            prefix.extend(new)
+    return flip_shell
 
 
 def compute_reward_gaps(spec: OracleSpec, theta_star: Sequence[float]) -> tuple[float, ...]:

@@ -31,8 +31,8 @@ import numpy as np
 from .condition import BiMonotone, ConditionStrategy, CornerEnumeration, GridScan
 from .core import ProblemInstance
 from .engine import RunResult, run_coci, run_uniform
-from .errors import CociError, ConfigError
-from .estimators import EstimatorKind
+from .errors import CociError, ConfigError, UsageError
+from .estimators import EstimatorKind, check_delta
 from .hardness import WIDTH_TOP_K, HardnessReport, hardness_report
 from .oracles import (
     LinearCost,
@@ -118,9 +118,13 @@ def _require(raw: dict, field: str, types, path: str):
 
 
 def _read(value, field: str, cast, low=-math.inf, high=math.inf):
-    """``cast(value)`` when that succeeds and lies in [low, high]; otherwise a
-    ``ConfigError`` naming ``field``."""
+    """``cast(value)`` when that succeeds, loses nothing and lies in
+    [low, high]; otherwise a ``ConfigError`` naming ``field``. A bool is
+    never a number, and an ``int`` field takes no fractional part."""
     try:
+        fractional = cast is int and isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or fractional:
+            raise ValueError
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, f"expected {cast.__name__}, got {value!r}") from None
@@ -174,8 +178,10 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError("estimator", f"unknown estimator {est_name!r}") from None
 
     delta = _read(_require(raw, "delta", (int, float), ""), "delta", float)
-    if not (0.0 < delta < 1.0):
-        raise ConfigError("delta", f"must be in (0, 1), got {delta}")
+    try:
+        check_delta(delta, estimator.tau)
+    except UsageError as exc:
+        raise ConfigError("delta", str(exc)) from None
 
     mode = raw.get("mode", "coci")
     if mode not in _MODES:

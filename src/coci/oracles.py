@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import OracleSpec
 from .errors import DomainError, UsageError
 
@@ -54,15 +52,6 @@ def _best_arm_phi(m: int, theta: Sequence[float]) -> tuple[float, ...]:
     y = [0.0] * m
     y[best] = 1.0
     return tuple(y)
-
-
-def _top_k_batch(m: int, k: int, thetas: np.ndarray) -> np.ndarray:
-    # Stable argsort of -theta keeps lower indices first among ties, matching
-    # the scalar oracle exactly.
-    order = np.argsort(-thetas, axis=1, kind="stable")[:, :k]
-    out = np.zeros(thetas.shape, dtype=np.float64)
-    np.put_along_axis(out, order, 1.0, axis=1)
-    return out
 
 
 def _top_k_term(i: int, theta_i: float, y_i: float) -> float:
@@ -103,7 +92,6 @@ def make_top_k_oracle(m: int, k: int) -> OracleSpec:
         enumerate_decisions=partial(_enumerate_top_k, m, k),
         decision_count=math.comb(m, k),
         bi_monotone=True,
-        batch_maximizer=partial(_top_k_batch, m, k),
     )
 
 

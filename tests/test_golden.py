@@ -1,11 +1,16 @@
-"""Golden digest of full ``RunResult`` reprs over a fixed set of runs.
+"""Golden digests of full ``RunResult`` reprs over a fixed set of runs, and
+of the hardness reports of the shipped configs and bench workloads.
 
-Any change to what a run draws, pulls, records or returns changes the
+Any change to what a run draws, pulls, records or returns changes the run
 digest. The set covers both samplers; traced, untraced and capped runs; the
-half-flip-radius audit; and the corner-enumeration candidate test.
+half-flip-radius audit; and the corner-enumeration candidate test. Any
+change to a flip radius, saturation flag, gap or hardness sum of a shipped
+instance changes the hardness digest.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 from coci import (
     Bernoulli,
@@ -20,7 +25,9 @@ from coci import (
     run_coci,
     run_uniform,
 )
+from coci.harness import build_problem, parse_config, problem_hardness, read_config
 
+ROOT = Path(__file__).parent.parent
 GOLDEN_SHA256 = "379a5ef2077d89ba95d3d9e060a848974b94c8f35e42f62178ccc692698776ca"
 
 
@@ -62,3 +69,27 @@ def _runs():
 def test_run_results_match_golden_digest():
     digest = hashlib.sha256("\n".join(repr(r) for r in _runs()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+HARDNESS_SHA256 = "b58e657b1539659ee60874db61a68735c51bac7fd9019b2a91ec40fadd4d5834"
+
+
+def _hardness_configs():
+    # Every shipped config and bench workload that reports hardness.
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield read_config(path)
+    workloads = json.loads((ROOT / "bench" / "workloads.json").read_text())
+    for name in sorted(workloads):
+        yield workloads[name]["config"]
+
+
+def test_hardness_reports_match_golden_digest():
+    reports = []
+    for raw in _hardness_configs():
+        config = parse_config(raw)
+        if config.hardness_epsilon is not None:
+            report = problem_hardness(config, build_problem(config))
+            reports.append(repr(report.to_dict()))
+    assert len(reports) == 7
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == HARDNESS_SHA256

@@ -1,12 +1,16 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coci import (
     CapacityError,
     DegenerateInstanceError,
+    QuadraticCost,
+    WaterSpec,
     compute_lambda,
     compute_reward_gaps,
     h_from_lambda,
@@ -15,6 +19,7 @@ from coci import (
     make_best_arm_oracle,
     make_osa_oracle,
     make_top_k_oracle,
+    make_water_oracle,
     sample_complexity_bound,
 )
 
@@ -39,21 +44,33 @@ class TestComputeLambda:
         assert est.lower == (1.0,)
         assert est.saturated == (True,)
 
-    def test_scalar_and_batch_paths_agree(self):
-        spec = make_top_k_oracle(3, 2)
-        theta = (0.85, 0.55, 0.25)
-        batch = compute_lambda(spec, theta, epsilon=0.02)
-        scalar = compute_lambda(replace(spec, batch_maximizer=None), theta, epsilon=0.02)
-        assert batch == scalar
-
     def test_osa_lambda_positive(self):
         est = compute_lambda(make_osa_oracle((5, 1, 1), 10), (0.25, 0.01, 0.01), epsilon=0.02)
         assert all(v > 0.05 for v in est.lower)
         assert not any(est.saturated)
 
     def test_capacity_check(self):
+        # Only the lattice enumeration has a point limit.
+        spec = replace(make_best_arm_oracle(5), bi_monotone=False)
         with pytest.raises(CapacityError):
-            compute_lambda(make_best_arm_oracle(5), (0.5,) * 5, epsilon=0.01)
+            compute_lambda(spec, (0.5,) * 5, epsilon=0.01)
+
+    def test_eight_arm_flip_radii(self):
+        # Arms 0 and 1 trade places once 0.75 - r < 0.7 + r (arm 0 wins the
+        # tie): r > 0.025, first on the grid at 0.03. An arm at 0.3 beats
+        # arm 0 once r > 0.225, first at 0.23. One step below: 0.02, 0.22.
+        theta = (0.75, 0.7) + (0.3,) * 6
+        est = compute_lambda(make_best_arm_oracle(8), theta, epsilon=0.01)
+        assert est.lower == pytest.approx((0.02, 0.02) + (0.22,) * 6, abs=1e-12)
+        assert est.saturated == (False,) * 8
+
+    def test_fine_grid_is_fast(self):
+        theta = (0.75, 0.7) + (0.3,) * 6
+        start = time.perf_counter()
+        est = compute_lambda(make_best_arm_oracle(8), theta, epsilon=1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert est.lower[0] == pytest.approx(0.025, abs=2e-9)
+        assert est.lower[2] == pytest.approx(0.225, abs=2e-9)
 
     def test_flip_region_respected(self):
         # No parameter point strictly inside the reported radius flips the
@@ -156,3 +173,43 @@ class TestHardnessMeasures:
             report = hardness_report(spec, theta, epsilon=0.02, width=2, include_gaps=True)
             upper = [v + report.grid_resolution for v in report.lambda_lower]
             assert h_from_lambda(upper) <= 4 * report.h_delta + 1e-9
+
+
+_EPSILONS = (0.02, 0.05, 0.1, 0.3)
+# Values drawn with repetition give exact ties; 0 and 1 put shells on the
+# cube faces from the first step.
+_THETA_POOL = (0.0, 0.05, 0.25, 0.3, 0.5, 0.62, 0.75, 0.9, 1.0)
+# Lattice points the reference may enumerate per example.
+_LATTICE_BUDGET = 200_000
+_BI_MONOTONE_ORACLES = (
+    [make_top_k_oracle(m, k) for m in range(1, 5) for k in range(1, m + 1)]
+    + [make_osa_oracle((5, 1), 8), make_osa_oracle((2, 3), 5)]
+    + [make_osa_oracle((5, 1, 1), 10), make_osa_oracle((1, 2, 1), 6)]
+    + [
+        make_water_oracle(
+            WaterSpec(b=1.6, caps=(1.0, 1.0), costs=(QuadraticCost(), QuadraticCost()), grid_step=0.1)
+        )
+    ]
+)
+
+
+@st.composite
+def _bisection_cases(draw):
+    spec = draw(st.sampled_from(_BI_MONOTONE_ORACLES))
+    m = spec.arm_count
+    affordable = [e for e in _EPSILONS if (2 * math.ceil(1 / e) + 1) ** m <= _LATTICE_BUDGET]
+    epsilon = draw(st.sampled_from(affordable))
+    theta = tuple(draw(st.sampled_from(_THETA_POOL)) for _ in range(m))
+    return spec, theta, epsilon
+
+
+class TestBisection:
+    def test_oracles_are_bi_monotone(self):
+        assert all(spec.bi_monotone for spec in _BI_MONOTONE_ORACLES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bisection_cases())
+    def test_matches_lattice(self, case):
+        spec, theta, epsilon = case
+        lattice = compute_lambda(replace(spec, bi_monotone=False), theta, epsilon)
+        assert compute_lambda(spec, theta, epsilon) == lattice

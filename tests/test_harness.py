@@ -36,6 +36,10 @@ class TestConfigParsing:
             parse_config({"theta_star": [0.5], "delta": 0.1})
         assert err.value.field == "application"
 
+    def test_integral_float_is_an_int(self):
+        raw = json.loads((CONFIG_DIR / "quick.json").read_text())
+        assert parse_config({**raw, "trials": 2.0, "workers": 1.0}).trials == 2
+
     def test_bad_delta(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"application": "best-arm", "theta_star": [0.5, 0.2], "delta": 1.5})
@@ -342,6 +346,12 @@ class TestCli:
                 },
                 "water.costs[0]",
             ),
+            ({"delta": 1e-320}, "delta"),
+            ({"trials": 2.7}, "trials"),
+            ({"trials": True}, "trials"),
+            ({"workers": 1.5}, "workers"),
+            ({"application": "top-k", "k": 1.9}, "k"),
+            ({"max_rounds": 1000000.5}, "max_rounds"),
         ],
     )
     def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):
@@ -352,15 +362,27 @@ class TestCli:
         assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # Flip-radius search over five arms at the default lattice exceeds
-        # the capacity limit: a runtime (not config) failure, exit code 2.
+        # Linear costs make the water oracle not bi-monotone, so the
+        # flip-radius search enumerates the lattice, which over five sources
+        # exceeds the capacity limit: a runtime (not config) failure, exit 2.
         config = {
-            "application": "best-arm",
+            "application": "water",
             "theta_star": [0.9, 0.7, 0.5, 0.3, 0.1],
+            "water": {
+                "b": 1.0,
+                "caps": [1.0] * 5,
+                "grid_step": 0.5,
+                "costs": [{"kind": "linear", "a": 0.0}] * 5,
+            },
             "delta": 0.1,
             "trials": 1,
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(config))
         assert cli_main(["hardness", str(path)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "lattice over 5 arms" in capsys.readouterr().err
+
+    def test_hardness_eight_arms(self, capsys):
+        assert cli_main(["hardness", str(CONFIG_DIR / "adaptive_vs_uniform.json")]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda_lower"] == pytest.approx([0.02, 0.02] + [0.22] * 6, abs=1e-12)

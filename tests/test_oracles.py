@@ -68,18 +68,6 @@ class TestTopK:
                 brute = brute_force_maximizer(spec, theta)
                 assert reward(spec, theta, fast) == reward(spec, theta, brute)
 
-    def test_batch_matches_scalar(self):
-        import numpy as np
-
-        spec = make_top_k_oracle(4, 2)
-        rng = np.random.default_rng(3)
-        thetas = rng.random((500, 4))
-        # inject exact ties
-        thetas[::7, 1] = thetas[::7, 0]
-        batch = spec.batch_maximizer(thetas)
-        for row, point in zip(batch, thetas):
-            assert tuple(row) == spec.maximizer(tuple(point))
-
 
 WATER_M1 = WaterSpec(b=0.0, caps=(1.0,), costs=(QuadraticCost(1.0),), grid_step=0.25)
 
