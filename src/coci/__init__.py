@@ -8,14 +8,7 @@ allocation, and integral sample allocation, plus hardness diagnostics and a
 seeded Monte Carlo experiment harness.
 """
 
-from .condition import (
-    BiMonotone,
-    ConditionStrategy,
-    CornerEnumeration,
-    GridScan,
-    arm_is_candidate,
-    default_strategy,
-)
+from .condition import arm_is_candidate
 from .core import (
     ConfidenceBox,
     OracleSpec,
@@ -81,20 +74,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ArmModel",
     "Bernoulli",
-    "BiMonotone",
     "CapacityError",
     "CociError",
     "CociState",
-    "ConditionStrategy",
     "ConfidenceBox",
     "ConfigError",
-    "CornerEnumeration",
     "DegenerateInstanceError",
     "DiscreteSupport",
     "DomainError",
     "EstimatorKind",
     "GreedyOsaScratch",
-    "GridScan",
     "HardnessReport",
     "LambdaEstimate",
     "LinearCost",
@@ -120,7 +109,6 @@ __all__ = [
     "compute_reward_gaps",
     "confidence_radius",
     "default_models",
-    "default_strategy",
     "dump_trace",
     "estimate",
     "greedy_osa",

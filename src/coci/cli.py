@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import reward
+from .core import reward, validate_parameters
 from .errors import CociError, ConfigError
 from .harness import (
     build_problem,
@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trials", type=int, help="override trial count")
     run_p.add_argument("--seed", type=int, help="override master seed")
     run_p.add_argument("--mode", choices=["coci", "uniform", "both"], help="override mode")
-    run_p.add_argument("--strategy", help="override condition strategy (e.g. grid-scan:21)")
     run_p.add_argument("--out", help="override output directory")
     run_p.add_argument("--format", choices=["csv", "json-lines"], help="override output format")
     run_p.add_argument("--workers", type=int, help="parallel trial workers")
@@ -63,7 +62,6 @@ def _cmd_run(args) -> int:
         "trials": args.trials,
         "master_seed": args.seed,
         "mode": args.mode,
-        "strategy": args.strategy,
         "workers": args.workers,
     }
     raw.update((field, value) for field, value in flags.items() if value is not None)
@@ -102,7 +100,11 @@ def _cmd_hardness(args) -> int:
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
     instance = build_problem(config)
-    theta = tuple(float(v) for v in args.theta.split(","))
+    try:
+        values = [float(v) for v in args.theta.split(",")]
+        theta = validate_parameters(values, instance.oracle.arm_count)
+    except (ValueError, CociError) as exc:
+        raise ConfigError("--theta", str(exc)) from None
     decision = instance.oracle.maximizer(theta)
     print(
         json.dumps(

@@ -14,9 +14,12 @@ mean estimation, 2 for variance estimation), each round
    arms, and each float step is monotone, so the largest radius is exactly
    the fewest pulls, ties to the lower index; arms are picked that way.
 
-Runs are deterministic given (instance, delta, strategy, seed): each arm
-draws from a private sub-stream keyed by (seed, arm index), so an arm's
-j-th sample does not depend on when it is pulled.
+The candidate test follows the oracle: the exact two-corner test when it
+is bi-monotone, corner enumeration otherwise (see :mod:`coci.condition`).
+
+Runs are deterministic given (instance, delta, seed): each arm draws from
+a private sub-stream keyed by (seed, arm index), so an arm's j-th sample
+does not depend on when it is pulled.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .condition import ConditionStrategy, candidate_on_bounds, default_strategy
+from .condition import candidate_on_bounds
 from .core import ConfidenceBox, ProblemInstance
 from .errors import UsageError
 from .estimators import check_delta, estimate_from_sums
@@ -86,38 +89,35 @@ class RunResult:
     sample_log: Optional[tuple[tuple[float, ...], ...]] = None
 
 
-def run_coci(instance: ProblemInstance, delta: float, *args, **kwargs) -> RunResult:
+def run_coci(instance: ProblemInstance, delta: float, **kwargs) -> RunResult:
     """Run the adaptive sampler; see the module docstring and :func:`_run`."""
-    return _run(instance, delta, *args, uniform=False, **kwargs)
+    return _run(instance, delta, uniform=False, **kwargs)
 
 
-def run_uniform(instance: ProblemInstance, delta: float, *args, **kwargs) -> RunResult:
+def run_uniform(instance: ProblemInstance, delta: float, **kwargs) -> RunResult:
     """Uniform-sampling ablation: pull the largest-radius arm overall."""
-    return _run(instance, delta, *args, uniform=True, **kwargs)
+    return _run(instance, delta, uniform=True, **kwargs)
 
 
 def _run(
     instance: ProblemInstance,
     delta: float,
-    strategy: ConditionStrategy | None = None,
+    *,
     seed: int | Sequence[int] = 0,
     max_rounds: int | None = None,
-    *,
     uniform: bool,
     h_lambda: float | None = None,
     lambda_lower: Sequence[float] | None = None,
     record_trace: bool = False,
-    box_cap: float = 1.0,
 ) -> RunResult:
     """One run of either sampler: each round pulls the fewest-pulled arm
     (candidate, for coci), ties to the lower index. That is exactly the
     largest-radius one, because all radii share the round's ``level``.
 
-    ``strategy`` defaults to :func:`default_strategy` of the oracle, and
-    ``max_rounds`` to ten times the round bound implied by ``h_lambda``
-    (10^6 without one). ``lambda_lower`` enables the half-flip-radius pull
-    audit; ``record_trace`` keeps every round and sample; ``box_cap`` is the
-    upper clamp of the confidence box.
+    ``max_rounds`` defaults to ten times the round bound implied by
+    ``h_lambda`` (10^6 without one). ``lambda_lower`` enables the
+    half-flip-radius pull audit; ``record_trace`` keeps every round and
+    sample.
     """
     oracle = instance.oracle
     m = oracle.arm_count
@@ -126,8 +126,6 @@ def _run(
     kind = instance.estimator_kind
     tau = kind.tau
     check_delta(delta, tau)
-    if strategy is None:
-        strategy = default_strategy(oracle)
 
     bound_value = None
     if h_lambda is not None and math.isfinite(h_lambda):
@@ -180,36 +178,32 @@ def _run(
             r = math.sqrt(level * inv2[i])
             rad[i] = r
             e = est[i]
-            lower[i] = max(0.0, min(box_cap, e - r))
-            upper[i] = min(box_cap, max(0.0, e + r))
+            lower[i] = max(0.0, min(1.0, e - r))
+            upper[i] = min(1.0, max(0.0, e + r))
             if abs(e - theta_star[i]) > r:
                 xi_held = False
 
         chosen = -1
         if trace is not None:
             # Full candidate set for the trace record.
-            cands = tuple(
-                i for i in arms if candidate_on_bounds(strategy, oracle, lower, upper, i)
-            )
+            cands = tuple(i for i in arms if candidate_on_bounds(oracle, lower, upper, i))
             box = ConfidenceBox(tuple(lower), tuple(upper))
             trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
             chosen = min(cands, key=pulls.__getitem__, default=-1)
         elif uniform:
             # Only emptiness matters for the uniform rule; check the last
             # known candidate first (no results are cached, just the order).
-            if candidate_on_bounds(strategy, oracle, lower, upper, last_candidate):
+            if candidate_on_bounds(oracle, lower, upper, last_candidate):
                 chosen = last_candidate
             else:
                 for i in arms:
-                    if i != last_candidate and candidate_on_bounds(
-                        strategy, oracle, lower, upper, i
-                    ):
+                    if i != last_candidate and candidate_on_bounds(oracle, lower, upper, i):
                         chosen = i
                         break
         else:
             # The first candidate by pull count has the largest radius.
             for i in sorted(arms, key=pulls.__getitem__):
-                if candidate_on_bounds(strategy, oracle, lower, upper, i):
+                if candidate_on_bounds(oracle, lower, upper, i):
                     chosen = i
                     break
 

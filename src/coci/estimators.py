@@ -90,26 +90,15 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
     return math.sqrt((math.log(4.0 / (tau * delta)) + 3.0 * math.log(t)) * (0.5 / pulls))
 
 
-def clamp_box(
-    estimates: Sequence[float],
-    radii: Sequence[float],
-    cap: float = 1.0,
-) -> ConfidenceBox:
-    """Build the confidence box: per-arm intervals clipped to [0, cap].
-
-    ``cap`` defaults to 1 (the full parameter cube). Variance parameters of
-    [0, 1]-valued arms actually live in [0, 0.25]; pass ``cap=0.25`` to use
-    that tighter box. The default keeps the plain [0, 1] clamp.
-    """
+def clamp_box(estimates: Sequence[float], radii: Sequence[float]) -> ConfidenceBox:
+    """Build the confidence box: per-arm intervals clipped to [0, 1]."""
     if len(estimates) != len(radii):
         raise UsageError("estimates and radii must have equal length")
-    if not (0.0 < cap <= 1.0):
-        raise UsageError(f"cap must be in (0, 1], got {cap!r}")
     lower = []
     upper = []
     for e, r in zip(estimates, radii):
         if r <= 0.0:
             raise UsageError(f"radius {r!r} is not positive")
-        lower.append(max(0.0, min(cap, e - r)))
-        upper.append(min(cap, max(0.0, e + r)))
+        lower.append(max(0.0, min(1.0, e - r)))
+        upper.append(min(1.0, max(0.0, e + r)))
     return ConfidenceBox(tuple(lower), tuple(upper))

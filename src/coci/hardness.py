@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .condition import BiMonotone, candidate_on_bounds
+from .condition import candidate_on_bounds
 from .core import OracleSpec, scored_decisions, validate_parameters
 from .errors import CapacityError, DegenerateInstanceError, UsageError
 
@@ -155,7 +155,7 @@ def _bisect_flip_shell(spec: OracleSpec, center, epsilon: float, i: int) -> Opti
         # The ladder's own float expressions, so the corners are lattice points.
         lower = [c - s * epsilon if c - s * epsilon > 0.0 else 0.0 for c in center]
         upper = [c + s * epsilon if c + s * epsilon < 1.0 else 1.0 for c in center]
-        return candidate_on_bounds(BiMonotone(), spec, lower, upper, i)
+        return candidate_on_bounds(spec, lower, upper, i)
 
     lo, hi = 0, math.ceil(1.0 / epsilon) + 1  # box(0) is theta*; box(hi) is the cube
     if not varies(hi):

@@ -22,13 +22,12 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .condition import BiMonotone, ConditionStrategy, CornerEnumeration, GridScan
 from .core import ProblemInstance
 from .engine import RunResult, run_coci, run_uniform
 from .errors import CociError, ConfigError, UsageError
@@ -62,7 +61,6 @@ class ExperimentConfig:
     mode: str
     trials: int
     master_seed: int
-    strategy: Optional[ConditionStrategy] = None  # None = auto
     k: Optional[int] = None
     n: Optional[tuple[int, ...]] = None
     water: Optional[WaterSpec] = None
@@ -118,9 +116,9 @@ def _require(raw: dict, field: str, types, path: str):
 
 
 def _read(value, field: str, cast, low=-math.inf, high=math.inf):
-    """``cast(value)`` when that succeeds, loses nothing and lies in
-    [low, high]; otherwise a ``ConfigError`` naming ``field``. A bool is
-    never a number, and an ``int`` field takes no fractional part."""
+    """``cast(value)`` when that succeeds, loses nothing and is a finite
+    value in [low, high]; otherwise a ``ConfigError`` naming ``field``. A
+    bool is never a number, and an ``int`` field takes no fractional part."""
     try:
         fractional = cast is int and isinstance(value, float) and not value.is_integer()
         if isinstance(value, bool) or fractional:
@@ -128,25 +126,30 @@ def _read(value, field: str, cast, low=-math.inf, high=math.inf):
         out = cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, f"expected {cast.__name__}, got {value!r}") from None
-    if not (low <= out <= high):
-        raise ConfigError(field, f"{out} is outside [{low}, {high}]")
+    if not (low <= out <= high and math.isfinite(out)):
+        raise ConfigError(field, f"{out} is not a finite value in [{low}, {high}]")
     return out
 
 
-_COST_KINDS = {
-    "quadratic": lambda spec: QuadraticCost(float(spec.get("a", 1.0))),
-    "power": lambda spec: PowerCost(float(spec.get("a", 1.0)), float(spec.get("p", 2.0))),
-    "linear": lambda spec: LinearCost(float(spec.get("a", 0.0))),
-}
+def _check_fields(raw: dict, known, path: str) -> None:
+    """Reject a field of ``raw`` that is not in ``known``: a misspelt or
+    retired setting would otherwise be ignored without a word."""
+    for field in raw:
+        if field not in known:
+            raise ConfigError(f"{path}{field}", "unknown field")
 
-#: Candidate-test strategies by config name, each built from the text after
-#: an optional colon ("grid-scan:N"); "auto" leaves the choice to the engine.
-_STRATEGIES = {
-    "auto": lambda arg: None,
-    "bi-monotone": lambda arg: BiMonotone(),
-    "corner-enumeration": lambda arg: CornerEnumeration(),
-    "grid-scan": lambda arg: GridScan(int(arg)) if arg else GridScan(),
+
+#: The fields a config may set, at the top level and in its sub-objects.
+_FIELDS = {
+    "name", "application", "theta_star", "estimator", "delta", "mode", "trials",
+    "master_seed", "k", "n", "water", "arms", "max_rounds", "hardness", "output", "workers",
 }
+_WATER_FIELDS = {"b", "caps", "costs", "grid_step"}
+_HARDNESS_FIELDS = {"epsilon"}
+_OUTPUT_FIELDS = {"path", "format"}
+
+#: Cost functions by kind; a cost entry sets their number fields by name.
+_COST_KINDS = {"quadratic": QuadraticCost, "power": PowerCost, "linear": LinearCost}
 
 _MODEL_KINDS = {
     "bernoulli": lambda spec: Bernoulli(float(spec["p"])),
@@ -161,6 +164,7 @@ _MODEL_KINDS = {
 
 def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     """Validate a raw config mapping into an :class:`ExperimentConfig`."""
+    _check_fields(raw, _FIELDS, "")
     application = _require(raw, "application", str, "")
     if application not in _APPLICATIONS:
         raise ConfigError("application", f"must be one of {_APPLICATIONS}")
@@ -189,16 +193,6 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     trials = _read(raw.get("trials", 1), "trials", int, 1)
     master_seed = _read(raw.get("master_seed", 0), "master_seed", int, 0)
 
-    strategy = None
-    if raw.get("strategy") is not None:
-        base, _, arg = str(raw["strategy"]).partition(":")
-        if base not in _STRATEGIES:
-            raise ConfigError("strategy", f"unknown strategy {raw['strategy']!r}")
-        try:
-            strategy = _STRATEGIES[base](arg)
-        except (CociError, ValueError) as exc:
-            raise ConfigError("strategy", f"bad strategy {raw['strategy']!r}: {exc}") from exc
-
     k = raw.get("k")
     n = raw.get("n")
     water = None
@@ -209,32 +203,36 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     elif application == "best-arm":
         k = 1
     elif application == "osa":
-        if n is None or k is None:
-            raise ConfigError("n", "osa requires group sizes n and budget k")
         n = tuple(_read(v, f"n[{i}]", int, 1) for i, v in enumerate(_require(raw, "n", list, "")))
         if len(n) != len(theta):
             raise ConfigError("n", "group sizes must match theta_star length")
+        if k is None:
+            raise ConfigError("k", "osa requires a sample budget k")
         k = _read(k, "k", int, len(n))
         if estimator is not EstimatorKind.VARIANCE:
             raise ConfigError("estimator", "osa estimates within-group variances")
     elif application == "water":
         wraw = _require(raw, "water", dict, "")
+        _check_fields(wraw, _WATER_FIELDS, "water.")
         costs = []
         for idx, cost in enumerate(_require(wraw, "costs", list, "water.")):
             kind = cost.get("kind") if isinstance(cost, dict) else None
             if kind not in _COST_KINDS:
                 raise ConfigError(f"water.costs[{idx}]", f"unknown cost kind {kind!r}")
-            try:
-                costs.append(_COST_KINDS[kind](cost))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"water.costs[{idx}]", str(exc)) from exc
-        try:
-            water = WaterSpec(
-                b=float(_require(wraw, "b", (int, float), "water.")),
-                caps=tuple(float(c) for c in _require(wraw, "caps", list, "water.")),
-                costs=tuple(costs),
-                grid_step=float(_require(wraw, "grid_step", (int, float), "water.")),
+            cls = _COST_KINDS[kind]
+            field = f"water.costs[{idx}]"
+            _check_fields(cost, {"kind", *(f.name for f in dataclass_fields(cls))}, field + ".")
+            costs.append(
+                cls(**{key: _read(v, field, float) for key, v in cost.items() if key != "kind"})
             )
+        b = _read(_require(wraw, "b", (int, float), "water."), "water.b", float, 0.0)
+        caps = tuple(
+            _read(c, f"water.caps[{i}]", float, 0.0)
+            for i, c in enumerate(_require(wraw, "caps", list, "water."))
+        )
+        grid_step = _read(_require(wraw, "grid_step", (int, float), "water."), "water.grid_step", float)
+        try:
+            water = WaterSpec(b=b, caps=caps, costs=tuple(costs), grid_step=grid_step)
         except CociError as exc:
             raise ConfigError("water", str(exc)) from exc
         if water.m != len(theta):
@@ -260,6 +258,7 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     if hardness_raw is False:
         hardness_epsilon = None
     elif isinstance(hardness_raw, dict):
+        _check_fields(hardness_raw, _HARDNESS_FIELDS, "hardness.")
         hardness_epsilon = _read(hardness_raw.get("epsilon", 0.01), "hardness.epsilon", float)
         if not hardness_epsilon > 0.0:
             raise ConfigError("hardness.epsilon", f"must be positive, got {hardness_epsilon}")
@@ -269,6 +268,10 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output", "must be an object")
+    _check_fields(output, _OUTPUT_FIELDS, "output.")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError("output.path", f"must be a string, got {out_path!r}")
     out_format = output.get("format", "csv")
     if out_format not in _FORMATS:
         raise ConfigError("output.format", f"must be one of {_FORMATS}")
@@ -288,14 +291,13 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         mode=mode,
         trials=trials,
         master_seed=master_seed,
-        strategy=strategy,
         k=k,
         n=n,
         water=water,
         models=models,
         max_rounds=max_rounds,
         hardness_epsilon=hardness_epsilon,
-        out_path=output.get("path"),
+        out_path=out_path,
         out_format=out_format,
         workers=workers,
     )
@@ -373,7 +375,7 @@ def problem_hardness(config: ExperimentConfig, instance: ProblemInstance) -> Har
 
 
 def _run_trial(args) -> list[TrialRecord]:
-    (instance, delta, strategy, mode, trial, master_seed, max_rounds, h_lambda) = args
+    (instance, delta, mode, trial, master_seed, max_rounds, h_lambda) = args
     seed = trial_seed(master_seed, trial)
     records = []
     modes = ("coci", "uniform") if mode == "both" else (mode,)
@@ -383,7 +385,6 @@ def _run_trial(args) -> list[TrialRecord]:
         result: RunResult = runner(
             instance,
             delta,
-            strategy=strategy,
             seed=seed,
             max_rounds=max_rounds,
             h_lambda=h_lambda,
@@ -429,7 +430,6 @@ def run_experiment(
         (
             instance,
             config.delta,
-            config.strategy,
             config.mode,
             trial,
             config.master_seed,

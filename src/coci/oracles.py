@@ -261,7 +261,7 @@ def water_bi_monotone(spec: WaterSpec) -> bool:
     True only when every cost derivative is strictly monotone in the same
     direction and a sweep over a coarse parameter lattice confirms that the
     minimum-total constraint is tight at the optimum everywhere. A false
-    negative only routes the candidate test to a slower exact strategy.
+    negative only routes the candidate test to slower corner enumeration.
     """
     directions = [_derivative_direction(spec, i) for i in range(spec.m)]
     if any(d is None for d in directions) or len(set(directions)) != 1:

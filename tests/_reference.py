@@ -131,3 +131,11 @@ def grid_points(box_lower, box_upper, resolution: int):
                 + [b]
             )
     return itertools.product(*axes)
+
+
+def lattice_candidate(spec, box_lower, box_upper, i: int, resolution: int) -> bool:
+    """True when the oracle's i-th component takes two values on the
+    :func:`grid_points` lattice of the box (stopping at the first change)."""
+    points = grid_points(box_lower, box_upper, resolution)
+    first = spec.maximizer(next(points))[i]
+    return any(spec.maximizer(p)[i] != first for p in points)

@@ -12,18 +12,15 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coci import (
-    BiMonotone,
     ConfidenceBox,
-    CornerEnumeration,
     EstimatorKind,
-    GridScan,
     arm_is_candidate,
     build_instance,
     compute_lambda,
@@ -40,7 +37,7 @@ from coci.core import ProblemInstance
 from coci.harness import load_config, emit_results, run_experiment, trial_seed
 from coci.osa import OsaSpec
 
-from _reference import exact_osa_optimum
+from _reference import exact_osa_optimum, lattice_candidate
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 WORKERS = 2
@@ -215,8 +212,9 @@ def test_c06_coverage_frequency():
 
 
 def test_c07_strategy_agreement():
+    # The two-corner test, corner enumeration (the same oracle declared not
+    # bi-monotone) and a 21-point-per-axis lattice scan.
     specs = [make_top_k_oracle(3, 2), make_osa_oracle((2, 1, 1), 5)]
-    strategies = [BiMonotone(), CornerEnumeration(), GridScan(21)]
     rng = random.Random(2718)
     start = time.perf_counter()
     checks = 0
@@ -230,7 +228,11 @@ def test_c07_strategy_agreement():
                 upper.append(min(1.0, center + radius))
             box = ConfidenceBox(tuple(lower), tuple(upper))
             for i in range(spec.arm_count):
-                answers = [arm_is_candidate(s, spec, box, i) for s in strategies]
+                answers = [
+                    arm_is_candidate(spec, box, i),
+                    arm_is_candidate(replace(spec, bi_monotone=False), box, i),
+                    lattice_candidate(spec, box.lower, box.upper, i, 21),
+                ]
                 assert answers[0] == answers[1] == answers[2], (spec.name, box, i)
                 checks += 1
     elapsed = time.perf_counter() - start

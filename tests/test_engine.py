@@ -74,6 +74,12 @@ class TestBasics:
         with pytest.raises(UsageError):
             run_coci(best_arm_instance, 0.0, seed=1)
 
+    def test_settings_after_delta_are_keyword_only(self, best_arm_instance):
+        # A positional third argument is not silently read as the seed.
+        for run in (run_coci, run_uniform):
+            with pytest.raises(TypeError):
+                run(best_arm_instance, 0.05, 42)
+
     def test_max_rounds_budget(self, best_arm_instance):
         result = run_coci(best_arm_instance, 0.05, seed=42, max_rounds=2)
         assert result.converged is False
@@ -288,13 +294,3 @@ class TestBoundPlumbing:
         assert result.xi_held
         assert result.lemma_violations == 0
 
-    def test_tighter_variance_box(self):
-        # Variances of [0, 1] arms live in [0, 0.25]; the optional cap keeps
-        # the confidence box inside that square.
-        inst = build_instance(
-            make_osa_oracle((1, 1), 4), (0.25, 0.01), EstimatorKind.VARIANCE
-        )
-        result = run_coci(inst, 0.2, seed=8, box_cap=0.25, record_trace=True)
-        assert result.correct is True
-        for state in result.trace:
-            assert all(hi <= 0.25 for hi in state.box.upper)

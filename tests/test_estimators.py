@@ -104,10 +104,6 @@ class TestClampBox:
         box = clamp_box((0.9,), (1.9,))
         assert box.lower == (0.0,) and box.upper == (1.0,)
 
-    def test_variance_cap_option(self):
-        box = clamp_box((0.2,), (0.2,), cap=0.25)
-        assert box.lower == (0.0,) and box.upper == (0.25,)
-
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             clamp_box((0.5, 0.5), (0.2,))

@@ -10,11 +10,11 @@ instance changes the hardness digest.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from coci import (
     Bernoulli,
-    CornerEnumeration,
     EstimatorKind,
     PointMass,
     arm_for_variance,
@@ -63,7 +63,8 @@ def _runs():
             yield run(inst, delta, seed=4, max_rounds=25, record_trace=True)
             yield run(inst, delta, seed=5, max_rounds=40)
             yield run(inst, delta, seed=6, lambda_lower=lam)
-            yield run(inst, delta, CornerEnumeration(), seed=8, record_trace=True)
+            corners = replace(inst, oracle=replace(inst.oracle, bi_monotone=False))
+            yield run(corners, delta, seed=8, record_trace=True)
 
 
 def test_run_results_match_golden_digest():

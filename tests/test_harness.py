@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coci import BiMonotone, ConfigError, GridScan
+from coci import ConfigError
 from coci.cli import main as cli_main
 from coci.harness import (
     ExperimentConfig,
@@ -18,6 +18,11 @@ from coci.harness import (
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+
+def _water(**fields) -> dict:
+    """A valid two-source water block with ``fields`` replaced."""
+    return {"b": 1.0, "caps": [1.0, 1.0], "grid_step": 0.5, "costs": [{"kind": "quadratic"}] * 2, **fields}
 
 
 def quick_config(**overrides) -> ExperimentConfig:
@@ -94,19 +99,6 @@ class TestConfigParsing:
                 }
             )
         assert err.value.field == "arms"
-
-    @pytest.mark.parametrize(
-        "text,want",
-        [
-            ("auto", None),
-            ("bi-monotone", BiMonotone()),
-            ("grid-scan", GridScan()),
-            ("grid-scan:9", GridScan(9)),
-        ],
-    )
-    def test_strategy_parsed_to_object(self, text, want):
-        raw = {"application": "best-arm", "theta_star": [0.5, 0.2], "delta": 0.1, "strategy": text}
-        assert parse_config(raw).strategy == want
 
     def test_degenerate_parameters_rejected(self):
         from coci.harness import build_problem
@@ -299,13 +291,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [
-            ["--strategy", "bogus"],
-            ["--strategy", "grid-scan:abc"],
-            ["--strategy", "grid-scan:1"],
-            ["--trials", "0"],
-        ],
-        ids=["unknown-strategy", "grid-scan-not-int", "grid-scan-too-coarse", "zero-trials"],
+        [["--trials", "0"]],
+        ids=["zero-trials"],
     )
     def test_run_rejects_bad_override(self, flags, tmp_path, capsys):
         args = ["run", str(CONFIG_DIR / "quick.json"), "--out", str(tmp_path), *flags]
@@ -352,6 +339,24 @@ class TestCli:
             ({"workers": 1.5}, "workers"),
             ({"application": "top-k", "k": 1.9}, "k"),
             ({"max_rounds": 1000000.5}, "max_rounds"),
+            ({"application": "water", "water": _water(caps=["x", 1.0])}, "water.caps[0]"),
+            ({"application": "water", "water": _water(b=True)}, "water.b"),
+            ({"application": "water", "water": _water(b=float("inf"))}, "water.b"),
+            (
+                {"application": "water", "water": _water(costs=[{"kind": "quadratic", "a": True}] * 2)},
+                "water.costs[0]",
+            ),
+            ({"application": "water", "water": _water(caps=[1.0, False])}, "water.caps[1]"),
+            ({"application": "osa", "estimator": "variance", "n": [1, 1]}, "k"),
+            ({"strategy": "grid-scan"}, "strategy"),
+            ({"delat": 0.1}, "delat"),
+            ({"application": "water", "water": _water(step=0.5)}, "water.step"),
+            ({"hardness": {"epsilon": 0.01, "eps": 0.1}}, "hardness.eps"),
+            ({"output": {"format": "csv", "dir": "x"}}, "output.dir"),
+            (
+                {"application": "water", "water": _water(costs=[{"kind": "linear", "p": 2}] * 2)},
+                "water.costs[0].p",
+            ),
         ],
     )
     def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):
@@ -360,6 +365,22 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_run_rejects_non_string_output_path(self, tmp_path, capsys):
+        raw = {**json.loads((CONFIG_DIR / "quick.json").read_text()), "output": {"path": 5}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 1
+        assert "config error: output.path:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theta",
+        ["x,0.7,0.3,0.1", "1.5,-3,0.2,0.1", "0.9,0.7,0.3,nan", "0.9,0.7,0.3", "0.9,0.7,0.3,0.1,0.5"],
+        ids=["not-a-number", "out-of-range", "nan", "too-few", "too-many"],
+    )
+    def test_oracle_rejects_bad_theta(self, theta, capsys):
+        assert cli_main(["oracle", str(CONFIG_DIR / "top2.json"), "--theta", theta]) == 1
+        assert "config error: --theta:" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # Linear costs make the water oracle not bi-monotone, so the
