@@ -74,6 +74,23 @@ class TestTwoCornerExamples:
 
 
 class TestErrors:
+    def test_bi_monotone_requires_declaration(self):
+        # An oracle that does not declare bi_monotone never gets the
+        # two-corner test: all four corners of a constant box are evaluated.
+        loose_water = make_water_oracle(
+            WaterSpec(
+                b=0.2,
+                caps=(1.0, 1.0),
+                costs=(QuadraticCost(), QuadraticCost()),
+                grid_step=0.2,
+            )
+        )
+        assert loose_water.bi_monotone is False
+        spec, calls = count_calls(loose_water)
+        box = ConfidenceBox((0.3, 0.5), (0.3, 0.5))
+        assert arm_is_candidate(spec, box, 0) is False
+        assert calls[0] == 4
+
     def test_corner_capacity(self):
         box = ConfidenceBox((0.4,) * 21, (0.6,) * 21)
         # The two-corner test has no arm limit; corner enumeration does.
