@@ -115,6 +115,13 @@ class OracleSpec:
         True when each oracle component is monotone in its own parameter and
         oppositely monotone in every other parameter. Enables the two-corner
         candidate test.
+    candidate_mask:
+        Optional vectorized two-corner test of a bi-monotone oracle:
+        ``candidate_mask(lower, upper)`` takes two float arrays of shape
+        ``(m, n)``, a stack of n boxes with box r in column r, and returns
+        the boolean ``(m, n)`` array whose entry ``[i, r]`` equals the
+        two-corner test of arm i on box r. The sampler's block loop uses it
+        when ``bi_monotone`` is set.
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with
@@ -130,6 +137,7 @@ class OracleSpec:
     enumerate_decisions: Optional[Callable[[], Iterable[tuple[float, ...]]]] = None
     decision_count: Optional[int] = None
     bi_monotone: bool = False
+    candidate_mask: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     batch_maximizer: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:

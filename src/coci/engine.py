@@ -20,6 +20,27 @@ is bi-monotone, corner enumeration otherwise (see :mod:`coci.condition`).
 Runs are deterministic given (instance, delta, seed): each arm draws from
 a private sub-stream keyed by (seed, arm index), so an arm's j-th sample
 does not depend on when it is pulled.
+
+Untraced runs on a bi-monotone oracle with a ``candidate_mask`` (best-arm
+and top-k) take the block loop, which returns the same ``RunResult`` as the
+scalar loop. The candidate set rarely changes (a few dozen times in a run
+of 60,000 rounds), so the next picks can be guessed: the fewest-pulls rule
+over the last candidate set, or over all arms for the uniform ablation.
+From the current state, one block guesses up to 1,024 picks and computes
+every state they lead to as arrays: pull counts, running sums, estimates,
+radii, boxes, the xi and half-flip-radius audits, and the candidate mask.
+It keeps the rounds up to the first state whose real pick differs from the
+guess, or that stops, or that reaches ``max_rounds``. That state depends
+only on picks already checked, so it is exact, and the next block starts
+there. The arrays are exact because every float operation happens in the
+scalar loop's order: sums are sequential ``np.cumsum`` from the current
+sums, one sample at a time as the scalar loop adds them; ``level`` comes
+from ``math.log`` (``np.log`` can differ from it in the last place); and
+numpy's elementwise ``+ - * / sqrt minimum maximum`` round exactly like
+Python floats. Samples come from ``BufferedArm`` read-ahead, which yields
+exactly the sequence of successive draws. The final verdict is the exact
+candidate test on every arm of the final box, and a run whose mask
+disagrees with it raises.
 """
 
 from __future__ import annotations
@@ -30,6 +51,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .condition import candidate_on_bounds
 from .core import ConfidenceBox, ProblemInstance
 from .errors import UsageError
@@ -38,6 +61,11 @@ from .hardness import sample_complexity_bound
 from .sim import BufferedArm, arm_stream
 
 _DEFAULT_MAX_ROUNDS = 10**6
+#: Fewest and most rounds one block of the block loop speculates, and the
+#: most entries of one (m, m, rounds) array in the top-k candidate mask.
+_BLOCK_ROUNDS_MIN = 64
+_BLOCK_ROUNDS = 1024
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -156,75 +184,86 @@ def _run(
             if sample_log is not None:
                 sample_log[i].append(x)
     pulls = [tau] * m
-    est = [estimate_from_sums(kind, sums[i], sums_sq[i], tau) for i in range(m)]
-    inv2 = [0.5 / tau] * m
     t = tau * m
 
     # Radii: sqrt((log(4 / (tau delta)) + 3 log t) / (2 pulls)).
     log_const = math.log(4.0 / (tau * delta))
-    rad = [0.0] * m
-    lower = [0.0] * m
-    upper = [0.0] * m
-    xi_held = True
-    lemma_violations = 0 if lam_half is not None else None
-    trace: list[CociState] | None = [] if record_trace else None
-    j = x = None  # the pull that produced the current state
-    last_candidate = 0
     arms = list(range(m))
+    trace: list[CociState] | None = [] if record_trace else None
 
-    while True:
-        level = log_const + 3.0 * math.log(t)
-        for i in arms:
-            r = math.sqrt(level * inv2[i])
-            rad[i] = r
-            e = est[i]
-            lower[i] = max(0.0, min(1.0, e - r))
-            upper[i] = min(1.0, max(0.0, e + r))
-            if abs(e - theta_star[i]) > r:
-                xi_held = False
+    if trace is None and oracle.bi_monotone and oracle.candidate_mask is not None:
+        t, pulls, lower, upper, xi_held, lemma_violations, settled = _run_blocks(
+            oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half,
+            t, pulls, sums, sums_sq,
+        )
+        # The verdict comes from the exact test; the mask must agree with it.
+        converged = not any(candidate_on_bounds(oracle, lower, upper, i) for i in arms)
+        if converged != settled:
+            raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
+    else:
+        est = [estimate_from_sums(kind, sums[i], sums_sq[i], tau) for i in range(m)]
+        inv2 = [0.5 / tau] * m
+        rad = [0.0] * m
+        lower = [0.0] * m
+        upper = [0.0] * m
+        xi_held = True
+        lemma_violations = 0 if lam_half is not None else None
+        j = x = None  # the pull that produced the current state
+        last_candidate = 0
 
-        chosen = -1
-        if trace is not None:
-            # Full candidate set for the trace record.
-            cands = tuple(i for i in arms if candidate_on_bounds(oracle, lower, upper, i))
-            box = ConfidenceBox(tuple(lower), tuple(upper))
-            trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
-            chosen = min(cands, key=pulls.__getitem__, default=-1)
-        elif uniform:
-            # Only emptiness matters for the uniform rule; check the last
-            # known candidate first (no results are cached, just the order).
-            if candidate_on_bounds(oracle, lower, upper, last_candidate):
-                chosen = last_candidate
+        while True:
+            level = log_const + 3.0 * math.log(t)
+            for i in arms:
+                r = math.sqrt(level * inv2[i])
+                rad[i] = r
+                e = est[i]
+                lower[i] = max(0.0, min(1.0, e - r))
+                upper[i] = min(1.0, max(0.0, e + r))
+                if abs(e - theta_star[i]) > r:
+                    xi_held = False
+
+            chosen = -1
+            if trace is not None:
+                # Full candidate set for the trace record.
+                cands = tuple(i for i in arms if candidate_on_bounds(oracle, lower, upper, i))
+                box = ConfidenceBox(tuple(lower), tuple(upper))
+                trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
+                chosen = min(cands, key=pulls.__getitem__, default=-1)
+            elif uniform:
+                # Only emptiness matters for the uniform rule; check the last
+                # known candidate first (no results are cached, just the order).
+                if candidate_on_bounds(oracle, lower, upper, last_candidate):
+                    chosen = last_candidate
+                else:
+                    for i in arms:
+                        if i != last_candidate and candidate_on_bounds(oracle, lower, upper, i):
+                            chosen = i
+                            break
             else:
-                for i in arms:
-                    if i != last_candidate and candidate_on_bounds(oracle, lower, upper, i):
+                # The first candidate by pull count has the largest radius.
+                for i in sorted(arms, key=pulls.__getitem__):
+                    if candidate_on_bounds(oracle, lower, upper, i):
                         chosen = i
                         break
-        else:
-            # The first candidate by pull count has the largest radius.
-            for i in sorted(arms, key=pulls.__getitem__):
-                if candidate_on_bounds(oracle, lower, upper, i):
-                    chosen = i
-                    break
 
-        if chosen < 0 or t >= max_rounds:
-            break
-        last_candidate = chosen
-        j = pulls.index(min(pulls)) if uniform else chosen
-        if lam_half is not None and rad[j] < lam_half[j]:
-            lemma_violations += 1
+            if chosen < 0 or t >= max_rounds:
+                break
+            last_candidate = chosen
+            j = pulls.index(min(pulls)) if uniform else chosen
+            if lam_half is not None and rad[j] < lam_half[j]:
+                lemma_violations += 1
 
-        t += 1
-        x = streams[j].next()
-        sums[j] += x
-        sums_sq[j] += x * x
-        pulls[j] += 1
-        inv2[j] = 0.5 / pulls[j]
-        est[j] = estimate_from_sums(kind, sums[j], sums_sq[j], pulls[j])
-        if sample_log is not None:
-            sample_log[j].append(x)
+            t += 1
+            x = streams[j].next()
+            sums[j] += x
+            sums_sq[j] += x * x
+            pulls[j] += 1
+            inv2[j] = 0.5 / pulls[j]
+            est[j] = estimate_from_sums(kind, sums[j], sums_sq[j], pulls[j])
+            if sample_log is not None:
+                sample_log[j].append(x)
 
-    converged = chosen < 0
+        converged = chosen < 0
     output = oracle.maximizer(tuple(lower))
     return RunResult(
         output=tuple(output),
@@ -242,6 +281,105 @@ def _run(
         trace=tuple(trace) if trace is not None else None,
         sample_log=tuple(tuple(s) for s in sample_log) if sample_log is not None else None,
     )
+
+
+def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` picks of the fewest-pulls rule (ties to the lower
+    index) over the ``allowed`` arms, each pick adding one pull.
+
+    The rule visits count levels in turn: at level c it picks, in index
+    order, every allowed arm that started with at most c pulls.
+    """
+    idx = np.flatnonzero(allowed)
+    counts = pulls[idx]
+    low = counts.min()
+    # Each level picks at least one arm, and from the highest count on
+    # every allowed arm; either bound covers n picks.
+    levels = min(n, int(counts.max() - low) - (-n // len(idx)))
+    picked = counts <= low + np.arange(levels)[:, None]
+    return np.broadcast_to(idx, picked.shape)[picked][:n]
+
+
+def _run_blocks(
+    oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half,
+    t, pulls, sums, sums_sq,
+):
+    """The rounds of :func:`_run` in verified blocks (see the module
+    docstring); returns ``(t, pulls, lower, upper, xi_held,
+    lemma_violations, settled)`` at the state where the run stops, with
+    ``settled`` true when the mask found no candidate there.
+
+    Block arrays are arm-major: entry ``[i, s]`` belongs to arm i in the
+    state after the block's first s guessed pulls.
+    """
+    m = len(pulls)
+    arms = np.arange(m)[:, None]
+    theta = np.asarray(theta_star, dtype=np.float64)[:, None]
+    lam = np.asarray(lam_half, dtype=np.float64) if lam_half is not None else None
+    pulls = np.asarray(pulls, dtype=np.int64)
+    sums = np.asarray(sums, dtype=np.float64)
+    sums_sq = np.asarray(sums_sq, dtype=np.float64)
+    guess_from = np.ones(m, dtype=bool)  # all arms, or coci's last candidate set
+    no_pick = np.iinfo(np.int64).max
+    xi_held = True
+    violations = 0
+    most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
+    size = min(most, _BLOCK_ROUNDS_MIN)
+
+    while True:
+        size = min(size, max_rounds - t)
+        guess = _fewest_pulls_order(pulls, guess_from, size + 1)
+        counts = np.zeros((m, size + 1), dtype=np.int64)
+        np.cumsum(guess[:size] == arms, axis=1, out=counts[:, 1:])
+        block_pulls = pulls[:, None] + counts
+        block_sums = np.empty((m, size + 1))
+        block_sq = np.empty((m, size + 1))
+        for i in range(m):
+            x = streams[i].peek(int(counts[i, size]))
+            # Sequential cumulative sums add in the scalar loop's order.
+            block_sums[i] = np.cumsum(np.concatenate(([sums[i]], x)))[counts[i]]
+            block_sq[i] = np.cumsum(np.concatenate(([sums_sq[i]], x * x)))[counts[i]]
+        est = estimate_from_sums(kind, block_sums, block_sq, block_pulls)
+        logs = np.fromiter(map(math.log, range(t, t + size + 1)), np.float64, size + 1)
+        rad = np.sqrt((log_const + 3.0 * logs) * (0.5 / block_pulls))
+        lower = np.maximum(0.0, np.minimum(1.0, est - rad))
+        upper = np.minimum(1.0, np.maximum(0.0, est + rad))
+        mask = oracle.candidate_mask(lower, upper)
+
+        if uniform:
+            pick = block_pulls.argmin(axis=0)
+        else:
+            pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
+        stop = ~mask.any(axis=0)
+        stop[size] |= t + size >= max_rounds
+        ends = stop | (pick != guess)
+        # The state at `last` depends only on verified picks: it is exact.
+        last = int(ends.argmax()) if ends.any() else size
+
+        if (np.abs(est[:, : last + 1] - theta) > rad[:, : last + 1]).any():
+            xi_held = False
+        if lam is not None:
+            kept = guess[:last]
+            violations += int(np.count_nonzero(rad[kept, np.arange(last)] < lam[kept]))
+        for i in range(m):
+            streams[i].advance(int(counts[i, last]))
+        t += last
+        pulls, sums, sums_sq = block_pulls[:, last], block_sums[:, last], block_sq[:, last]
+        if stop[last]:
+            return (
+                t,
+                pulls.tolist(),
+                lower[:, last].tolist(),
+                upper[:, last].tolist(),
+                xi_held,
+                violations if lam is not None else None,
+                not mask[:, last].any(),
+            )
+        if not uniform:
+            guess_from = mask[:, last]
+        # Grow the block while guesses hold; after a miss, size it to twice
+        # the stretch that held.
+        size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
 
 
 def audit_xi(trace: Sequence[CociState], true_params: Sequence[float]) -> bool:

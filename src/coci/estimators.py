@@ -12,6 +12,8 @@ import enum
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .core import ConfidenceBox
 from .errors import DomainError, UsageError
 
@@ -52,12 +54,25 @@ def estimate(kind: EstimatorKind, samples: Sequence[float]) -> float:
     return estimate_from_sums(kind, total, total_sq, s)
 
 
-def estimate_from_sums(kind: EstimatorKind, total: float, total_sq: float, s: int) -> float:
+def estimate_from_sums(
+    kind: EstimatorKind,
+    total: float | np.ndarray,
+    total_sq: float | np.ndarray,
+    s: int | np.ndarray,
+) -> float | np.ndarray:
     """Estimate from running sums; yields the same value as :func:`estimate`
-    on the underlying samples accumulated in the same order."""
+    on the underlying samples accumulated in the same order.
+
+    The arguments may also be numpy arrays of sums and counts, as the
+    sampler's block loop passes them: the elementwise float operations are
+    the same, so each entry equals the scalar call on that entry."""
     if kind is EstimatorKind.MEAN:
         return total / s
     value = (total_sq - total * total / s) / (s - 1)
+    if isinstance(value, np.ndarray):
+        if (value < _GROSS_NEGATIVE).any():
+            raise AssertionError("variance estimate is negative beyond cancellation")
+        return np.where(value < 0.0, 0.0, value)
     if value < 0.0:
         # The estimator is nonnegative in exact arithmetic; negatives are
         # floating-point cancellation on (near-)constant samples.

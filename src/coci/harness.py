@@ -151,15 +151,36 @@ _OUTPUT_FIELDS = {"path", "format"}
 #: Cost functions by kind; a cost entry sets their number fields by name.
 _COST_KINDS = {"quadratic": QuadraticCost, "power": PowerCost, "linear": LinearCost}
 
+#: Arm models by kind; an arm entry sets every field by name, a number or,
+#: for the fields named in ``_LIST_FIELDS``, a list of numbers.
 _MODEL_KINDS = {
-    "bernoulli": lambda spec: Bernoulli(float(spec["p"])),
-    "point-mass": lambda spec: PointMass(float(spec["v"])),
-    "discrete": lambda spec: DiscreteSupport(
-        tuple(float(v) for v in spec["values"]),
-        tuple(float(p) for p in spec["probabilities"]),
-    ),
-    "beta": lambda spec: ScaledBeta(float(spec["a"]), float(spec["b"])),
+    "bernoulli": Bernoulli,
+    "point-mass": PointMass,
+    "discrete": DiscreteSupport,
+    "beta": ScaledBeta,
 }
+_LIST_FIELDS = {"values", "probabilities"}
+
+
+def _arm_model(entry, path: str) -> ArmModel:
+    """The arm model an ``arms`` entry describes; ``path`` names the entry."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind not in _MODEL_KINDS:
+        raise ConfigError(f"{path}.kind", f"unknown arm model {kind!r}")
+    cls = _MODEL_KINDS[kind]
+    names = [f.name for f in dataclass_fields(cls)]
+    _check_fields(entry, {"kind", *names}, path + ".")
+    args = {}
+    for name in names:
+        if name in _LIST_FIELDS:
+            items = _require(entry, name, list, path + ".")
+            args[name] = tuple(_read(v, f"{path}.{name}[{j}]", float) for j, v in enumerate(items))
+        else:
+            args[name] = _read(_require(entry, name, object, path + "."), f"{path}.{name}", float)
+    try:
+        return cls(**args)
+    except CociError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
@@ -243,16 +264,7 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
         entries = _require(raw, "arms", list, "")
         if len(entries) != len(theta):
             raise ConfigError("arms", "need one arm model per parameter")
-        parsed = []
-        for idx, entry in enumerate(entries):
-            kind = entry.get("kind") if isinstance(entry, dict) else None
-            if kind not in _MODEL_KINDS:
-                raise ConfigError(f"arms[{idx}].kind", f"unknown arm model {kind!r}")
-            try:
-                parsed.append(_MODEL_KINDS[kind](entry))
-            except (CociError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"arms[{idx}]", str(exc)) from exc
-        models = tuple(parsed)
+        models = tuple(_arm_model(entry, f"arms[{idx}]") for idx, entry in enumerate(entries))
 
     hardness_raw = raw.get("hardness", {})
     if hardness_raw is False:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import OracleSpec
 from .errors import DomainError, UsageError
 
@@ -78,6 +80,28 @@ def _enumerate_top_k(m: int, k: int):
         yield tuple(y)
 
 
+def _top_k_candidate_mask(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The two-corner test of every arm on every box of a stack, at once.
+
+    Arm i is in the top k at a corner when fewer than k other arms beat it
+    there, where j beats i with a larger parameter or an equal one and a
+    lower index (the oracle's tie rule). At corner a, arm i sits at its
+    upper bound and every other arm at its lower bound; corner b swaps the
+    roles. The arm is a candidate when the two answers differ.
+    """
+    m = lower.shape[0]
+    # [i, j, box]: does arm j beat arm i?
+    before = np.tri(m, k=-1, dtype=bool)[:, :, None]  # j < i
+    other = ~np.eye(m, dtype=bool)[:, :, None]
+    lower = np.ascontiguousarray(lower)
+    upper = np.ascontiguousarray(upper)
+    mine, theirs = upper[:, None], lower[None, :]
+    beaten_a = ((theirs > mine) | ((theirs == mine) & before)) & other
+    mine, theirs = lower[:, None], upper[None, :]
+    beaten_b = ((theirs > mine) | ((theirs == mine) & before)) & other
+    return (beaten_a.sum(axis=1) < k) != (beaten_b.sum(axis=1) < k)
+
+
 def make_top_k_oracle(m: int, k: int) -> OracleSpec:
     """Top-k selection as an :class:`OracleSpec` (bi-monotone, own-direction up)."""
     if not (1 <= k <= m):
@@ -92,6 +116,7 @@ def make_top_k_oracle(m: int, k: int) -> OracleSpec:
         enumerate_decisions=partial(_enumerate_top_k, m, k),
         decision_count=math.comb(m, k),
         bi_monotone=True,
+        candidate_mask=partial(_top_k_candidate_mask, k),
     )
 
 
@@ -239,44 +264,31 @@ def water_maximizer(spec: WaterSpec, theta: Sequence[float]) -> tuple[float, ...
     return tuple(y)
 
 
-def _derivative_direction(spec: WaterSpec, i: int) -> int | None:
-    """+1/-1 when the cost's grid derivative is strictly monotone, else None."""
+def _strictly_convex(spec: WaterSpec, i: int) -> bool:
+    """True when source i's cost has a strictly increasing grid derivative
+    over at least two grid steps."""
     step = spec.grid_step
-    cap = spec.cap_units[i]
-    diffs = [
-        spec.costs[i]((u + 1) * step) - spec.costs[i](u * step) for u in range(cap)
-    ]
-    if len(diffs) < 2:
-        return None
-    if all(b > a for a, b in zip(diffs, diffs[1:])):
-        return 1
-    if all(b < a for a, b in zip(diffs, diffs[1:])):
-        return -1
-    return None
+    cost = spec.costs[i]
+    diffs = [cost((u + 1) * step) - cost(u * step) for u in range(spec.cap_units[i])]
+    return len(diffs) >= 2 and all(b > a for a, b in zip(diffs, diffs[1:]))
 
 
 def water_bi_monotone(spec: WaterSpec) -> bool:
-    """Conservative check that the water oracle is bi-monotone.
+    """Whether the water oracle is bi-monotone, by a sufficient condition.
 
-    True only when every cost derivative is strictly monotone in the same
-    direction and a sweep over a coarse parameter lattice confirms that the
-    minimum-total constraint is tight at the optimum everywhere. A false
-    negative only routes the candidate test to slower corner enumeration.
+    True only when every cost is strictly convex on its grid and the optimum
+    at theta = (1, ..., 1) spends exactly ``b``. Each source's own optimum
+    rises with its theta_i, so the total is largest at theta = 1, and tight
+    there means tight at every theta. A concave objective under a tight sum
+    is water-filling with one multiplier: y_i rises with theta_i and falls
+    with every other theta_j. Concave costs fail the test (y_i can fall as
+    theta_i rises), and so does a budget that is loose anywhere; a false
+    negative only routes the candidate test to corner enumeration.
     """
-    directions = [_derivative_direction(spec, i) for i in range(spec.m)]
-    if any(d is None for d in directions) or len(set(directions)) != 1:
+    if spec.required_units == 0 or not all(_strictly_convex(spec, i) for i in range(spec.m)):
         return False
-    if spec.required_units == 0:
-        return False
-
-    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    step = spec.grid_step
-    for theta in itertools.product(grid, repeat=spec.m):
-        y = water_maximizer(spec, theta)
-        total_units = round(sum(y) / step)
-        if total_units != spec.required_units:
-            return False
-    return True
+    y = water_maximizer(spec, (1.0,) * spec.m)
+    return round(sum(y) / spec.grid_step) == spec.required_units
 
 
 def _water_term(spec: WaterSpec, i: int, theta_i: float, y_i: float) -> float:

@@ -163,7 +163,10 @@ class BufferedArm:
     """Blockwise sampler over one arm's private stream.
 
     Draws in blocks for speed; the emitted sequence matches successive
-    single draws from the same generator.
+    single draws from the same generator. :meth:`peek` reads ahead without
+    consuming and :meth:`advance` consumes; ``peek(n)`` then ``advance(n)``
+    yields exactly what n calls of :meth:`next` would, because the
+    generator is only ever asked for whole blocks, in the same order.
     """
 
     __slots__ = ("_model", "_rng", "_buffer", "_pos")
@@ -181,6 +184,26 @@ class BufferedArm:
         value = self._buffer[self._pos]
         self._pos += 1
         return float(value)
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` samples, without consuming them (a view of the buffer)."""
+        end = self._pos + n
+        if end > len(self._buffer):
+            blocks = [self._buffer[self._pos :]]
+            have = len(blocks[0])
+            while have < n:
+                blocks.append(self._model.draw(self._rng, _SAMPLE_BLOCK))
+                have += _SAMPLE_BLOCK
+            self._buffer = np.concatenate(blocks)
+            self._pos = 0
+            end = n
+        return self._buffer[self._pos : end]
+
+    def advance(self, n: int) -> None:
+        """Consume ``n`` samples that :meth:`peek` has already read ahead."""
+        if not 0 <= n <= len(self._buffer) - self._pos:
+            raise UsageError(f"cannot advance {n} samples past the read-ahead")
+        self._pos += n
 
 
 def default_models(

@@ -27,11 +27,13 @@ from coci import (
     compute_reward_gaps,
     estimate,
     greedy_osa,
+    h_from_lambda,
     hardness_report,
     make_best_arm_oracle,
     make_osa_oracle,
     make_top_k_oracle,
     run_coci,
+    sample_complexity_bound,
 )
 from coci.core import ProblemInstance
 from coci.harness import load_config, emit_results, run_experiment, trial_seed
@@ -270,7 +272,8 @@ def test_c08_gap_width_inequality():
 
 def test_c09_adaptive_beats_uniform():
     # One hard pair (gap 0.05) among six easy arms (gaps 0.45): paired runs
-    # must show strictly fewer adaptive rounds on average.
+    # must show strictly fewer adaptive rounds on average, and every
+    # coverage-true adaptive run must stay within the round bound.
     cfg = load_config(CONFIG_DIR / "adaptive_vs_uniform.json")
     start = time.perf_counter()
     result = run_experiment(cfg, workers=WORKERS)
@@ -281,9 +284,19 @@ def test_c09_adaptive_beats_uniform():
     assert modes["coci"]["trials"] == 100 and modes["uniform"]["trials"] == 100
     assert all(r.correct for r in result.records), "paired runs must identify the optimum"
     assert mean_adaptive < mean_uniform
+
+    # The config turns hardness off; the flip radii bisect in about 1 ms.
+    oracle = make_best_arm_oracle(len(cfg.theta_star))
+    h_lambda = h_from_lambda(compute_lambda(oracle, cfg.theta_star, epsilon=0.01).lower)
+    bound = sample_complexity_bound(h_lambda, len(cfg.theta_star), 1, cfg.delta)
+    covered = [r for r in result.records if r.mode == "coci" and r.xi_held]
+    assert covered
+    for r in covered:
+        assert r.rounds <= bound, f"trial {r.trial}: {r.rounds} rounds over bound {bound:.0f}"
     print(
         f"\nPASS criterion 9: adaptive mean rounds {mean_adaptive:.0f} < uniform "
-        f"{mean_uniform:.0f} over 100 paired seeds ({elapsed:.0f}s)"
+        f"{mean_uniform:.0f} over 100 paired seeds; {len(covered)} coverage-true "
+        f"adaptive runs within the round bound {bound:.0f} ({elapsed:.0f}s)"
     )
 
 

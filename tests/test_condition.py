@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,3 +220,30 @@ def test_no_candidates_means_constant_decision():
         decisions = {spec.maximizer(p) for p in grid_points(box.lower, box.upper, 9)}
         assert len(decisions) == 1
     assert checked > 10
+
+
+@st.composite
+def _stacked_boxes(draw):
+    """A top-k oracle with m = 1..8 and any k, and a stack of boxes drawn
+    like :func:`_candidate_cases`: ties, zero widths and 0/1 faces."""
+    m = draw(st.integers(1, 8))
+    spec = make_top_k_oracle(m, draw(st.integers(1, m)))
+    bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        pairs = [sorted((draw(bound), draw(bound))) for _ in range(m)]
+        boxes.append(tuple(zip(*pairs)))
+    return spec, boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacked_boxes())
+def test_candidate_mask_matches_two_corner_test(case):
+    spec, boxes = case
+    lower = np.array([lo for lo, _ in boxes]).T
+    upper = np.array([hi for _, hi in boxes]).T
+    mask = spec.candidate_mask(lower, upper)
+    assert mask.shape == (spec.arm_count, len(boxes))
+    for r, (lo, hi) in enumerate(boxes):
+        for i in range(spec.arm_count):
+            assert mask[i, r] == candidate_on_bounds(spec, lo, hi, i), (r, i)

@@ -1,16 +1,20 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coci import (
     EstimatorKind,
+    ParameterVector,
     PointMass,
     UsageError,
     audit_xi,
     build_instance,
     confidence_radius,
+    default_models,
     dump_trace,
     make_best_arm_oracle,
     make_osa_oracle,
@@ -294,3 +298,111 @@ class TestBoundPlumbing:
         assert result.xi_held
         assert result.lemma_violations == 0
 
+
+def scalar_only(instance):
+    """The same instance without the oracle's candidate mask: its runs take
+    the scalar round loop."""
+    return replace(instance, oracle=replace(instance.oracle, candidate_mask=None))
+
+
+@st.composite
+def _top_k_runs(draw):
+    """A random top-k instance and run settings: mean or variance
+    estimates, some point-mass arms, an int or tuple seed, a round cap and
+    sometimes the half-flip-radius audit."""
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, m))
+    kind = draw(st.sampled_from([EstimatorKind.MEAN, EstimatorKind.VARIANCE]))
+    top = 1.0 if kind is EstimatorKind.MEAN else 0.25
+    grid = [top * j / 8 for j in range(9)]
+    theta, models = [], []
+    for _ in range(m):
+        if draw(st.integers(0, 3)) == 0:
+            v = draw(st.sampled_from(grid[:5]))
+            theta.append(v if kind is EstimatorKind.MEAN else 0.0)
+            models.append(PointMass(v))
+        else:
+            theta.append(draw(st.sampled_from(grid)))
+            models.append(default_models((theta[-1],), kind)[0])
+    instance = build_instance(make_top_k_oracle(m, k), theta, kind, models=models)
+    seed = draw(st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 99), st.integers(0, 99))))
+    kwargs = {
+        "seed": seed,
+        "max_rounds": draw(st.integers(kind.tau * m, 6000)),
+    }
+    if draw(st.booleans()):
+        kwargs["lambda_lower"] = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    return instance, draw(st.floats(0.05, 0.6)), kwargs
+
+
+class TestBlockLoop:
+    """Runs with a candidate mask take the block loop; they must equal the
+    scalar loop on every ``RunResult`` field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]))
+    def test_matches_scalar_loop(self, case, run):
+        instance, delta, kwargs = case
+        fast = run(instance, delta, **kwargs)
+        slow = run(scalar_only(instance), delta, **kwargs)
+        assert repr(fast) == repr(slow)
+
+    @pytest.mark.parametrize(
+        "theta, kind, run",
+        [
+            # The c09 instance: about 60k rounds, across many full blocks.
+            ((0.75, 0.7, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3), EstimatorKind.MEAN, run_coci),
+            # Variance estimates, with final boxes clear of the cube's faces.
+            ((0.24, 0.16, 0.05), EstimatorKind.VARIANCE, run_uniform),
+        ],
+        ids=["c09-coci", "variance-uniform"],
+    )
+    def test_matches_scalar_loop_on_long_runs(self, theta, kind, run):
+        instance = build_instance(make_best_arm_oracle(len(theta)), theta, kind)
+        fast = run(instance, 0.1, seed=20240605)
+        assert fast.rounds > 20_000
+        assert repr(fast) == repr(run(scalar_only(instance), 0.1, seed=20240605))
+
+    @pytest.mark.parametrize("offset", [0.08, 0.1])
+    def test_matches_scalar_loop_when_coverage_fails(self, offset):
+        # Declared parameters off from the arms' means make the xi audit
+        # fail once the radii shrink below the offset, and on and off near
+        # that point.
+        instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
+        slow = scalar_only(instance)
+        for inst in (instance, slow):
+            object.__setattr__(inst, "true_params", ParameterVector((0.6 - offset, 0.5, 0.2)))
+        fails = 0
+        for seed in range(4):
+            for run in (run_coci, run_uniform):
+                fast = run(instance, 0.1, seed=seed, max_rounds=5000)
+                assert repr(fast) == repr(run(slow, 0.1, seed=seed, max_rounds=5000))
+                fails += not fast.xi_held
+        assert fails > 0
+
+    def test_mask_disagreement_raises(self, best_arm_instance):
+        # A mask that never finds a candidate stops the block loop at once;
+        # the exact test over the final box disagrees, and the run raises.
+        oracle = best_arm_instance.oracle
+        wrong = replace(oracle, candidate_mask=lambda lower, upper: np.zeros(lower.shape, bool))
+        with pytest.raises(AssertionError, match="candidate mask disagrees"):
+            run_coci(replace(best_arm_instance, oracle=wrong), 0.05, seed=1)
+
+    def test_paths_follow_the_oracle(self, best_arm_instance):
+        # The mask is used only when the oracle is bi-monotone and the run
+        # keeps no trace.
+        calls = [0]
+        mask = best_arm_instance.oracle.candidate_mask
+
+        def counted(lower, upper):
+            calls[0] += 1
+            return mask(lower, upper)
+
+        oracle = replace(best_arm_instance.oracle, candidate_mask=counted)
+        instance = replace(best_arm_instance, oracle=oracle)
+        run_coci(instance, 0.05, seed=3)
+        assert calls[0] > 0
+        calls[0] = 0
+        run_coci(instance, 0.05, seed=3, record_trace=True)
+        run_coci(replace(instance, oracle=replace(oracle, bi_monotone=False)), 0.05, seed=3)
+        assert calls[0] == 0

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from coci import DomainError, EstimatorKind, UsageError, clamp_box, confidence_radius, estimate
+from coci.estimators import estimate_from_sums
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -45,6 +47,22 @@ class TestEstimate:
     def test_variance_nonnegative_and_bounded(self, samples):
         v = estimate(EstimatorKind.VARIANCE, samples)
         assert 0.0 <= v <= 1.0
+
+    @given(
+        kind=st.sampled_from(list(EstimatorKind)),
+        runs=st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40), min_size=1, max_size=8),
+    )
+    def test_array_sums_match_scalar_calls(self, kind, runs):
+        # The sampler's block loop passes arrays of running sums; each entry
+        # must equal the scalar call on the same sums, including the clamp
+        # of a cancelled variance at zero.
+        runs = runs + [[0.3] * 3, [1.0] * 7]
+        totals = [sum(r) for r in runs]
+        squares = [sum(x * x for x in r) for r in runs]
+        counts = [len(r) for r in runs]
+        got = estimate_from_sums(kind, np.array(totals), np.array(squares), np.array(counts))
+        want = [estimate_from_sums(kind, *args) for args in zip(totals, squares, counts)]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("kind,min_s", [(EstimatorKind.MEAN, 1), (EstimatorKind.VARIANCE, 2)])

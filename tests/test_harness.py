@@ -357,6 +357,12 @@ class TestCli:
                 {"application": "water", "water": _water(costs=[{"kind": "linear", "p": 2}] * 2)},
                 "water.costs[0].p",
             ),
+            ({"arms": [{"kind": "bernoulli", "p": True}, {"kind": "bernoulli", "p": 0.25}]}, "arms[0].p"),
+            (
+                {"arms": [{"kind": "bernoulli", "p": 0.75, "typo": 1}, {"kind": "bernoulli", "p": 0.25}]},
+                "arms[0].typo",
+            ),
+            ({"arms": [{"kind": "bernoulli", "p": 0.75}, {"kind": "point-mass", "v": "x"}]}, "arms[1].v"),
         ],
     )
     def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from coci import (
     DomainError,
@@ -18,9 +19,10 @@ from coci import (
     water_bi_monotone,
     water_maximizer,
 )
+from coci.condition import candidate_on_bounds
 from coci.oracles import _top_k_phi
 
-from _reference import continuous_water_optimum
+from _reference import continuous_water_optimum, lattice_candidate, water_tight_on_lattice
 
 
 class TestTopK:
@@ -152,6 +154,31 @@ class TestWaterMaximizer:
             assert cont_value - grid_value <= lipschitz * spec.grid_step
 
 
+_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def _water_specs(draw, convex_only):
+    """Small water specs with quadratic or power costs. With
+    ``convex_only``, every cost is strictly convex over at least two grid
+    steps; otherwise power exponents below 1 (concave costs) and one-step
+    caps occur too."""
+    m = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    caps = [step * draw(st.integers(2 if convex_only else 1, round(1.0 / step))) for _ in range(m)]
+    exponents = [1.5, 2.0, 3.0] + ([] if convex_only else [0.5, 0.8])
+    costs = [
+        QuadraticCost(draw(st.sampled_from([0.5, 1.0, 2.0])))
+        if draw(st.booleans())
+        else PowerCost(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from(exponents)))
+        for _ in range(m)
+    ]
+    # Budgets in the upper half of the total cap are mostly tight.
+    total = sum(round(c / step) for c in caps)
+    b = step * draw(st.integers(total // 2, total))
+    return WaterSpec(b=b, caps=tuple(caps), costs=tuple(costs), grid_step=step)
+
+
 class TestWaterBiMonotone:
     def test_quadratic_with_tight_budget(self):
         spec = WaterSpec(
@@ -166,8 +193,8 @@ class TestWaterBiMonotone:
         assert water_bi_monotone(spec) is False
 
     def test_loose_budget_fails_sweep(self):
-        # Strictly convex costs but a non-binding requirement: the sweep
-        # finds untight optima, so the check declines.
+        # Strictly convex costs but a non-binding requirement: the optimum
+        # at theta = 1 overshoots b, so the check declines.
         spec = WaterSpec(b=0.2, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.2)
         assert water_bi_monotone(spec) is False
 
@@ -195,6 +222,43 @@ class TestWaterBiMonotone:
                 if b < 1.0:
                     side = phi((a, b + 0.25))
                     assert side[1] >= base[1] and side[0] <= base[0]
+
+    def test_concave_costs_are_not_bi_monotone(self):
+        # Regression: this spec meets b exactly on the whole lattice, but a
+        # concave cost lets y_0 fall as theta_2 rises, so the two-corner test
+        # would call arm 0 constant on a box where it varies.
+        spec = WaterSpec(
+            b=0.8,
+            caps=(0.5, 0.5, 1.0),
+            costs=(PowerCost(2.0, 0.8), PowerCost(1.0, 0.8), PowerCost(2.0, 0.5)),
+            grid_step=0.1,
+        )
+        oracle = make_water_oracle(spec)
+        assert oracle.bi_monotone is False
+        lower, upper = (5 / 6, 1 / 6, 0.0), (1.0, 5 / 6, 1.0)
+        assert oracle.maximizer(lower)[0] != oracle.maximizer((5 / 6, 1 / 6, 1.0))[0]
+        assert candidate_on_bounds(oracle, lower, upper, 0) is True
+        assert candidate_on_bounds(replace(oracle, bi_monotone=True), lower, upper, 0) is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_water_specs(convex_only=True))
+    def test_one_point_rule_matches_lattice_sweep(self, spec):
+        assert water_bi_monotone(spec) == water_tight_on_lattice(spec)
+
+    # About one drawn spec in six is declared bi-monotone.
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(spec=_water_specs(convex_only=False), seed=st.integers(0, 2**16))
+    def test_declared_two_corner_test_matches_lattice(self, spec, seed):
+        oracle = make_water_oracle(spec)
+        assume(oracle.bi_monotone)
+        rng = random.Random(seed)
+        for _ in range(2):
+            pairs = [sorted((rng.choice(_THETAS), rng.random())) for _ in range(spec.m)]
+            lower, upper = zip(*pairs)
+            for i in range(spec.m):
+                assert candidate_on_bounds(oracle, lower, upper, i) == lattice_candidate(
+                    oracle, lower, upper, i, 5
+                ), (lower, upper, i)
 
     def test_oracle_flag_propagates(self):
         tight = WaterSpec(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coci import (
     Bernoulli,
@@ -8,6 +9,7 @@ from coci import (
     EstimatorKind,
     PointMass,
     ScaledBeta,
+    UsageError,
     arm_for_variance,
     build_instance,
     make_best_arm_oracle,
@@ -101,6 +103,36 @@ class TestStreams:
             other.next()
             interleaved.append(again.next())
         assert eager == interleaved
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        model=st.sampled_from(
+            [Bernoulli(0.3), ScaledBeta(2, 3), DiscreteSupport((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)), PointMass(0.4)]
+        ),
+        steps=st.lists(
+            st.tuples(st.integers(0, 2500), st.integers(0, 2500), st.integers(0, 3)), max_size=8
+        ),
+    )
+    def test_read_ahead_matches_next(self, model, steps):
+        # Peeks reach across the 1024-sample draw blocks, advance by part
+        # of what they read, and mix with single draws.
+        reference = BufferedArm(model, arm_stream((5,), 2))
+        arm = BufferedArm(model, arm_stream((5,), 2))
+        seen = []
+        for ahead, take, singles in steps:
+            take = min(take, ahead)
+            window = arm.peek(ahead)
+            assert len(window) == ahead
+            arm.advance(take)
+            seen.extend(float(v) for v in window[:take])
+            seen.extend(arm.next() for _ in range(singles))
+        assert seen == [reference.next() for _ in seen]
+
+    def test_advance_past_read_ahead_rejected(self):
+        arm = BufferedArm(Bernoulli(0.5), arm_stream((1,), 0))
+        arm.peek(3)
+        with pytest.raises(UsageError):
+            arm.advance(2000)
 
 
 def test_instance_builder_checks_parameters():
