@@ -29,7 +29,6 @@ from .errors import (
 from .estimators import EstimatorKind, clamp_box, confidence_radius, estimate
 from .hardness import (
     HardnessReport,
-    LambdaEstimate,
     WIDTH_TOP_K,
     compute_lambda,
     compute_reward_gaps,
@@ -49,14 +48,7 @@ from .oracles import (
     water_bi_monotone,
     water_maximizer,
 )
-from .osa import (
-    GreedyOsaScratch,
-    OsaSpec,
-    greedy_osa,
-    greedy_osa_detailed,
-    greedy_scratch,
-    make_osa_oracle,
-)
+from .osa import OsaSpec, greedy_osa, make_osa_oracle
 from .sim import (
     ArmModel,
     Bernoulli,
@@ -83,9 +75,7 @@ __all__ = [
     "DiscreteSupport",
     "DomainError",
     "EstimatorKind",
-    "GreedyOsaScratch",
     "HardnessReport",
-    "LambdaEstimate",
     "LinearCost",
     "OracleSpec",
     "OsaSpec",
@@ -112,8 +102,6 @@ __all__ = [
     "dump_trace",
     "estimate",
     "greedy_osa",
-    "greedy_osa_detailed",
-    "greedy_scratch",
     "h_from_lambda",
     "h_uniform_from_lambda",
     "hardness_report",

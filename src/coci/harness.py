@@ -22,9 +22,9 @@ import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -44,14 +44,13 @@ from .oracles import (
 from .osa import make_osa_oracle
 from .sim import ArmModel, Bernoulli, DiscreteSupport, PointMass, ScaledBeta, build_instance
 
-_APPLICATIONS = ("best-arm", "top-k", "osa", "water")
-_MODES = ("coci", "uniform", "both")
 _FORMATS = ("csv", "json-lines")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see :func:`load_config`."""
+    """Validated experiment description; see :func:`load_config`. Only
+    :func:`parse_config` builds one, so no field has a default."""
 
     name: str
     application: str
@@ -61,15 +60,15 @@ class ExperimentConfig:
     mode: str
     trials: int
     master_seed: int
-    k: Optional[int] = None
-    n: Optional[tuple[int, ...]] = None
-    water: Optional[WaterSpec] = None
-    models: Optional[tuple[ArmModel, ...]] = None
-    max_rounds: Optional[int] = None
-    hardness_epsilon: Optional[float] = 0.01
-    out_path: Optional[str] = None
-    out_format: str = "csv"
-    workers: int = 1
+    k: Optional[int]
+    n: Optional[tuple[int, ...]]
+    water: Optional[WaterSpec]
+    models: Optional[tuple[ArmModel, ...]]
+    max_rounds: Optional[int]
+    hardness_epsilon: Optional[float]
+    out_path: Optional[str]
+    out_format: str
+    workers: int
 
 
 @dataclass(frozen=True)
@@ -106,212 +105,193 @@ def trial_seed(master_seed: int, trial: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _require(raw: dict, field: str, types, path: str):
-    if field not in raw:
-        raise ConfigError(f"{path}{field}", "missing required field")
-    value = raw[field]
-    if not isinstance(value, types):
-        raise ConfigError(f"{path}{field}", f"expected {types}, got {type(value).__name__}")
-    return value
+#: Marks a field that has no default.
+_REQUIRED = object()
 
 
-def _read(value, field: str, cast, low=-math.inf, high=math.inf):
-    """``cast(value)`` when that succeeds, loses nothing and is a finite
-    value in [low, high]; otherwise a ``ConfigError`` naming ``field``. A
-    bool is never a number, and an ``int`` field takes no fractional part."""
+@dataclass(frozen=True)
+class _Field:
+    """How to read one config field.
+
+    ``cast`` is ``int``, ``float`` or ``str`` for a scalar, ``[item]`` for a
+    nonempty list of ``item`` fields, a dict of fields for an object, or a
+    :class:`_Kinds` for an object whose ``kind`` names the dataclass that
+    its other fields build. ``low`` and ``high`` bound a number, and
+    ``choices`` lists the strings a string may be. A missing field takes
+    ``default``, and so does an explicit ``null`` when ``default`` is None.
+    """
+
+    cast: Any
+    default: Any = _REQUIRED
+    low: float = -math.inf
+    high: float = math.inf
+    choices: tuple = ()
+
+
+class _Kinds(dict):
+    """Dataclasses by ``kind``; each field is a number or a list of numbers,
+    with the dataclass default."""
+
+
+def _dataclass_fields(cls) -> dict[str, _Field]:
+    hints = get_type_hints(cls)
+    return {
+        f.name: _Field(
+            float if hints[f.name] is float else [_Field(float)],
+            _REQUIRED if f.default is MISSING else f.default,
+        )
+        for f in dataclass_fields(cls)
+    }
+
+
+#: Every field a config may set, at every level.
+_SCHEMA = _Field({
+    "name": _Field(str, None),
+    "application": _Field(str, choices=("best-arm", "top-k", "osa", "water")),
+    "theta_star": _Field([_Field(float, low=0.0, high=1.0)]),
+    "estimator": _Field(str, "mean", choices=tuple(kind.name.lower() for kind in EstimatorKind)),
+    "delta": _Field(float),
+    "mode": _Field(str, "coci", choices=("coci", "uniform", "both")),
+    "trials": _Field(int, 1, low=1),
+    "master_seed": _Field(int, 0, low=0),
+    "k": _Field(int, None),
+    "n": _Field([_Field(int, low=1)], None),
+    "water": _Field({
+        "b": _Field(float, low=0.0),
+        "caps": _Field([_Field(float, low=0.0)]),
+        "costs": _Field([_Field(_Kinds(quadratic=QuadraticCost, power=PowerCost, linear=LinearCost))]),
+        "grid_step": _Field(float),
+    }, None),
+    "arms": _Field([_Field(_Kinds({
+        "bernoulli": Bernoulli,
+        "point-mass": PointMass,
+        "discrete": DiscreteSupport,
+        "beta": ScaledBeta,
+    }))], None),
+    "max_rounds": _Field(int, None),
+    # ``false`` turns hardness off; see parse_config. The low bound is the
+    # least positive float, so epsilon > 0.
+    "hardness": _Field({"epsilon": _Field(float, 0.01, low=math.ulp(0.0))}, {}),
+    "output": _Field({"path": _Field(str, None), "format": _Field(str, "csv", choices=_FORMATS)}, {}),
+    "workers": _Field(int, 1, low=1),
+})
+
+
+def _check(value, schema: _Field, path: str):
+    """``value`` read as ``schema`` says, or a ``ConfigError`` naming the
+    innermost field at fault. A bool is never a number, a number is finite,
+    and an ``int`` field takes no fractional part."""
+    cast = schema.cast
+    if isinstance(cast, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(path, f"expected a nonempty list, got {value!r}")
+        return tuple(_check(v, cast[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if isinstance(cast, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"expected an object, got {value!r}")
+        prefix = f"{path}." if path else ""
+        if isinstance(cast, _Kinds):
+            kind = _check(value.get("kind"), _Field(str, choices=tuple(cast)), prefix + "kind")
+            fields = {"kind": _Field(str), **_dataclass_fields(cast[kind])}
+        else:
+            fields = cast
+        for name in value:
+            if name not in fields:
+                raise ConfigError(prefix + name, "unknown field")
+        out = {}
+        for name, field in fields.items():
+            item = value.get(name, field.default)
+            if item is _REQUIRED:
+                raise ConfigError(prefix + name, "missing required field")
+            out[name] = None if item is None and field.default is None else _check(item, field, prefix + name)
+        if not isinstance(cast, _Kinds):
+            return out
+        del out["kind"]
+        try:
+            return cast[kind](**out)
+        except CociError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    if cast is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        if schema.choices and value not in schema.choices:
+            raise ConfigError(path, f"must be one of {schema.choices}, got {value!r}")
+        return value
+    fractional = cast is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or fractional:
+        raise ConfigError(path, f"expected {cast.__name__}, got {value!r}")
     try:
-        fractional = cast is int and isinstance(value, float) and not value.is_integer()
-        if isinstance(value, bool) or fractional:
-            raise ValueError
         out = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, f"expected {cast.__name__}, got {value!r}") from None
-    if not (low <= out <= high and math.isfinite(out)):
-        raise ConfigError(field, f"{out} is not a finite value in [{low}, {high}]")
+        ok = math.isfinite(out) and schema.low <= out <= schema.high
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok:
+        raise ConfigError(path, f"{value!r} is not a finite value in [{schema.low}, {schema.high}]")
     return out
 
 
-def _check_fields(raw: dict, known, path: str) -> None:
-    """Reject a field of ``raw`` that is not in ``known``: a misspelt or
-    retired setting would otherwise be ignored without a word."""
-    for field in raw:
-        if field not in known:
-            raise ConfigError(f"{path}{field}", "unknown field")
-
-
-#: The fields a config may set, at the top level and in its sub-objects.
-_FIELDS = {
-    "name", "application", "theta_star", "estimator", "delta", "mode", "trials",
-    "master_seed", "k", "n", "water", "arms", "max_rounds", "hardness", "output", "workers",
-}
-_WATER_FIELDS = {"b", "caps", "costs", "grid_step"}
-_HARDNESS_FIELDS = {"epsilon"}
-_OUTPUT_FIELDS = {"path", "format"}
-
-#: Cost functions by kind; a cost entry sets their number fields by name.
-_COST_KINDS = {"quadratic": QuadraticCost, "power": PowerCost, "linear": LinearCost}
-
-#: Arm models by kind; an arm entry sets every field by name, a number or,
-#: for the fields named in ``_LIST_FIELDS``, a list of numbers.
-_MODEL_KINDS = {
-    "bernoulli": Bernoulli,
-    "point-mass": PointMass,
-    "discrete": DiscreteSupport,
-    "beta": ScaledBeta,
-}
-_LIST_FIELDS = {"values", "probabilities"}
-
-
-def _arm_model(entry, path: str) -> ArmModel:
-    """The arm model an ``arms`` entry describes; ``path`` names the entry."""
-    kind = entry.get("kind") if isinstance(entry, dict) else None
-    if kind not in _MODEL_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown arm model {kind!r}")
-    cls = _MODEL_KINDS[kind]
-    names = [f.name for f in dataclass_fields(cls)]
-    _check_fields(entry, {"kind", *names}, path + ".")
-    args = {}
-    for name in names:
-        if name in _LIST_FIELDS:
-            items = _require(entry, name, list, path + ".")
-            args[name] = tuple(_read(v, f"{path}.{name}[{j}]", float) for j, v in enumerate(items))
-        else:
-            args[name] = _read(_require(entry, name, object, path + "."), f"{path}.{name}", float)
-    try:
-        return cls(**args)
-    except CociError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
 def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
-    """Validate a raw config mapping into an :class:`ExperimentConfig`."""
-    _check_fields(raw, _FIELDS, "")
-    application = _require(raw, "application", str, "")
-    if application not in _APPLICATIONS:
-        raise ConfigError("application", f"must be one of {_APPLICATIONS}")
-    theta = tuple(
-        _read(v, f"theta_star[{i}]", float, 0.0, 1.0)
-        for i, v in enumerate(_require(raw, "theta_star", list, ""))
-    )
-    if not theta:
-        raise ConfigError("theta_star", "must be a nonempty list")
+    """Validate a raw config mapping into an :class:`ExperimentConfig`.
 
-    est_name = raw.get("estimator", "mean")
+    :func:`_check` reads every field by ``_SCHEMA``; the rules below span
+    more than one field."""
+    hardness_off = raw.get("hardness") is False
+    cfg = _check({**raw, "hardness": {}} if hardness_off else raw, _SCHEMA, "")
+    application, theta, k, n = cfg["application"], cfg["theta_star"], cfg["k"], cfg["n"]
+    m = len(theta)
+    estimator = EstimatorKind[cfg["estimator"].upper()]
     try:
-        estimator = EstimatorKind[str(est_name).upper()]
-    except KeyError:
-        raise ConfigError("estimator", f"unknown estimator {est_name!r}") from None
-
-    delta = _read(_require(raw, "delta", (int, float), ""), "delta", float)
-    try:
-        check_delta(delta, estimator.tau)
+        check_delta(cfg["delta"], estimator.tau)
     except UsageError as exc:
         raise ConfigError("delta", str(exc)) from None
 
-    mode = raw.get("mode", "coci")
-    if mode not in _MODES:
-        raise ConfigError("mode", f"must be one of {_MODES}")
-    trials = _read(raw.get("trials", 1), "trials", int, 1)
-    master_seed = _read(raw.get("master_seed", 0), "master_seed", int, 0)
-
-    k = raw.get("k")
-    n = raw.get("n")
     water = None
-    if application == "top-k":
-        if k is None:
-            raise ConfigError("k", "top-k requires a subset size k")
-        k = _read(k, "k", int, 1, len(theta))
-    elif application == "best-arm":
+    if application == "best-arm":
         k = 1
+    elif application == "top-k":
+        if k is None or not 1 <= k <= m:
+            raise ConfigError("k", f"top-k requires a subset size k in [1, {m}], got {k}")
     elif application == "osa":
-        n = tuple(_read(v, f"n[{i}]", int, 1) for i, v in enumerate(_require(raw, "n", list, "")))
-        if len(n) != len(theta):
-            raise ConfigError("n", "group sizes must match theta_star length")
-        if k is None:
-            raise ConfigError("k", "osa requires a sample budget k")
-        k = _read(k, "k", int, len(n))
+        if n is None or len(n) != m:
+            raise ConfigError("n", "osa requires one group size per theta_star entry")
+        if k is None or k < m:
+            raise ConfigError("k", f"osa requires a sample budget k of at least {m}, got {k}")
         if estimator is not EstimatorKind.VARIANCE:
             raise ConfigError("estimator", "osa estimates within-group variances")
-    elif application == "water":
-        wraw = _require(raw, "water", dict, "")
-        _check_fields(wraw, _WATER_FIELDS, "water.")
-        costs = []
-        for idx, cost in enumerate(_require(wraw, "costs", list, "water.")):
-            kind = cost.get("kind") if isinstance(cost, dict) else None
-            if kind not in _COST_KINDS:
-                raise ConfigError(f"water.costs[{idx}]", f"unknown cost kind {kind!r}")
-            cls = _COST_KINDS[kind]
-            field = f"water.costs[{idx}]"
-            _check_fields(cost, {"kind", *(f.name for f in dataclass_fields(cls))}, field + ".")
-            costs.append(
-                cls(**{key: _read(v, field, float) for key, v in cost.items() if key != "kind"})
-            )
-        b = _read(_require(wraw, "b", (int, float), "water."), "water.b", float, 0.0)
-        caps = tuple(
-            _read(c, f"water.caps[{i}]", float, 0.0)
-            for i, c in enumerate(_require(wraw, "caps", list, "water."))
-        )
-        grid_step = _read(_require(wraw, "grid_step", (int, float), "water."), "water.grid_step", float)
+    else:
+        if cfg["water"] is None:
+            raise ConfigError("water", "the water application requires this object")
         try:
-            water = WaterSpec(b=b, caps=caps, costs=tuple(costs), grid_step=grid_step)
+            water = WaterSpec(**cfg["water"])
         except CociError as exc:
             raise ConfigError("water", str(exc)) from exc
-        if water.m != len(theta):
+        if water.m != m:
             raise ConfigError("water.caps", "source count must match theta_star length")
 
-    models: tuple[ArmModel, ...] | None = None
-    if "arms" in raw:
-        entries = _require(raw, "arms", list, "")
-        if len(entries) != len(theta):
-            raise ConfigError("arms", "need one arm model per parameter")
-        models = tuple(_arm_model(entry, f"arms[{idx}]") for idx, entry in enumerate(entries))
-
-    hardness_raw = raw.get("hardness", {})
-    if hardness_raw is False:
-        hardness_epsilon = None
-    elif isinstance(hardness_raw, dict):
-        _check_fields(hardness_raw, _HARDNESS_FIELDS, "hardness.")
-        hardness_epsilon = _read(hardness_raw.get("epsilon", 0.01), "hardness.epsilon", float)
-        if not hardness_epsilon > 0.0:
-            raise ConfigError("hardness.epsilon", f"must be positive, got {hardness_epsilon}")
-    else:
-        raise ConfigError("hardness", "must be false or an object like {'epsilon': 0.01}")
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output", "must be an object")
-    _check_fields(output, _OUTPUT_FIELDS, "output.")
-    out_path = output.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError("output.path", f"must be a string, got {out_path!r}")
-    out_format = output.get("format", "csv")
-    if out_format not in _FORMATS:
-        raise ConfigError("output.format", f"must be one of {_FORMATS}")
-
-    max_rounds = raw.get("max_rounds")
-    if max_rounds is not None:
-        # The set-up pulls every arm tau times before the first round.
-        max_rounds = _read(max_rounds, "max_rounds", int, estimator.tau * len(theta))
-    workers = _read(raw.get("workers", 1), "workers", int, 1)
+    if cfg["arms"] is not None and len(cfg["arms"]) != m:
+        raise ConfigError("arms", "need one arm model per parameter")
+    # The set-up pulls every arm tau times before the first round.
+    if cfg["max_rounds"] is not None and cfg["max_rounds"] < estimator.tau * m:
+        raise ConfigError("max_rounds", f"must cover the {estimator.tau * m} set-up pulls")
 
     return ExperimentConfig(
-        name=str(raw.get("name", name)),
+        name=name if cfg["name"] is None else cfg["name"],
         application=application,
         theta_star=theta,
         estimator=estimator,
-        delta=delta,
-        mode=mode,
-        trials=trials,
-        master_seed=master_seed,
+        delta=cfg["delta"],
+        mode=cfg["mode"],
+        trials=cfg["trials"],
+        master_seed=cfg["master_seed"],
         k=k,
         n=n,
         water=water,
-        models=models,
-        max_rounds=max_rounds,
-        hardness_epsilon=hardness_epsilon,
-        out_path=out_path,
-        out_format=out_format,
-        workers=workers,
+        models=cfg["arms"],
+        max_rounds=cfg["max_rounds"],
+        hardness_epsilon=None if hardness_off else cfg["hardness"]["epsilon"],
+        out_path=cfg["output"]["path"],
+        out_format=cfg["output"]["format"],
+        workers=cfg["workers"],
     )
 
 
@@ -369,13 +349,16 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
 
 def problem_hardness(config: ExperimentConfig, instance: ProblemInstance) -> HardnessReport:
     """The hardness report of a config's instance at its ``hardness_epsilon``
-    (0.01 when the config turns hardness off); top-k problems also get
-    their reward gaps and exchange width."""
+    (the schema's default when the config turns hardness off); top-k
+    problems also get their reward gaps and exchange width."""
     top_k = config.application in ("best-arm", "top-k")
+    epsilon = config.hardness_epsilon
+    if epsilon is None:
+        epsilon = _SCHEMA.cast["hardness"].cast["epsilon"].default
     return hardness_report(
         instance.oracle,
         config.theta_star,
-        epsilon=0.01 if config.hardness_epsilon is None else config.hardness_epsilon,
+        epsilon=epsilon,
         width=WIDTH_TOP_K if top_k else None,
         include_gaps=top_k,
     )

@@ -151,15 +151,6 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
     vector among all optima that spend the full budget. The full budget is
     always spent (an allocation with slack is never strictly better).
     """
-    y, _, _ = greedy_osa_detailed(spec, theta)
-    return y
-
-
-def greedy_osa_detailed(
-    spec: OsaSpec, theta: Sequence[float]
-) -> tuple[tuple[int, ...], GreedyOsaScratch, int]:
-    """As :func:`greedy_osa`, also returning the scratch and the number of
-    greedy increments performed (for complexity checks)."""
     m = spec.m
     theta = tuple(float(v) for v in theta)
     if len(theta) != m:
@@ -176,14 +167,13 @@ def greedy_osa_detailed(
         # Every weight is zero: all allocations tie, and the leading one
         # puts the whole slack on the last group.
         y[m - 1] += spec.k - m
-        return tuple(y), scratch, 0
+        return tuple(y)
 
     if sum(y) > spec.k:  # never expected; the base is provably under budget
         y = [1] * m
 
     n2l = [spec.n[i] * spec.n[i] for i in range(m)]
-    remaining = spec.k - sum(y)
-    for _ in range(remaining):
+    for _ in range(spec.k - sum(y)):
         best = arms[0]
         for i in arms[1:]:
             # >= keeps the later index on ties: the leading optimum spends
@@ -191,7 +181,7 @@ def greedy_osa_detailed(
             if _marginal_greater(n2l, theta, y, i, best) >= 0:
                 best = i
         y[best] += 1
-    return tuple(y), scratch, remaining
+    return tuple(y)
 
 
 def _osa_reward_term(n: tuple[int, ...], i: int, theta_i: float, y_i: float) -> float:

@@ -141,6 +141,21 @@ def lattice_candidate(spec, box_lower, box_upper, i: int, resolution: int) -> bo
     return any(spec.maximizer(p)[i] != first for p in points)
 
 
+def lattice_candidates(spec, box_lower, box_upper, resolution: int) -> tuple[bool, ...]:
+    """:func:`lattice_candidate` of every arm at once: each lattice point
+    is evaluated once, and the scan stops when every arm has varied."""
+    points = grid_points(box_lower, box_upper, resolution)
+    first = spec.maximizer(next(points))
+    varied = [False] * len(first)
+    for p in points:
+        y = spec.maximizer(p)
+        if y != first:
+            varied = [v or a != b for v, a, b in zip(varied, y, first)]
+            if all(varied):
+                break
+    return tuple(varied)
+
+
 def water_tight_on_lattice(spec) -> bool:
     """True when the water optimum spends exactly ``b`` at every point of
     the lattice {0, 1/4, 1/2, 3/4, 1}^m: 5^m dynamic programs, a brute-force

@@ -39,7 +39,7 @@ from coci.core import ProblemInstance
 from coci.harness import load_config, emit_results, run_experiment, trial_seed
 from coci.osa import OsaSpec
 
-from _reference import exact_osa_optimum, lattice_candidate
+from _reference import exact_osa_optimum, lattice_candidates
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 WORKERS = 2
@@ -229,11 +229,12 @@ def test_c07_strategy_agreement():
                 lower.append(max(0.0, center - radius))
                 upper.append(min(1.0, center + radius))
             box = ConfidenceBox(tuple(lower), tuple(upper))
+            lattice = lattice_candidates(spec, box.lower, box.upper, 21)
             for i in range(spec.arm_count):
                 answers = [
                     arm_is_candidate(spec, box, i),
                     arm_is_candidate(replace(spec, bi_monotone=False), box, i),
-                    lattice_candidate(spec, box.lower, box.upper, i, 21),
+                    lattice[i],
                 ]
                 assert answers[0] == answers[1] == answers[2], (spec.name, box, i)
                 checks += 1

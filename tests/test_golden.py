@@ -1,11 +1,13 @@
 """Golden digests of full ``RunResult`` reprs over a fixed set of runs, and
-of the hardness reports of the shipped configs and bench workloads.
+of the parsed configs and hardness reports of the shipped configs and bench
+workloads.
 
 Any change to what a run draws, pulls, records or returns changes the run
 digest. The set covers both samplers; traced, untraced and capped runs; the
 half-flip-radius audit; and the corner-enumeration candidate test. Any
 change to a flip radius, saturation flag, gap or hardness sum of a shipped
-instance changes the hardness digest.
+instance changes the hardness digest, and any change to what a shipped
+config parses to changes the config digest.
 """
 
 import hashlib
@@ -94,3 +96,13 @@ def test_hardness_reports_match_golden_digest():
     assert len(reports) == 7
     digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
     assert digest == HARDNESS_SHA256
+
+
+CONFIG_SHA256 = "13712726776b71c45121c3a941c6d5d79c40b95a170ac13305220dc488553566"
+
+
+def test_configs_match_golden_digest():
+    parsed = [repr(parse_config(raw)) for raw in _hardness_configs()]
+    assert len(parsed) == 9
+    digest = hashlib.sha256("\n".join(parsed).encode()).hexdigest()
+    assert digest == CONFIG_SHA256

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from coci import ConfigError
 from coci.cli import main as cli_main
 from coci.harness import (
+    _SCHEMA,
     ExperimentConfig,
     emit_results,
     load_config,
@@ -18,11 +20,18 @@ from coci.harness import (
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _water(**fields) -> dict:
     """A valid two-source water block with ``fields`` replaced."""
     return {"b": 1.0, "caps": [1.0, 1.0], "grid_step": 0.5, "costs": [{"kind": "quadratic"}] * 2, **fields}
+
+
+def _readme_config_lines() -> list[str]:
+    """The README's example config block, its ``//`` comments removed."""
+    block = README.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return [re.sub(r"\s*//.*", "", line) for line in block.splitlines()]
 
 
 def quick_config(**overrides) -> ExperimentConfig:
@@ -44,6 +53,31 @@ class TestConfigParsing:
     def test_integral_float_is_an_int(self):
         raw = json.loads((CONFIG_DIR / "quick.json").read_text())
         assert parse_config({**raw, "trials": 2.0, "workers": 1.0}).trials == 2
+
+    @pytest.mark.parametrize(
+        "patch,expected",
+        [
+            ({"max_rounds": None}, {"max_rounds": None}),
+            ({"k": None}, {"k": 1}),
+            ({"output": {"path": None}}, {"out_path": None, "out_format": "csv"}),
+            ({"arms": None}, {"models": None}),
+        ],
+        ids=["max_rounds", "k", "output.path", "arms"],
+    )
+    def test_null_reads_as_default(self, patch, expected):
+        raw = json.loads((CONFIG_DIR / "quick.json").read_text())
+        parsed = parse_config({**raw, **patch})
+        assert parsed == parse_config({key: v for key, v in raw.items() if key not in patch})
+        assert {field: getattr(parsed, field) for field in expected} == expected
+
+    def test_readme_config_parses(self):
+        # The block's ``arms`` line elides its entries with ``...``.
+        lines = [line for line in _readme_config_lines() if '"arms"' not in line]
+        assert parse_config(json.loads("\n".join(lines))).application == "osa"
+
+    def test_readme_config_sets_every_top_level_field(self):
+        keys = re.findall(r'^  "(\w+)":', "\n".join(_readme_config_lines()), re.M)
+        assert sorted(keys) == sorted(_SCHEMA.cast)
 
     def test_bad_delta(self):
         with pytest.raises(ConfigError) as err:
@@ -86,7 +120,7 @@ class TestConfigParsing:
                     "water": {"b": 0.5, "caps": [1.0], "grid_step": 0.5, "costs": [{"kind": "cubic"}]},
                 }
             )
-        assert err.value.field == "water.costs[0]"
+        assert err.value.field == "water.costs[0].kind"
 
     def test_arm_model_count(self):
         with pytest.raises(ConfigError) as err:
@@ -331,7 +365,7 @@ class TestCli:
                         "costs": [{"kind": "quadratic", "a": "x"}, {"kind": "quadratic"}],
                     },
                 },
-                "water.costs[0]",
+                "water.costs[0].a",
             ),
             ({"delta": 1e-320}, "delta"),
             ({"trials": 2.7}, "trials"),
@@ -344,7 +378,7 @@ class TestCli:
             ({"application": "water", "water": _water(b=float("inf"))}, "water.b"),
             (
                 {"application": "water", "water": _water(costs=[{"kind": "quadratic", "a": True}] * 2)},
-                "water.costs[0]",
+                "water.costs[0].a",
             ),
             ({"application": "water", "water": _water(caps=[1.0, False])}, "water.caps[1]"),
             ({"application": "osa", "estimator": "variance", "n": [1, 1]}, "k"),
@@ -363,6 +397,16 @@ class TestCli:
                 "arms[0].typo",
             ),
             ({"arms": [{"kind": "bernoulli", "p": 0.75}, {"kind": "point-mass", "v": "x"}]}, "arms[1].v"),
+            ({"name": 5}, "name"),
+            ({"master_seed": 10**400}, "master_seed"),
+            ({"k": "two"}, "k"),
+            ({"n": [0, 1]}, "n[0]"),
+            ({"water": 5}, "water"),
+            ({"estimator": "MEAN"}, "estimator"),
+            (
+                {"arms": [{"kind": "discrete", "values": [], "probabilities": []}, {"kind": "bernoulli", "p": 0.25}]},
+                "arms[0].values",
+            ),
         ],
     )
     def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):

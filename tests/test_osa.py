@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from coci import DomainError, OsaSpec, UsageError, greedy_osa, greedy_osa_detailed, greedy_scratch
-from coci.osa import make_osa_oracle, marginal
+from coci import DomainError, OsaSpec, UsageError, greedy_osa
+from coci.osa import greedy_scratch, make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum
 
@@ -172,11 +172,13 @@ class TestExactness:
             k = rng.randint(m, 12)
             n = tuple(rng.randint(1, 3) for _ in range(m))
             theta = tuple(rng.choice([j / 10 for j in range(11)]) for _ in range(m))
-            _, scratch, increments = greedy_osa_detailed(OsaSpec(n, k), theta)
+            scratch = greedy_scratch(OsaSpec(n, k), theta)
             positive = sum(scratch.positive)
             if positive == 0:
-                assert increments == 0
-                continue
+                continue  # no greedy step: the slack goes to the last group
+            # The greedy loop's trip count: the budget the base leaves over.
+            increments = k - sum(scratch.base)
+            assert increments >= 0
             slack_bound = (positive - 1) * math.fsum(scratch.delta_slack) + positive + 1
             assert increments <= min(k, slack_bound)
             assert increments <= positive * positive + positive
