@@ -120,8 +120,9 @@ class OracleSpec:
         ``candidate_mask(lower, upper)`` takes two float arrays of shape
         ``(m, n)``, a stack of n boxes with box r in column r, and returns
         the boolean ``(m, n)`` array whose entry ``[i, r]`` equals the
-        two-corner test of arm i on box r. The sampler's block loop uses it
-        when ``bi_monotone`` is set.
+        two-corner test of arm i on box r. The sampler checks its guessed
+        picks with it on untraced runs when ``bi_monotone`` is set; other
+        runs check them with the exact test one round at a time.
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with

@@ -21,26 +21,34 @@ Runs are deterministic given (instance, delta, seed): each arm draws from
 a private sub-stream keyed by (seed, arm index), so an arm's j-th sample
 does not depend on when it is pulled.
 
-Untraced runs on a bi-monotone oracle with a ``candidate_mask`` (best-arm
-and top-k) take the block loop, which returns the same ``RunResult`` as the
-scalar loop. The candidate set rarely changes (a few dozen times in a run
-of 60,000 rounds), so the next picks can be guessed: the fewest-pulls rule
-over the last candidate set, or over all arms for the uniform ablation.
-From the current state, one block guesses up to 1,024 picks and computes
-every state they lead to as arrays: pull counts, running sums, estimates,
-radii, boxes, the xi and half-flip-radius audits, and the candidate mask.
-It keeps the rounds up to the first state whose real pick differs from the
-guess, or that stops, or that reaches ``max_rounds``. That state depends
-only on picks already checked, so it is exact, and the next block starts
-there. The arrays are exact because every float operation happens in the
-scalar loop's order: sums are sequential ``np.cumsum`` from the current
-sums, one sample at a time as the scalar loop adds them; ``level`` comes
-from ``math.log`` (``np.log`` can differ from it in the last place); and
-numpy's elementwise ``+ - * / sqrt minimum maximum`` round exactly like
-Python floats. Samples come from ``BufferedArm`` read-ahead, which yields
-exactly the sequence of successive draws. The final verdict is the exact
-candidate test on every arm of the final box, and a run whose mask
-disagrees with it raises.
+The rounds step in blocks. The candidate set rarely changes (a few dozen
+times in a run of 60,000 rounds), so the next picks can be guessed: the
+fewest-pulls rule over the last candidate set, or over all arms for the
+uniform ablation. From the current state, one block guesses up to 1,024
+picks and computes every state they lead to as arrays: pull counts,
+running sums, estimates, radii, boxes, and the xi and half-flip-radius
+audits. The arrays are exact because every float operation happens in the
+order of a round-at-a-time loop: sums are sequential ``np.cumsum`` from
+the current sums, one sample at a time; ``level`` comes from ``math.log``
+(``np.log`` can differ from it in the last place); and numpy's elementwise
+``+ - * / sqrt minimum maximum`` round exactly like Python floats. Samples
+come from ``BufferedArm`` read-ahead, which yields exactly the sequence of
+successive draws.
+
+A block keeps the rounds up to the first state whose real pick differs
+from the guess, or that stops, or that reaches ``max_rounds``. That state
+depends only on picks already checked, so it is exact, and the next block
+starts there. The picks are checked in one of two ways:
+
+- with the oracle's vectorized ``candidate_mask``, on every state of the
+  block at once, for untraced runs on a bi-monotone oracle that has one
+  (best-arm and top-k). The verdict at the final state is the exact test
+  on every arm, and a run whose mask disagrees with it raises;
+- otherwise with the exact candidate test, one state at a time, testing
+  arms in a fixed order: coci in pull order up to the first candidate,
+  uniform the last candidate found first and then the others in index
+  order, traced runs every arm. After a wrong coci guess the full
+  candidate set at that state seeds the next guesses.
 """
 
 from __future__ import annotations
@@ -141,11 +149,12 @@ def _run(
     """One run of either sampler: each round pulls the fewest-pulled arm
     (candidate, for coci), ties to the lower index. That is exactly the
     largest-radius one, because all radii share the round's ``level``.
+    The rounds step in verified blocks (see the module docstring).
 
     ``max_rounds`` defaults to ten times the round bound implied by
     ``h_lambda`` (10^6 without one). ``lambda_lower`` enables the
-    half-flip-radius pull audit; ``record_trace`` keeps every round and
-    sample.
+    half-flip-radius pull audit; ``record_trace`` keeps every round, with
+    its full candidate set, and each arm's samples.
     """
     oracle = instance.oracle
     m = oracle.arm_count
@@ -175,95 +184,28 @@ def _run(
 
     sums = [0.0] * m
     sums_sq = [0.0] * m
-    sample_log: list[list[float]] | None = [[] for _ in range(m)] if record_trace else None
     for i in range(m):
         for _ in range(tau):
             x = streams[i].next()
             sums[i] += x
             sums_sq[i] += x * x
-            if sample_log is not None:
-                sample_log[i].append(x)
     pulls = [tau] * m
     t = tau * m
 
     # Radii: sqrt((log(4 / (tau delta)) + 3 log t) / (2 pulls)).
     log_const = math.log(4.0 / (tau * delta))
-    arms = list(range(m))
     trace: list[CociState] | None = [] if record_trace else None
-
-    if trace is None and oracle.bi_monotone and oracle.candidate_mask is not None:
-        t, pulls, lower, upper, xi_held, lemma_violations, settled = _run_blocks(
-            oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half,
-            t, pulls, sums, sums_sq,
+    t, pulls, lower, upper, xi_held, lemma_violations, converged = _run_blocks(
+        oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half, trace,
+        t, pulls, sums, sums_sq,
+    )
+    sample_log = None
+    if record_trace:
+        # Each arm's first pulls[i] samples, read again from a fresh stream.
+        sample_log = tuple(
+            tuple(BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)).peek(pulls[i]).tolist())
+            for i in range(m)
         )
-        # The verdict comes from the exact test; the mask must agree with it.
-        converged = not any(candidate_on_bounds(oracle, lower, upper, i) for i in arms)
-        if converged != settled:
-            raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
-    else:
-        est = [estimate_from_sums(kind, sums[i], sums_sq[i], tau) for i in range(m)]
-        inv2 = [0.5 / tau] * m
-        rad = [0.0] * m
-        lower = [0.0] * m
-        upper = [0.0] * m
-        xi_held = True
-        lemma_violations = 0 if lam_half is not None else None
-        j = x = None  # the pull that produced the current state
-        last_candidate = 0
-
-        while True:
-            level = log_const + 3.0 * math.log(t)
-            for i in arms:
-                r = math.sqrt(level * inv2[i])
-                rad[i] = r
-                e = est[i]
-                lower[i] = max(0.0, min(1.0, e - r))
-                upper[i] = min(1.0, max(0.0, e + r))
-                if abs(e - theta_star[i]) > r:
-                    xi_held = False
-
-            chosen = -1
-            if trace is not None:
-                # Full candidate set for the trace record.
-                cands = tuple(i for i in arms if candidate_on_bounds(oracle, lower, upper, i))
-                box = ConfidenceBox(tuple(lower), tuple(upper))
-                trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
-                chosen = min(cands, key=pulls.__getitem__, default=-1)
-            elif uniform:
-                # Only emptiness matters for the uniform rule; check the last
-                # known candidate first (no results are cached, just the order).
-                if candidate_on_bounds(oracle, lower, upper, last_candidate):
-                    chosen = last_candidate
-                else:
-                    for i in arms:
-                        if i != last_candidate and candidate_on_bounds(oracle, lower, upper, i):
-                            chosen = i
-                            break
-            else:
-                # The first candidate by pull count has the largest radius.
-                for i in sorted(arms, key=pulls.__getitem__):
-                    if candidate_on_bounds(oracle, lower, upper, i):
-                        chosen = i
-                        break
-
-            if chosen < 0 or t >= max_rounds:
-                break
-            last_candidate = chosen
-            j = pulls.index(min(pulls)) if uniform else chosen
-            if lam_half is not None and rad[j] < lam_half[j]:
-                lemma_violations += 1
-
-            t += 1
-            x = streams[j].next()
-            sums[j] += x
-            sums_sq[j] += x * x
-            pulls[j] += 1
-            inv2[j] = 0.5 / pulls[j]
-            est[j] = estimate_from_sums(kind, sums[j], sums_sq[j], pulls[j])
-            if sample_log is not None:
-                sample_log[j].append(x)
-
-        converged = chosen < 0
     output = oracle.maximizer(tuple(lower))
     return RunResult(
         output=tuple(output),
@@ -279,7 +221,7 @@ def _run(
         lemma_violations=lemma_violations,
         final_box=ConfidenceBox(tuple(lower), tuple(upper)),
         trace=tuple(trace) if trace is not None else None,
-        sample_log=tuple(tuple(s) for s in sample_log) if sample_log is not None else None,
+        sample_log=sample_log,
     )
 
 
@@ -301,18 +243,19 @@ def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.nd
 
 
 def _run_blocks(
-    oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half,
+    oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half, trace,
     t, pulls, sums, sums_sq,
 ):
     """The rounds of :func:`_run` in verified blocks (see the module
     docstring); returns ``(t, pulls, lower, upper, xi_held,
-    lemma_violations, settled)`` at the state where the run stops, with
-    ``settled`` true when the mask found no candidate there.
+    lemma_violations, converged)`` at the state where the run stops.
+    When ``trace`` is a list, one :class:`CociState` per round is appended.
 
     Block arrays are arm-major: entry ``[i, s]`` belongs to arm i in the
     state after the block's first s guessed pulls.
     """
     m = len(pulls)
+    use_mask = trace is None and oracle.bi_monotone and oracle.candidate_mask is not None
     arms = np.arange(m)[:, None]
     theta = np.asarray(theta_star, dtype=np.float64)[:, None]
     lam = np.asarray(lam_half, dtype=np.float64) if lam_half is not None else None
@@ -325,6 +268,11 @@ def _run_blocks(
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = min(most, _BLOCK_ROUNDS_MIN)
+    # Exact checks only: the arm uniform tests first, whether the current
+    # state's pick is already checked, and the pull that produced it.
+    last_candidate = 0
+    checked = False
+    pulled = observation = None
 
     while True:
         size = min(size, max_rounds - t)
@@ -334,9 +282,9 @@ def _run_blocks(
         block_pulls = pulls[:, None] + counts
         block_sums = np.empty((m, size + 1))
         block_sq = np.empty((m, size + 1))
-        for i in range(m):
-            x = streams[i].peek(int(counts[i, size]))
-            # Sequential cumulative sums add in the scalar loop's order.
+        samples = [streams[i].peek(int(counts[i, size])) for i in range(m)]
+        for i, x in enumerate(samples):
+            # Sequential cumulative sums add one sample at a time.
             block_sums[i] = np.cumsum(np.concatenate(([sums[i]], x)))[counts[i]]
             block_sq[i] = np.cumsum(np.concatenate(([sums_sq[i]], x * x)))[counts[i]]
         est = estimate_from_sums(kind, block_sums, block_sq, block_pulls)
@@ -344,17 +292,64 @@ def _run_blocks(
         rad = np.sqrt((log_const + 3.0 * logs) * (0.5 / block_pulls))
         lower = np.maximum(0.0, np.minimum(1.0, est - rad))
         upper = np.minimum(1.0, np.maximum(0.0, est + rad))
-        mask = oracle.candidate_mask(lower, upper)
 
-        if uniform:
-            pick = block_pulls.argmin(axis=0)
+        if use_mask:
+            mask = oracle.candidate_mask(lower, upper)
+            if uniform:
+                pick = block_pulls.argmin(axis=0)
+            else:
+                pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
+            stop = ~mask.any(axis=0)
+            stop[size] |= t + size >= max_rounds
+            ends = stop | (pick != guess)
+            last = int(ends.argmax()) if ends.any() else size
+            stopped = stop[last]
+            if not uniform:
+                guess_from = mask[:, last]
         else:
-            pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
-        stop = ~mask.any(axis=0)
-        stop[size] |= t + size >= max_rounds
-        ends = stop | (pick != guess)
-        # The state at `last` depends only on verified picks: it is exact.
-        last = int(ends.argmax()) if ends.any() else size
+            last, stopped = size, False
+            for s in range(size + 1):
+                if trace is not None and s > 0:
+                    pulled = int(guess[s - 1])
+                    observation = float(samples[pulled][counts[pulled, s] - 1])
+                at_cap = t + s >= max_rounds
+                if s == size and not at_cap:
+                    break  # the next block checks this state first
+                if s == 0 and checked:
+                    continue
+                lo, up = lower[:, s].tolist(), upper[:, s].tolist()
+                p = block_pulls[:, s].tolist()
+                cands = None
+                if trace is not None:
+                    cands = [i for i in range(m) if candidate_on_bounds(oracle, lo, up, i)]
+                    chosen = min(cands, key=p.__getitem__, default=-1)
+                    box = ConfidenceBox(tuple(lo), tuple(up))
+                    trace.append(
+                        CociState(
+                            t + s, tuple(p), tuple(est[:, s].tolist()), tuple(rad[:, s].tolist()),
+                            box, tuple(cands), pulled, observation,
+                        )
+                    )
+                else:
+                    if uniform:
+                        order = [last_candidate] + [i for i in range(m) if i != last_candidate]
+                    else:
+                        order = sorted(range(m), key=p.__getitem__)
+                    chosen = next((i for i in order if candidate_on_bounds(oracle, lo, up, i)), -1)
+                if chosen < 0 or at_cap:
+                    last, stopped, converged = s, True, chosen < 0
+                    break
+                last_candidate = chosen
+                if not uniform and chosen != guess[s]:
+                    # Guess on from the full candidate set here; its first
+                    # guess is this state's pick, so it is already checked.
+                    if cands is None:
+                        cands = [i for i in range(m) if candidate_on_bounds(oracle, lo, up, i)]
+                    guess_from = np.zeros(m, dtype=bool)
+                    guess_from[cands] = True
+                    last = s
+                    break
+            checked = last < size and not stopped
 
         if (np.abs(est[:, : last + 1] - theta) > rad[:, : last + 1]).any():
             xi_held = False
@@ -365,18 +360,14 @@ def _run_blocks(
             streams[i].advance(int(counts[i, last]))
         t += last
         pulls, sums, sums_sq = block_pulls[:, last], block_sums[:, last], block_sq[:, last]
-        if stop[last]:
-            return (
-                t,
-                pulls.tolist(),
-                lower[:, last].tolist(),
-                upper[:, last].tolist(),
-                xi_held,
-                violations if lam is not None else None,
-                not mask[:, last].any(),
-            )
-        if not uniform:
-            guess_from = mask[:, last]
+        if stopped:
+            lo, up = lower[:, last].tolist(), upper[:, last].tolist()
+            if use_mask:
+                # The verdict comes from the exact test; the mask must agree.
+                converged = not any(candidate_on_bounds(oracle, lo, up, i) for i in range(m))
+                if converged == mask[:, last].any():
+                    raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
+            return t, pulls.tolist(), lo, up, xi_held, violations if lam is not None else None, converged
         # Grow the block while guesses hold; after a miss, size it to twice
         # the stretch that held.
         size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))

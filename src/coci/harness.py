@@ -42,7 +42,7 @@ from .oracles import (
     make_water_oracle,
 )
 from .osa import make_osa_oracle
-from .sim import ArmModel, Bernoulli, DiscreteSupport, PointMass, ScaledBeta, build_instance
+from .sim import ArmModel, Bernoulli, DiscreteSupport, PointMass, ScaledBeta, build_instance, default_models
 
 _FORMATS = ("csv", "json-lines")
 
@@ -329,12 +329,22 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
         oracle = make_osa_oracle(config.n, config.k)
     else:
         oracle = make_water_oracle(config.water)
+    models = config.models
+    if models is None:
+        # The default arm model of each target may not exist (a variance
+        # above 0.25); the target is then the field at fault.
+        models = []
+        for i, target in enumerate(config.theta_star):
+            try:
+                models += default_models((target,), config.estimator)
+            except CociError as exc:
+                raise ConfigError(f"theta_star[{i}]", str(exc)) from exc
     try:
         instance = build_instance(
             oracle,
             config.theta_star,
             config.estimator,
-            models=config.models,
+            models=models,
             name=config.name,
         )
     except CociError as exc:

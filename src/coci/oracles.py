@@ -40,22 +40,6 @@ def _top_k_phi(m: int, k: int, theta: Sequence[float]) -> tuple[float, ...]:
     return tuple(y)
 
 
-def _best_arm_phi(m: int, theta: Sequence[float]) -> tuple[float, ...]:
-    # Single-pass argmax (lowest index wins ties); hot path of the sampler.
-    if len(theta) != m:
-        raise UsageError(f"expected {m} parameters, got {len(theta)}")
-    best = 0
-    best_v = theta[0]
-    for i in range(1, m):
-        v = theta[i]
-        if v > best_v:
-            best = i
-            best_v = v
-    y = [0.0] * m
-    y[best] = 1.0
-    return tuple(y)
-
-
 def _top_k_term(i: int, theta_i: float, y_i: float) -> float:
     return theta_i * y_i
 
@@ -106,12 +90,11 @@ def make_top_k_oracle(m: int, k: int) -> OracleSpec:
     """Top-k selection as an :class:`OracleSpec` (bi-monotone, own-direction up)."""
     if not (1 <= k <= m):
         raise UsageError(f"need 1 <= k <= m, got k={k}, m={m}")
-    phi = partial(_best_arm_phi, m) if k == 1 else partial(_top_k_phi, m, k)
     return OracleSpec(
         arm_count=m,
         name=f"top-{k}(m={m})",
         reward_term=_top_k_term,
-        maximizer=phi,
+        maximizer=partial(_top_k_phi, m, k),
         contains=partial(_top_k_contains, m, k),
         enumerate_decisions=partial(_enumerate_top_k, m, k),
         decision_count=math.comb(m, k),

@@ -1,9 +1,11 @@
-"""Independent reference oracles used by the tests.
+"""Independent reference implementations used by the tests.
 
-These deliberately share no code with the library paths they check: the
-allocation reference enumerates every feasible allocation and compares
+The oracle references share no code with the library paths they check:
+the allocation reference enumerates every feasible allocation and compares
 objectives in exact integer arithmetic over the binary expansions of the
-inputs, so its optima and tie-breaks are authoritative.
+inputs, so its optima and tie-breaks are authoritative. :func:`scalar_run`
+is the sampler one round at a time, the slow exact path that the engine's
+block loop must equal.
 """
 
 from __future__ import annotations
@@ -11,6 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Sequence
+
+from coci import ConfidenceBox, RunResult, UsageError
+from coci.condition import candidate_on_bounds
+from coci.engine import CociState
+from coci.estimators import check_delta, estimate_from_sums
+from coci.hardness import sample_complexity_bound
+from coci.sim import BufferedArm, arm_stream
 
 
 def iter_allocations(m: int, k: int):
@@ -168,3 +177,143 @@ def water_tight_on_lattice(spec) -> bool:
         if round(sum(y) / spec.grid_step) != spec.required_units:
             return False
     return True
+
+
+def scalar_run(
+    instance,
+    delta: float,
+    *,
+    uniform: bool,
+    seed=0,
+    max_rounds=None,
+    h_lambda=None,
+    lambda_lower=None,
+    record_trace: bool = False,
+) -> RunResult:
+    """``run_coci`` (or ``run_uniform`` when ``uniform``) one round at a
+    time: every round recomputes the radii and the box in Python floats and
+    runs the exact candidate tests in the engine's order, coci in pull order
+    up to the first candidate, uniform the last candidate first, traced runs
+    every arm."""
+    oracle = instance.oracle
+    m = oracle.arm_count
+    if not instance.arm_models:
+        raise UsageError("instance has no arm models to sample from")
+    kind = instance.estimator_kind
+    tau = kind.tau
+    check_delta(delta, tau)
+
+    bound_value = None
+    if h_lambda is not None and math.isfinite(h_lambda):
+        bound_value = sample_complexity_bound(h_lambda, m, tau, delta)
+    if max_rounds is None:
+        max_rounds = math.ceil(10 * bound_value) if bound_value is not None else 10**6
+    if max_rounds < tau * m:
+        raise UsageError(f"max_rounds={max_rounds} cannot cover initialization ({tau * m})")
+
+    lam_half = None
+    if lambda_lower is not None:
+        if len(lambda_lower) != m:
+            raise UsageError("lambda_lower must have one entry per arm")
+        lam_half = [v / 2.0 for v in lambda_lower]
+
+    seed_key = (int(seed),) if isinstance(seed, int) else tuple(int(v) for v in seed)
+    streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
+    theta_star = instance.true_params.values
+
+    sums = [0.0] * m
+    sums_sq = [0.0] * m
+    sample_log: list[list[float]] | None = [[] for _ in range(m)] if record_trace else None
+    for i in range(m):
+        for _ in range(tau):
+            x = streams[i].next()
+            sums[i] += x
+            sums_sq[i] += x * x
+            if sample_log is not None:
+                sample_log[i].append(x)
+    pulls = [tau] * m
+    t = tau * m
+
+    log_const = math.log(4.0 / (tau * delta))
+    arms = list(range(m))
+    trace: list[CociState] | None = [] if record_trace else None
+
+    est = [estimate_from_sums(kind, sums[i], sums_sq[i], tau) for i in range(m)]
+    inv2 = [0.5 / tau] * m
+    rad = [0.0] * m
+    lower = [0.0] * m
+    upper = [0.0] * m
+    xi_held = True
+    lemma_violations = 0 if lam_half is not None else None
+    j = x = None  # the pull that produced the current state
+    last_candidate = 0
+
+    while True:
+        level = log_const + 3.0 * math.log(t)
+        for i in arms:
+            r = math.sqrt(level * inv2[i])
+            rad[i] = r
+            e = est[i]
+            lower[i] = max(0.0, min(1.0, e - r))
+            upper[i] = min(1.0, max(0.0, e + r))
+            if abs(e - theta_star[i]) > r:
+                xi_held = False
+
+        chosen = -1
+        if trace is not None:
+            # Full candidate set for the trace record.
+            cands = tuple(i for i in arms if candidate_on_bounds(oracle, lower, upper, i))
+            box = ConfidenceBox(tuple(lower), tuple(upper))
+            trace.append(CociState(t, tuple(pulls), tuple(est), tuple(rad), box, cands, j, x))
+            chosen = min(cands, key=pulls.__getitem__, default=-1)
+        elif uniform:
+            # Only emptiness matters for the uniform rule; check the last
+            # known candidate first (no results are cached, just the order).
+            if candidate_on_bounds(oracle, lower, upper, last_candidate):
+                chosen = last_candidate
+            else:
+                for i in arms:
+                    if i != last_candidate and candidate_on_bounds(oracle, lower, upper, i):
+                        chosen = i
+                        break
+        else:
+            # The first candidate by pull count has the largest radius.
+            for i in sorted(arms, key=pulls.__getitem__):
+                if candidate_on_bounds(oracle, lower, upper, i):
+                    chosen = i
+                    break
+
+        if chosen < 0 or t >= max_rounds:
+            break
+        last_candidate = chosen
+        j = pulls.index(min(pulls)) if uniform else chosen
+        if lam_half is not None and rad[j] < lam_half[j]:
+            lemma_violations += 1
+
+        t += 1
+        x = streams[j].next()
+        sums[j] += x
+        sums_sq[j] += x * x
+        pulls[j] += 1
+        inv2[j] = 0.5 / pulls[j]
+        est[j] = estimate_from_sums(kind, sums[j], sums_sq[j], pulls[j])
+        if sample_log is not None:
+            sample_log[j].append(x)
+
+    output = oracle.maximizer(tuple(lower))
+    return RunResult(
+        output=tuple(output),
+        rounds=t,
+        per_arm_pulls=tuple(pulls),
+        correct=tuple(output) == tuple(instance.optimal_decision()),
+        xi_held=xi_held,
+        converged=chosen < 0,
+        mode="uniform" if uniform else "coci",
+        seed=seed_key,
+        bound_value=bound_value,
+        bound_satisfied=(t <= bound_value) if bound_value is not None else None,
+        lemma_violations=lemma_violations,
+        final_box=ConfidenceBox(tuple(lower), tuple(upper)),
+        trace=tuple(trace) if trace is not None else None,
+        sample_log=tuple(tuple(s) for s in sample_log) if sample_log is not None else None,
+    )

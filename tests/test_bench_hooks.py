@@ -11,17 +11,20 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 from coci.harness import load_config, run_experiment
 
 ROOT = Path(__file__).parent.parent
 
 
-def test_traced_run_covers_every_layer_and_matches_untraced(monkeypatch):
+@pytest.mark.parametrize("name", ["quick.json", "osa.json"])
+def test_traced_run_covers_every_layer_and_matches_untraced(name, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     tracing = importlib.import_module("tracing")
 
-    config = dataclasses.replace(load_config(ROOT / "configs" / "quick.json"), trials=2, workers=1)
+    config = dataclasses.replace(load_config(ROOT / "configs" / name), trials=2, workers=1, mode="both")
     plain = run_experiment(config)
     recorder = tracing.Recorder(traced=True)
     with recorder.installed():
@@ -32,3 +35,9 @@ def test_traced_run_covers_every_layer_and_matches_untraced(monkeypatch):
     strip = lambda records: [dataclasses.replace(r, wall_ms=0.0) for r in records]  # noqa: E731
     assert strip(traced.records) == strip(plain.records)
     assert traced.summary == plain.summary
+    if config.application == "osa":
+        # The exact check tests every round after initialization at least
+        # once, through the name the benchmark wraps.
+        init = config.estimator.tau * len(config.theta_star)
+        rounds = sum(r.rounds - init + 1 for r in traced.records)
+        assert recorder.trial_totals("condition").calls >= rounds

@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coci import (
     EstimatorKind,
+    LinearCost,
     ParameterVector,
     PointMass,
+    QuadraticCost,
     UsageError,
+    WaterSpec,
     audit_xi,
     build_instance,
     confidence_radius,
@@ -19,12 +22,13 @@ from coci import (
     make_best_arm_oracle,
     make_osa_oracle,
     make_top_k_oracle,
+    make_water_oracle,
     run_coci,
     run_uniform,
 )
 from coci.engine import CociState
 
-from _reference import grid_points
+from _reference import grid_points, scalar_run
 
 
 @pytest.fixture(scope="module")
@@ -299,10 +303,14 @@ class TestBoundPlumbing:
         assert result.lemma_violations == 0
 
 
-def scalar_only(instance):
-    """The same instance without the oracle's candidate mask: its runs take
-    the scalar round loop."""
-    return replace(instance, oracle=replace(instance.oracle, candidate_mask=None))
+def _settings(draw, m, tau):
+    """Run settings: an int or tuple seed, a round cap, sometimes the
+    half-flip-radius audit."""
+    seed = draw(st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 99), st.integers(0, 99))))
+    kwargs = {"seed": seed, "max_rounds": draw(st.integers(tau * m, 6000))}
+    if draw(st.booleans()):
+        kwargs["lambda_lower"] = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    return kwargs
 
 
 @st.composite
@@ -325,27 +333,90 @@ def _top_k_runs(draw):
             theta.append(draw(st.sampled_from(grid)))
             models.append(default_models((theta[-1],), kind)[0])
     instance = build_instance(make_top_k_oracle(m, k), theta, kind, models=models)
-    seed = draw(st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 99), st.integers(0, 99))))
-    kwargs = {
-        "seed": seed,
-        "max_rounds": draw(st.integers(kind.tau * m, 6000)),
-    }
-    if draw(st.booleans()):
-        kwargs["lambda_lower"] = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    return instance, draw(st.floats(0.05, 0.6)), _settings(draw, m, kind.tau)
+
+
+@st.composite
+def _exact_runs(draw):
+    """A run whose picks are checked by the exact candidate test: OSA
+    allocation with variance estimates, water planning with quadratic
+    (bi-monotone) or linear (corner enumeration) costs, or top-k with the
+    mask removed or the bi-monotone flag cleared; traced or not."""
+    m = draw(st.integers(2, 3))
+    app = draw(st.sampled_from(["osa", "water-quadratic", "water-linear", "top-k-no-mask", "top-k-corners"]))
+    grid = [j / 8 for j in range(9)]
+    if app == "osa":
+        kind = EstimatorKind.VARIANCE
+        n = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+        oracle = make_osa_oracle(n, draw(st.integers(m, 10)))
+        theta = draw(st.lists(st.sampled_from([v / 4 for v in grid]), min_size=m, max_size=m))
+    else:
+        kind = EstimatorKind.MEAN
+        theta = draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m))
+        if app.startswith("water"):
+            quadratic = app == "water-quadratic"
+            cost = QuadraticCost(1.0) if quadratic else LinearCost(draw(st.sampled_from([0.0, 0.25])))
+            oracle = make_water_oracle(WaterSpec(b=0.5 * m, caps=(1.0,) * m, costs=(cost,) * m, grid_step=0.5))
+            assert oracle.bi_monotone is quadratic
+        else:
+            oracle = make_top_k_oracle(m, draw(st.integers(1, m)))
+            oracle = replace(oracle, candidate_mask=None, bi_monotone=app == "top-k-no-mask")
+    instance = build_instance(oracle, theta, kind)
+    kwargs = _settings(draw, m, kind.tau)
+    kwargs["max_rounds"] = min(kwargs["max_rounds"], 1500)
+    kwargs["record_trace"] = draw(st.booleans())
     return instance, draw(st.floats(0.05, 0.6)), kwargs
 
 
+def _counted(instance):
+    """A copy of the instance whose oracle counts its maximizer calls."""
+    calls = [0]
+    maximizer = instance.oracle.maximizer
+
+    def count(theta):
+        calls[0] += 1
+        return maximizer(theta)
+
+    return replace(instance, oracle=replace(instance.oracle, maximizer=count)), calls
+
+
 class TestBlockLoop:
-    """Runs with a candidate mask take the block loop; they must equal the
-    scalar loop on every ``RunResult`` field."""
+    """Every run takes the block loop; it must equal the round-at-a-time
+    reference ``scalar_run`` on every ``RunResult`` field, whether its picks
+    are checked by the candidate mask or by the exact candidate test."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]))
     def test_matches_scalar_loop(self, case, run):
         instance, delta, kwargs = case
         fast = run(instance, delta, **kwargs)
-        slow = run(scalar_only(instance), delta, **kwargs)
+        slow = scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
         assert repr(fast) == repr(slow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]))
+    def test_exact_checks_match_scalar_loop(self, case, run):
+        instance, delta, kwargs = case
+        (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
+        assert repr(run(fast, delta, **kwargs)) == repr(
+            scalar_run(slow, delta, uniform=run is run_uniform, **kwargs)
+        )
+        # Only a wrong coci guess adds candidate tests (one full set).
+        if run is run_uniform or kwargs["record_trace"]:
+            assert fast_calls[0] == slow_calls[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_checks_oracle_calls(self, seed):
+        osa = build_instance(make_osa_oracle((5, 1, 1), 10), (0.25, 0.01, 0.01), EstimatorKind.VARIANCE)
+        for run in (run_coci, run_uniform):
+            (fast, fast_calls), (slow, slow_calls) = _counted(osa), _counted(osa)
+            assert repr(run(fast, 0.05, seed=seed)) == repr(
+                scalar_run(slow, 0.05, uniform=run is run_uniform, seed=seed)
+            )
+            if run is run_uniform:
+                assert fast_calls[0] == slow_calls[0]
+            else:
+                assert slow_calls[0] <= fast_calls[0] <= 1.05 * slow_calls[0]
 
     @pytest.mark.parametrize(
         "theta, kind, run",
@@ -361,7 +432,7 @@ class TestBlockLoop:
         instance = build_instance(make_best_arm_oracle(len(theta)), theta, kind)
         fast = run(instance, 0.1, seed=20240605)
         assert fast.rounds > 20_000
-        assert repr(fast) == repr(run(scalar_only(instance), 0.1, seed=20240605))
+        assert repr(fast) == repr(scalar_run(instance, 0.1, uniform=run is run_uniform, seed=20240605))
 
     @pytest.mark.parametrize("offset", [0.08, 0.1])
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
@@ -369,14 +440,13 @@ class TestBlockLoop:
         # fail once the radii shrink below the offset, and on and off near
         # that point.
         instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
-        slow = scalar_only(instance)
-        for inst in (instance, slow):
-            object.__setattr__(inst, "true_params", ParameterVector((0.6 - offset, 0.5, 0.2)))
+        object.__setattr__(instance, "true_params", ParameterVector((0.6 - offset, 0.5, 0.2)))
         fails = 0
         for seed in range(4):
             for run in (run_coci, run_uniform):
                 fast = run(instance, 0.1, seed=seed, max_rounds=5000)
-                assert repr(fast) == repr(run(slow, 0.1, seed=seed, max_rounds=5000))
+                slow = scalar_run(instance, 0.1, uniform=run is run_uniform, seed=seed, max_rounds=5000)
+                assert repr(fast) == repr(slow)
                 fails += not fast.xi_held
         assert fails > 0
 

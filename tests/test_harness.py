@@ -407,6 +407,10 @@ class TestCli:
                 {"arms": [{"kind": "discrete", "values": [], "probabilities": []}, {"kind": "bernoulli", "p": 0.25}]},
                 "arms[0].values",
             ),
+            (
+                {"application": "osa", "estimator": "variance", "n": [1, 1], "k": 4, "theta_star": [0.3, 0.01]},
+                "theta_star[0]",
+            ),
         ],
     )
     def test_run_rejects_bad_config_value(self, patch, field, tmp_path, capsys):

@@ -47,19 +47,6 @@ class TestTopK:
         with pytest.raises(UsageError):
             make_top_k_oracle(m, k)
 
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0)),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_best_arm_fast_path_matches_general_path(self, theta):
-        # Values drawn from a small pool inject exact ties, where only the
-        # tie-break (lowest index wins) separates the two paths.
-        m = len(theta)
-        assert make_top_k_oracle(m, 1).maximizer(theta) == _top_k_phi(m, 1, theta)
-
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_reward_matches_brute_force_on_grid(self, m):
         values = [j / 10 for j in range(11)]
