@@ -122,7 +122,8 @@ class OracleSpec:
         the boolean ``(m, n)`` array whose entry ``[i, r]`` equals the
         two-corner test of arm i on box r. The sampler checks its guessed
         picks with it on untraced runs when ``bi_monotone`` is set; other
-        runs check them with the exact test one round at a time.
+        runs check them with the exact test one round at a time. The top-k
+        oracles (best-arm included) and the OSA oracle set it.
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with

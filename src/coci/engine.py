@@ -42,13 +42,14 @@ starts there. The picks are checked in one of two ways:
 
 - with the oracle's vectorized ``candidate_mask``, on every state of the
   block at once, for untraced runs on a bi-monotone oracle that has one
-  (best-arm and top-k). The verdict at the final state is the exact test
-  on every arm, and a run whose mask disagrees with it raises;
-- otherwise with the exact candidate test, one state at a time, testing
-  arms in a fixed order: coci in pull order up to the first candidate,
-  uniform the last candidate found first and then the others in index
-  order, traced runs every arm. After a wrong coci guess the full
-  candidate set at that state seeds the next guesses.
+  (best-arm, top-k and OSA). The verdict at the final state is the exact
+  test on every arm, and a run whose mask disagrees with it raises;
+- otherwise (traced runs, water and ``bi_monotone=False`` oracles) with
+  the exact candidate test, one state at a time, testing arms in a fixed
+  order: coci in pull order up to the first candidate, uniform the last
+  candidate found first and then the others in index order, traced runs
+  every arm. After a wrong coci guess the full candidate set at that
+  state seeds the next guesses.
 """
 
 from __future__ import annotations
@@ -250,6 +251,9 @@ def _run_blocks(
     docstring); returns ``(t, pulls, lower, upper, xi_held,
     lemma_violations, converged)`` at the state where the run stops.
     When ``trace`` is a list, one :class:`CociState` per round is appended.
+    Untraced runs on a bi-monotone oracle with a ``candidate_mask``
+    (best-arm, top-k, OSA) check a block's picks with the mask; the others
+    with the exact test, one state at a time.
 
     Block arrays are arm-major: entry ``[i, s]`` belongs to arm i in the
     state after the block's first s guessed pulls.

@@ -224,10 +224,16 @@ def test_no_candidates_means_constant_decision():
 
 @st.composite
 def _stacked_boxes(draw):
-    """A top-k oracle with m = 1..8 and any k, and a stack of boxes drawn
+    """A top-k oracle with m = 1..8 and any k, or an OSA oracle with
+    m = 1..4, group sizes 1..6 and k = m..60, and a stack of boxes drawn
     like :func:`_candidate_cases`: ties, zero widths and 0/1 faces."""
-    m = draw(st.integers(1, 8))
-    spec = make_top_k_oracle(m, draw(st.integers(1, m)))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        spec = make_top_k_oracle(m, draw(st.integers(1, m)))
+    else:
+        m = draw(st.integers(1, 4))
+        n = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+        spec = make_osa_oracle(n, draw(st.integers(m, 60)))
     bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
     boxes = []
     for _ in range(draw(st.integers(1, 6))):

@@ -339,16 +339,17 @@ def _top_k_runs(draw):
 @st.composite
 def _exact_runs(draw):
     """A run whose picks are checked by the exact candidate test: OSA
-    allocation with variance estimates, water planning with quadratic
-    (bi-monotone) or linear (corner enumeration) costs, or top-k with the
-    mask removed or the bi-monotone flag cleared; traced or not."""
+    allocation with variance estimates and the mask removed, water planning
+    with quadratic (bi-monotone) or linear (corner enumeration) costs, or
+    top-k with the mask removed or the bi-monotone flag cleared; traced or
+    not."""
     m = draw(st.integers(2, 3))
     app = draw(st.sampled_from(["osa", "water-quadratic", "water-linear", "top-k-no-mask", "top-k-corners"]))
     grid = [j / 8 for j in range(9)]
     if app == "osa":
         kind = EstimatorKind.VARIANCE
         n = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
-        oracle = make_osa_oracle(n, draw(st.integers(m, 10)))
+        oracle = replace(make_osa_oracle(n, draw(st.integers(m, 10))), candidate_mask=None)
         theta = draw(st.lists(st.sampled_from([v / 4 for v in grid]), min_size=m, max_size=m))
     else:
         kind = EstimatorKind.MEAN
@@ -365,6 +366,20 @@ def _exact_runs(draw):
     kwargs = _settings(draw, m, kind.tau)
     kwargs["max_rounds"] = min(kwargs["max_rounds"], 1500)
     kwargs["record_trace"] = draw(st.booleans())
+    return instance, draw(st.floats(0.05, 0.6)), kwargs
+
+
+@st.composite
+def _osa_runs(draw):
+    """An OSA allocation instance that keeps its candidate mask: m = 1..4,
+    group sizes 1..6, variance estimates, untraced run settings."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    oracle = make_osa_oracle(n, draw(st.integers(m, 14)))
+    theta = draw(st.lists(st.sampled_from([j / 32 for j in range(9)]), min_size=m, max_size=m))
+    instance = build_instance(oracle, theta, EstimatorKind.VARIANCE)
+    kwargs = _settings(draw, m, EstimatorKind.VARIANCE.tau)
+    kwargs["max_rounds"] = min(kwargs["max_rounds"], 1500)
     return instance, draw(st.floats(0.05, 0.6)), kwargs
 
 
@@ -405,9 +420,23 @@ class TestBlockLoop:
         if run is run_uniform or kwargs["record_trace"]:
             assert fast_calls[0] == slow_calls[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]))
+    def test_osa_mask_matches_scalar_loop(self, case, run):
+        instance, delta, kwargs = case
+        fast, calls = _counted(instance)
+        assert repr(run(fast, delta, **kwargs)) == repr(
+            scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
+        )
+        # The mask checks every guessed pick. The maximizer serves only the
+        # exact test at the stopping state (2m calls at most), the output
+        # and the true optimum.
+        assert calls[0] <= 2 * instance.oracle.arm_count + 2
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_checks_oracle_calls(self, seed):
-        osa = build_instance(make_osa_oracle((5, 1, 1), 10), (0.25, 0.01, 0.01), EstimatorKind.VARIANCE)
+        oracle = replace(make_osa_oracle((5, 1, 1), 10), candidate_mask=None)
+        osa = build_instance(oracle, (0.25, 0.01, 0.01), EstimatorKind.VARIANCE)
         for run in (run_coci, run_uniform):
             (fast, fast_calls), (slow, slow_calls) = _counted(osa), _counted(osa)
             assert repr(run(fast, 0.05, seed=seed)) == repr(
@@ -453,10 +482,12 @@ class TestBlockLoop:
     def test_mask_disagreement_raises(self, best_arm_instance):
         # A mask that never finds a candidate stops the block loop at once;
         # the exact test over the final box disagrees, and the run raises.
-        oracle = best_arm_instance.oracle
-        wrong = replace(oracle, candidate_mask=lambda lower, upper: np.zeros(lower.shape, bool))
-        with pytest.raises(AssertionError, match="candidate mask disagrees"):
-            run_coci(replace(best_arm_instance, oracle=wrong), 0.05, seed=1)
+        osa = build_instance(make_osa_oracle((5, 1, 1), 10), (0.25, 0.01, 0.01), EstimatorKind.VARIANCE)
+        for instance in (best_arm_instance, osa):
+            oracle = instance.oracle
+            wrong = replace(oracle, candidate_mask=lambda lower, upper: np.zeros(lower.shape, bool))
+            with pytest.raises(AssertionError, match="candidate mask disagrees"):
+                run_coci(replace(instance, oracle=wrong), 0.05, seed=1)
 
     def test_paths_follow_the_oracle(self, best_arm_instance):
         # The mask is used only when the oracle is bi-monotone and the run

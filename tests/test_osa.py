@@ -1,10 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
-from coci.osa import greedy_scratch, make_osa_oracle, marginal
+from coci import osa
+from coci.osa import _greedy_osa_columns, _marginal_greater, greedy_scratch, make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum
 
@@ -220,3 +224,88 @@ class TestMaximizerWrapper:
                         for j in range(3):
                             if j != i:
                                 assert moved[j] <= base[j]
+
+
+def _exact_sign(n2l, theta, levels, i, j):
+    """The sign of marginal i minus marginal j, in rational arithmetic."""
+    mi = Fraction(n2l[i]) * Fraction(theta[i]) / (levels[i] * (levels[i] + 1))
+    mj = Fraction(n2l[j]) * Fraction(theta[j]) / (levels[j] * (levels[j] + 1))
+    return (mi > mj) - (mi < mj)
+
+
+class TestMarginalComparison:
+    def test_large_products_compare_exactly(self):
+        # n_i^2 y_j (y_j + 1) past 2^53 rounds on conversion to float; the
+        # float products then order these two marginals the wrong way.
+        args = ([4080067**2, 5674000**2], [0.08553402726544312, 0.15785635723597166], [22, 42], 0, 1)
+        assert _exact_sign(*args) == -1
+        assert _marginal_greater(*args) == -1
+
+    def test_random_against_fractions(self):
+        rng = random.Random(53)
+        for _ in range(2000):
+            n2l = [rng.choice([1, 4, 9, rng.randint(1, 10**7) ** 2]) for _ in range(2)]
+            theta = [rng.choice([0.1, 0.4, 0.9, 1.0, rng.random()]) for _ in range(2)]
+            levels = [rng.choice([1, 2, rng.randint(1, 10**4)]) for _ in range(2)]
+            assert _marginal_greater(n2l, theta, levels, 0, 1) == _exact_sign(n2l, theta, levels, 0, 1)
+
+
+_COLUMN_POOL = (0.0, 0.01, 0.1, 0.2, 0.25, 0.4, 0.5, 0.8, 0.9, 1.0)
+
+
+@st.composite
+def _column_cases(draw):
+    """A spec (m = 1..4, small or very large group sizes, k = m..60) and a
+    stack of parameter columns: all zero, all equal, or drawn from a pool
+    with ties and faces, or at random."""
+    m = draw(st.integers(1, 4))
+    size = st.integers(1, 6) if draw(st.integers(0, 4)) else st.integers(10**7, 10**9)
+    spec = OsaSpec(tuple(draw(st.lists(size, min_size=m, max_size=m))), draw(st.integers(m, 60)))
+    value = st.one_of(st.sampled_from(_COLUMN_POOL), st.floats(0.0, 1.0))
+    columns = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["zero", "equal", "mixed"]))
+        if kind == "zero":
+            columns.append([0.0] * m)
+        elif kind == "equal":
+            columns.append([draw(value)] * m)
+        else:
+            columns.append(draw(st.lists(value, min_size=m, max_size=m)))
+    return spec, columns
+
+
+class TestBatchedSolver:
+    @settings(max_examples=400, deadline=None)
+    @given(_column_cases())
+    def test_matches_greedy_osa_column_by_column(self, case):
+        spec, columns = case
+        got = _greedy_osa_columns(spec, np.array(columns).T.reshape(spec.m, len(columns)))
+        assert got.shape == (spec.m, len(columns))
+        for c, column in enumerate(columns):
+            assert tuple(got[:, c].tolist()) == greedy_osa(spec, column), column
+
+    def _scalar_calls(self, monkeypatch, spec, columns):
+        calls = [0]
+
+        def counted(spec, theta):
+            calls[0] += 1
+            return greedy_osa(spec, theta)
+
+        monkeypatch.setattr(osa, "greedy_osa", counted)
+        got = _greedy_osa_columns(spec, np.array(columns).T)
+        for c, column in enumerate(columns):
+            assert tuple(got[:, c].tolist()) == greedy_osa(spec, column)
+        return calls[0]
+
+    def test_premises(self, monkeypatch):
+        # All-zero columns and equal parameters (floats that collide) are
+        # solved in numpy, the latter by the integer products.
+        assert self._scalar_calls(monkeypatch, OsaSpec((1, 1), 9), [[0.0, 0.0], [0.3, 0.3], [1.0, 1.0]]) == 0
+        assert self._scalar_calls(monkeypatch, OsaSpec((1, 2, 2), 12), [[0.5, 0.5, 0.5], [0.1, 0.9, 0.9]]) == 0
+        # 4 * 0.1 == 0.4 in floats: equal marginals, unequal parameters.
+        assert self._scalar_calls(monkeypatch, OsaSpec((1, 2), 8), [[0.4, 0.1], [0.5, 0.1]]) == 1
+        # n^2 y (y + 1) reaches 2^53: the scalar solves the column.
+        assert self._scalar_calls(monkeypatch, OsaSpec((10**8, 1), 6), [[0.3, 0.6], [0.0, 0.6]]) == 1
+        # Past (m + 8) k = 2^40 the base's rounding margin is not proven:
+        # the scalar solves every column.
+        assert self._scalar_calls(monkeypatch, OsaSpec((1, 3), 2**37), [[0.3, 0.6], [0.5, 0.5]]) == 2
