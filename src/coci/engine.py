@@ -28,12 +28,16 @@ uniform ablation. From the current state, one block guesses up to 1,024
 picks and computes every state they lead to as arrays: pull counts,
 running sums, estimates, radii, boxes, and the xi and half-flip-radius
 audits. The arrays are exact because every float operation happens in the
-order of a round-at-a-time loop: sums are sequential ``np.cumsum`` from
-the current sums, one sample at a time; ``level`` comes from ``math.log``
-(``np.log`` can differ from it in the last place); and numpy's elementwise
-``+ - * / sqrt minimum maximum`` round exactly like Python floats. Samples
-come from ``BufferedArm`` read-ahead, which yields exactly the sequence of
-successive draws.
+order of a round-at-a-time loop. The running sums come from one sequential
+``np.cumsum`` along rows that hold each arm's current sum and then its
+read-ahead samples, so they add one sample at a time; sums of squares are
+formed only for variance estimates, the one estimator that reads them.
+``level`` is read from a per-process table of ``math.log(t)`` values,
+grown in fixed chunks as runs reach larger t (``np.log`` can differ from
+``math.log`` in the last place). Numpy's elementwise ``+ - * / sqrt minimum
+maximum`` round exactly like Python floats. Samples come from
+``BufferedArm`` read-ahead, which yields exactly the sequence of successive
+draws.
 
 A block keeps the rounds up to the first state whose real pick differs
 from the guess, or that stops, or that reaches ``max_rounds``. That state
@@ -75,6 +79,12 @@ _DEFAULT_MAX_ROUNDS = 10**6
 _BLOCK_ROUNDS_MIN = 64
 _BLOCK_ROUNDS = 1024
 _BLOCK_CELLS = 1 << 20
+#: Entries per chunk of the level table.
+_LOG_CHUNK = 1 << 15
+#: The level table: ``math.log(t)`` for t = 1, 2, ..., shared by every run
+#: in the process. Chunk c holds t = c * _LOG_CHUNK + 1 to (c + 1) *
+#: _LOG_CHUNK; chunks are read-only and only ever appended.
+_LOG_TABLE: list[np.ndarray] = []
 
 
 @dataclass(frozen=True)
@@ -226,6 +236,24 @@ def _run(
     )
 
 
+def _logs(start: int, stop: int) -> np.ndarray:
+    """``math.log(t)`` for t in ``range(start, stop)``, ``1 <= start <
+    stop``, read from the level table, which first grows by whole chunks up
+    to the one holding ``stop - 1``. The entries come from ``math.log``:
+    ``np.log`` can differ from it in the last place."""
+    lo, hi = start - 1, stop - 1  # table indices
+    while len(_LOG_TABLE) * _LOG_CHUNK < hi:
+        base = len(_LOG_TABLE) * _LOG_CHUNK + 1
+        chunk = np.fromiter(map(math.log, range(base, base + _LOG_CHUNK)), np.float64, _LOG_CHUNK)
+        chunk.flags.writeable = False
+        _LOG_TABLE.append(chunk)
+    parts = [
+        _LOG_TABLE[c][max(lo - c * _LOG_CHUNK, 0) : hi - c * _LOG_CHUNK]
+        for c in range(lo // _LOG_CHUNK, (hi - 1) // _LOG_CHUNK + 1)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` picks of the fewest-pulls rule (ties to the lower
     index) over the ``allowed`` arms, each pick adding one pull.
@@ -266,6 +294,7 @@ def _run_blocks(
     pulls = np.asarray(pulls, dtype=np.int64)
     sums = np.asarray(sums, dtype=np.float64)
     sums_sq = np.asarray(sums_sq, dtype=np.float64)
+    squares = kind.tau == 2  # only the variance estimate reads sums of squares
     guess_from = np.ones(m, dtype=bool)  # all arms, or coci's last candidate set
     no_pick = np.iinfo(np.int64).max
     xi_held = True
@@ -284,16 +313,24 @@ def _run_blocks(
         counts = np.zeros((m, size + 1), dtype=np.int64)
         np.cumsum(guess[:size] == arms, axis=1, out=counts[:, 1:])
         block_pulls = pulls[:, None] + counts
-        block_sums = np.empty((m, size + 1))
-        block_sq = np.empty((m, size + 1))
-        samples = [streams[i].peek(int(counts[i, size])) for i in range(m)]
-        for i, x in enumerate(samples):
-            # Sequential cumulative sums add one sample at a time.
-            block_sums[i] = np.cumsum(np.concatenate(([sums[i]], x)))[counts[i]]
-            block_sq[i] = np.cumsum(np.concatenate(([sums_sq[i]], x * x)))[counts[i]]
+        # Row i of layer 0: arm i's running sum, then its read-ahead
+        # samples; layer 1, for variance estimates only, the same for
+        # squares. One cumsum along the rows adds one sample at a time.
+        drawn = counts[:, size].tolist()
+        width = 1 + max(drawn)
+        rows = np.zeros((1 + squares, m, width))
+        rows[0, :, 0] = sums
+        for i in range(m):
+            rows[0, i, 1 : 1 + drawn[i]] = streams[i].peek(drawn[i])
+        if squares:
+            np.multiply(rows[0], rows[0], out=rows[1])
+            rows[1, :, 0] = sums_sq
+        running = np.cumsum(rows, axis=2).ravel()
+        at = counts + arms * width
+        block_sums = running[at]
+        block_sq = running[at + m * width] if squares else block_sums
         est = estimate_from_sums(kind, block_sums, block_sq, block_pulls)
-        logs = np.fromiter(map(math.log, range(t, t + size + 1)), np.float64, size + 1)
-        rad = np.sqrt((log_const + 3.0 * logs) * (0.5 / block_pulls))
+        rad = np.sqrt((log_const + 3.0 * _logs(t, t + size + 1)) * (0.5 / block_pulls))
         lower = np.maximum(0.0, np.minimum(1.0, est - rad))
         upper = np.minimum(1.0, np.maximum(0.0, est + rad))
 
@@ -315,7 +352,7 @@ def _run_blocks(
             for s in range(size + 1):
                 if trace is not None and s > 0:
                     pulled = int(guess[s - 1])
-                    observation = float(samples[pulled][counts[pulled, s] - 1])
+                    observation = float(rows[0, pulled, counts[pulled, s]])
                 at_cap = t + s >= max_rounds
                 if s == size and not at_cap:
                     break  # the next block checks this state first

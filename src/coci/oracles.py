@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +64,14 @@ def _enumerate_top_k(m: int, k: int):
         yield tuple(y)
 
 
+@cache
+def _tie_mask(m: int) -> np.ndarray:
+    """``[i, j, 0]``: does arm j win a tie with arm i (j < i)? Read-only."""
+    before = np.tri(m, k=-1, dtype=bool)[:, :, None]
+    before.flags.writeable = False
+    return before
+
+
 def _top_k_candidate_mask(k: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The two-corner test of every arm on every box of a stack, at once.
 
@@ -72,18 +80,28 @@ def _top_k_candidate_mask(k: int, lower: np.ndarray, upper: np.ndarray) -> np.nd
     lower index (the oracle's tie rule). At corner a, arm i sits at its
     upper bound and every other arm at its lower bound; corner b swaps the
     roles. The arm is a candidate when the two answers differ.
+
+    The counts run over every j, i included. At corner a arm i never beats
+    itself (its lower bound is at most its upper one); at corner b it does
+    exactly when its interval has width, which is subtracted.
     """
     m = lower.shape[0]
-    # [i, j, box]: does arm j beat arm i?
-    before = np.tri(m, k=-1, dtype=bool)[:, :, None]  # j < i
-    other = ~np.eye(m, dtype=bool)[:, :, None]
+    before = _tie_mask(m)
     lower = np.ascontiguousarray(lower)
     upper = np.ascontiguousarray(upper)
+    # [i, j, box]: does arm j beat arm i? Counted in the smallest unsigned
+    # type that holds m, which numpy sums far faster than bools.
+    count = np.min_scalar_type(m)
     mine, theirs = upper[:, None], lower[None, :]
-    beaten_a = ((theirs > mine) | ((theirs == mine) & before)) & other
+    beaten = theirs > mine
+    beaten ^= (theirs == mine) & before
+    in_a = beaten.view(np.uint8).sum(axis=1, dtype=count) < k
     mine, theirs = lower[:, None], upper[None, :]
-    beaten_b = ((theirs > mine) | ((theirs == mine) & before)) & other
-    return (beaten_a.sum(axis=1) < k) != (beaten_b.sum(axis=1) < k)
+    beaten = theirs > mine
+    beaten ^= (theirs == mine) & before
+    beaten_b = beaten.view(np.uint8).sum(axis=1, dtype=count)
+    beaten_b -= upper > lower
+    return in_a != (beaten_b < k)
 
 
 def make_top_k_oracle(m: int, k: int) -> OracleSpec:

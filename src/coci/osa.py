@@ -44,6 +44,9 @@ _EXACT_INT = 2**53
 #: stay far below one sample; from this (m + 8) k on, :func:`greedy_osa`
 #: solves every column.
 _BATCH_SIZE_LIMIT = 2**40
+#: Most floats in one corner array of :func:`_osa_candidate_mask`; the
+#: batched solver's temporaries have the corner array's shape.
+_MASK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -324,20 +327,27 @@ def _osa_candidate_mask(spec: OsaSpec, lower: np.ndarray, upper: np.ndarray) -> 
     """The two-corner test of every arm on every box of a stack, at once.
 
     At corner a arm i's parameter sits at its upper bound and every other at
-    its lower bound; corner b swaps the roles. All 2 m S corners of the S
-    boxes are solved in one batched call, and arm i is a candidate when its
-    own component differs between its two corners.
+    its lower bound; corner b swaps the roles. The 2 m corners of a box are
+    solved in batched calls, as many boxes at a time as keep the ``(m, 2 m
+    boxes)`` corner array within ``_MASK_CELLS`` floats, and arm i is a
+    candidate when its own component differs between its two corners.
     """
     m, boxes = lower.shape
     arm = np.arange(m)
-    corners = np.empty((m, 2, m, boxes))  # [param, corner, arm, box]
-    corners[:, 0] = lower[:, None]
-    corners[:, 1] = upper[:, None]
-    corners[arm, 0, arm] = upper
-    corners[arm, 1, arm] = lower
-    y = _greedy_osa_columns(spec, corners.reshape(m, 2 * m * boxes)).reshape(m, 2, m, boxes)
-    own = y[arm, :, arm]  # [arm, corner, box]
-    return own[:, 0] != own[:, 1]
+    step = max(1, _MASK_CELLS // (2 * m * m))
+    mask = np.empty((m, boxes), dtype=bool)
+    for start in range(0, boxes, step):
+        lo, up = lower[:, start : start + step], upper[:, start : start + step]
+        width = lo.shape[1]
+        corners = np.empty((m, 2, m, width))  # [param, corner, arm, box]
+        corners[:, 0] = lo[:, None]
+        corners[:, 1] = up[:, None]
+        corners[arm, 0, arm] = up
+        corners[arm, 1, arm] = lo
+        y = _greedy_osa_columns(spec, corners.reshape(m, 2 * m * width)).reshape(m, 2, m, width)
+        own = y[arm, :, arm]  # [arm, corner, box]
+        mask[:, start : start + step] = own[:, 0] != own[:, 1]
+    return mask
 
 
 def _osa_reward_term(n: tuple[int, ...], i: int, theta_i: float, y_i: float) -> float:

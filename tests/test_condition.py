@@ -224,11 +224,12 @@ def test_no_candidates_means_constant_decision():
 
 @st.composite
 def _stacked_boxes(draw):
-    """A top-k oracle with m = 1..8 and any k, or an OSA oracle with
-    m = 1..4, group sizes 1..6 and k = m..60, and a stack of boxes drawn
-    like :func:`_candidate_cases`: ties, zero widths and 0/1 faces."""
+    """A top-k oracle with m = 1..12 and any k (k = m included), or an OSA
+    oracle with m = 1..4, group sizes 1..6 and k = m..60, and a stack of
+    boxes drawn like :func:`_candidate_cases`: ties, zero widths and 0/1
+    faces."""
     if draw(st.booleans()):
-        m = draw(st.integers(1, 8))
+        m = draw(st.integers(1, 12))
         spec = make_top_k_oracle(m, draw(st.integers(1, m)))
     else:
         m = draw(st.integers(1, 4))
@@ -253,3 +254,37 @@ def test_candidate_mask_matches_two_corner_test(case):
     for r, (lo, hi) in enumerate(boxes):
         for i in range(spec.arm_count):
             assert mask[i, r] == candidate_on_bounds(spec, lo, hi, i), (r, i)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [make_best_arm_oracle(5), make_top_k_oracle(5, 2), make_osa_oracle((5, 1, 1), 10)],
+    ids=["best-arm", "top2", "osa"],
+)
+def test_candidate_mask_results_are_not_shared(spec):
+    # Writing into a returned mask must not reach any state the next call
+    # reads, such as the top-k tie mask cached per m.
+    rng = np.random.default_rng(3)
+    pool = np.array(_BOUND_POOL)
+    m = spec.arm_count
+    bounds = np.sort(rng.choice(pool, (2, m, 40)), axis=0)
+    first = spec.candidate_mask(bounds[0], bounds[1])
+    expected = first.copy()
+    first[...] = ~first
+    again = spec.candidate_mask(bounds[0], bounds[1])
+    assert (again == expected).all()
+    assert expected.any() and not expected.all()
+
+
+@pytest.mark.parametrize("k", [1, 200, 299])
+def test_top_k_mask_counts_past_255_arms(k):
+    # Past 255 arms a count no longer fits the smallest unsigned type.
+    m = 300
+    spec = make_top_k_oracle(m, k)
+    rng = np.random.default_rng(11)
+    lower = 0.5 * rng.random((m, 2))
+    upper = lower + 0.5
+    mask = spec.candidate_mask(lower, upper)
+    for r in range(2):
+        lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
+        assert [bool(v) for v in mask[:, r]] == [candidate_on_bounds(spec, lo, hi, i) for i in range(m)]

@@ -26,6 +26,7 @@ from coci import (
     run_coci,
     run_uniform,
 )
+from coci import engine
 from coci.engine import CociState
 
 from _reference import grid_points, scalar_run
@@ -507,3 +508,47 @@ class TestBlockLoop:
         run_coci(instance, 0.05, seed=3, record_trace=True)
         run_coci(replace(instance, oracle=replace(oracle, bi_monotone=False)), 0.05, seed=3)
         assert calls[0] == 0
+
+
+class TestLevelTable:
+    """``level`` comes from a per-process table of ``math.log`` values that
+    grows in fixed-size chunks."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        """A fresh, empty table with 7-entry chunks, so that short ranges
+        straddle chunk edges."""
+        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        monkeypatch.setattr(engine, "_LOG_CHUNK", 7)
+        return engine._LOG_TABLE
+
+    def test_entries_are_math_log(self, table):
+        # The first call starts at a large t; later ones straddle one or
+        # more chunk edges, or sit inside a chunk.
+        ranges = [(5000, 5003), (1, 2), (1, 30), (6, 9), (7, 8), (8, 22), (13, 15), (5002, 5020)]
+        largest = 0
+        for start, stop in ranges:
+            got = engine._logs(start, stop)
+            assert got.tolist() == [math.log(t) for t in range(start, stop)], (start, stop)
+            largest = max(largest, stop)
+            # Entries cover t = 1 .. len(table) * 7.
+            assert largest - 1 <= len(table) * 7 < largest - 1 + 7
+        assert all(len(chunk) == 7 and not chunk.flags.writeable for chunk in table)
+
+    def test_straddles_the_real_chunk_edge(self, monkeypatch):
+        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        n = engine._LOG_CHUNK
+        got = engine._logs(n - 2, n + 3)
+        assert got.tolist() == [math.log(t) for t in range(n - 2, n + 3)]
+        assert len(engine._LOG_TABLE) == 2
+
+    @pytest.mark.parametrize("chunk", [7, 100])
+    def test_run_across_table_growth_matches_scalar_loop(self, monkeypatch, chunk):
+        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        monkeypatch.setattr(engine, "_LOG_CHUNK", chunk)
+        instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
+        for run in (run_coci, run_uniform):
+            fast = run(instance, 0.1, seed=5, max_rounds=3000)
+            assert fast.rounds > 10 * chunk
+            slow = scalar_run(instance, 0.1, uniform=run is run_uniform, seed=5, max_rounds=3000)
+            assert repr(fast) == repr(slow)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
 from coci import osa
+from coci.condition import candidate_on_bounds
 from coci.osa import _greedy_osa_columns, _marginal_greater, greedy_scratch, make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum
@@ -309,3 +311,28 @@ class TestBatchedSolver:
         # Past (m + 8) k = 2^40 the base's rounding margin is not proven:
         # the scalar solves every column.
         assert self._scalar_calls(monkeypatch, OsaSpec((1, 3), 2**37), [[0.3, 0.6], [0.5, 0.5]]) == 2
+
+
+class TestCandidateMask:
+    def test_memory_stays_bounded_on_a_large_stack(self):
+        # At m = 32 a box has 2 m^2 = 2,048 corner entries, so a stack of
+        # 1,024 boxes is solved in two slices of 2^20 floats. The batched
+        # solver holds a few arrays of a slice's shape at once; in one piece
+        # each would hold 2^21 floats.
+        m = 32
+        oracle = make_osa_oracle((5,) + (1,) * (m - 1), 2 * m)
+        rng = np.random.default_rng(7)
+        center = 0.25 * rng.random((m, 1024))
+        lower, upper = np.clip(center - 0.01, 0.0, 1.0), np.clip(center + 0.01, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            mask = oracle.candidate_mask(lower, upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * osa._MASK_CELLS
+        assert mask.any() and not mask.all()
+        for box in range(0, 1024, 97):
+            lo, up = lower[:, box].tolist(), upper[:, box].tolist()
+            for i in range(m):
+                assert mask[i, box] == candidate_on_bounds(oracle, lo, up, i), (box, i)
