@@ -6,12 +6,23 @@ decides how that is tested. A bi-monotone oracle gets the exact two-corner
 test: two oracle calls on mixed corners. Any other oracle gets corner
 enumeration, which evaluates the 2^m box corners, up to 20 arms; past that
 the test raises ``CapacityError`` rather than fall back to a heuristic.
+
+:func:`certified_mask` settles runs of consecutive boxes at once. Its
+premise is an exact two-corner test on a bi-monotone oracle: over a box,
+arm i's component takes its extremes at the two mixed corners (theta_i at
+one bound and every other parameter at the opposite one), so arm i is a
+candidate exactly when those two values differ. On a sub-box the range
+between them can only narrow, so candidacy is inherited by inclusion: an
+arm that is not a candidate on a box is not one on any sub-box, and an arm
+that is a candidate on a box is one on every larger box.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import ConfidenceBox, OracleSpec
 from .errors import CapacityError, UsageError
@@ -56,3 +67,44 @@ def candidate_on_bounds(
     corners = itertools.product(*zip(lower, upper))
     first = spec.maximizer(next(corners))[i]
     return any(spec.maximizer(theta)[i] != first for theta in corners)
+
+
+def certified_mask(
+    box_mask: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lower: np.ndarray,
+    upper: np.ndarray,
+    run: int,
+) -> np.ndarray:
+    """``box_mask(lower, upper)``, settled a run of boxes at a time.
+
+    ``box_mask`` is the exact two-corner test of a bi-monotone oracle on a
+    stack of boxes (see :attr:`OracleSpec.candidate_mask`). The stack is cut
+    into runs of ``run`` consecutive boxes, the last one shorter, and one
+    ``box_mask`` call tests every run's hull [min lower, max upper] and,
+    where every arm's one is nonempty, its intersection [max lower, min
+    upper]. Every box of a run lies in its hull and holds its intersection,
+    so by inclusion (see the module docstring) an arm that is not a
+    candidate on the hull is none on any box of the run, and an arm that
+    is a candidate on the intersection is one on every box. Runs with an
+    arm left undecided are tested box by box in one more call.
+    """
+    m, boxes = lower.shape
+    starts = np.arange(0, boxes, run)
+    runs = len(starts)
+    hull_lo = np.minimum.reduceat(lower, starts, axis=1)
+    hull_up = np.maximum.reduceat(upper, starts, axis=1)
+    meet_lo = np.maximum.reduceat(lower, starts, axis=1)
+    meet_up = np.minimum.reduceat(upper, starts, axis=1)
+    meets = (meet_lo <= meet_up).all(axis=0)
+    settled = box_mask(
+        np.concatenate((hull_lo, meet_lo[:, meets]), axis=1),
+        np.concatenate((hull_up, meet_up[:, meets]), axis=1),
+    )
+    in_meet = np.zeros((m, runs), dtype=bool)
+    in_meet[:, meets] = settled[:, runs:]
+    open_runs = (settled[:, :runs] & ~in_meet).any(axis=0)
+    mask = np.repeat(in_meet, run, axis=1)[:, :boxes]
+    if open_runs.any():
+        open_boxes = np.repeat(open_runs, run)[:boxes]
+        mask[:, open_boxes] = box_mask(lower[:, open_boxes], upper[:, open_boxes])
+    return mask

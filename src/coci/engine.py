@@ -46,8 +46,13 @@ starts there. The picks are checked in one of two ways:
 
 - with the oracle's vectorized ``candidate_mask``, on every state of the
   block at once, for untraced runs on a bi-monotone oracle that has one
-  (best-arm, top-k and OSA). The verdict at the final state is the exact
-  test on every arm, and a run whose mask disagrees with it raises;
+  (best-arm, top-k and OSA; OSA's settles runs of consecutive states by
+  their hull and intersection, see :func:`coci.condition.certified_mask`).
+  A coci block ends at the first state whose fewest-pulls candidate is not
+  the guess; a uniform guess is the fewest-pulls rule over all arms, which
+  is the real pick by construction, so a uniform block ends only where it
+  stops. The verdict at the final state is the exact test on every arm,
+  and a run whose mask disagrees with it raises;
 - otherwise (traced runs, water and ``bi_monotone=False`` oracles) with
   the exact candidate test, one state at a time, testing arms in a fixed
   order: coci in pull order up to the first candidate, uniform the last
@@ -336,13 +341,13 @@ def _run_blocks(
 
         if use_mask:
             mask = oracle.candidate_mask(lower, upper)
-            if uniform:
-                pick = block_pulls.argmin(axis=0)
-            else:
-                pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
             stop = ~mask.any(axis=0)
             stop[size] |= t + size >= max_rounds
-            ends = stop | (pick != guess)
+            if uniform:
+                ends = stop  # the guess is the fewest-pulls rule over all arms
+            else:
+                pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
+                ends = stop | (pick != guess)
             last = int(ends.argmax()) if ends.any() else size
             stopped = stop[last]
             if not uniform:

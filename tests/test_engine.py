@@ -250,6 +250,21 @@ class TestPullOrder:
         )
         assert by_radius == sorted(range(m), key=pulls.__getitem__)
 
+    @given(
+        pulls=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+        n=st.integers(1, 60),
+    )
+    def test_uniform_guess_is_the_pull_count_argmin(self, pulls, n):
+        # The uniform mask branch trusts its guesses: over all arms, every
+        # guessed pick is the fewest-pulled arm, ties to the lower index, of
+        # the counts the earlier picks produce.
+        counts = np.array(pulls, dtype=np.int64)
+        order = engine._fewest_pulls_order(counts, np.ones(len(pulls), dtype=bool), n)
+        assert len(order) == n
+        for pick in order.tolist():
+            assert pick == int(counts.argmin())
+            counts[pick] += 1
+
     def test_infinite_radius_delta_rejected(self, best_arm_instance):
         # 4 / (tau delta) overflows: every radius would be inf, all tied.
         with pytest.raises(UsageError):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
 from coci import osa
-from coci.condition import candidate_on_bounds
+from coci.condition import candidate_on_bounds, certified_mask
 from coci.osa import _greedy_osa_columns, _marginal_greater, greedy_scratch, make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum
@@ -336,3 +337,82 @@ class TestCandidateMask:
             lo, up = lower[:, box].tolist(), upper[:, box].tolist()
             for i in range(m):
                 assert mask[i, box] == candidate_on_bounds(oracle, lo, up, i), (box, i)
+
+
+@st.composite
+def _walk_stacks(draw):
+    """An OSA spec, a stack of boxes and a run length. The boxes follow a
+    random walk of centres with shrinking radii, clamped to [0, 1] like the
+    sampler's; some arms sit at zero weight (both bounds 0) or keep
+    zero-width intervals."""
+    m = draw(st.integers(1, 4))
+    spec = OsaSpec(tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))), draw(st.integers(m, 40)))
+    boxes = draw(st.one_of(st.just(1), st.integers(2, 90)))
+    run = draw(st.sampled_from([1, 2, 3, 4, 7, 16, osa._CERTIFY_RUN]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.1]))
+    centre = rng.random((m, 1)) + np.cumsum(rng.normal(0.0, step, (m, boxes)), axis=1)
+    radius = draw(st.sampled_from([0.0, 0.01, 0.2, 1.0])) / np.sqrt(np.arange(1, boxes + 1))
+    lower = np.maximum(0.0, np.minimum(1.0, centre - radius))
+    upper = np.minimum(1.0, np.maximum(0.0, centre + radius))
+    for i in range(m):
+        kind = draw(st.sampled_from(["walk", "walk", "zero weight", "zero width"]))
+        if kind == "zero weight":
+            lower[i] = upper[i] = 0.0
+        elif kind == "zero width":
+            lower[i] = upper[i]
+    return spec, lower, upper, run
+
+
+class TestCertifiedMask:
+    """The OSA candidate mask settles runs of boxes by their hull and
+    intersection; it must equal the per-box two-corner mask box for box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_walk_stacks())
+    def test_matches_the_per_box_mask(self, case):
+        spec, lower, upper, run = case
+        box_mask = partial(osa._osa_box_mask, spec)
+        got = certified_mask(box_mask, lower, upper, run)
+        assert got.shape == lower.shape and got.dtype == bool
+        assert (got == box_mask(lower, upper)).all()
+
+    def test_oracle_mask_is_certified_at_the_module_run_length(self):
+        # A stack that is not a multiple of the run length; the oracle's
+        # mask equals the per-box mask and tests fewer boxes one by one.
+        spec = OsaSpec((5, 1, 1), 10)
+        sizes = []
+
+        def box_mask(lower, upper):
+            sizes.append(lower.shape[1])
+            return osa._osa_box_mask(spec, lower, upper)
+
+        boxes = 5 * osa._CERTIFY_RUN + 3
+        rng = np.random.default_rng(5)
+        centre = np.array([[0.25], [0.01], [0.01]]) + np.cumsum(rng.normal(0.0, 1e-3, (3, boxes)), axis=1)
+        radius = 0.3 / np.sqrt(np.arange(1, boxes + 1))
+        lower, upper = np.clip(centre - radius, 0.0, 1.0), np.clip(centre + radius, 0.0, 1.0)
+        got = certified_mask(box_mask, lower, upper, osa._CERTIFY_RUN)
+        assert (got == make_osa_oracle(spec.n, spec.k).candidate_mask(lower, upper)).all()
+        assert (got == osa._osa_box_mask(spec, lower, upper)).all()
+        assert sizes[0] <= 2 * 6 and sum(sizes[1:]) < boxes
+
+    def test_disjoint_intervals_leave_no_intersection(self):
+        # Arm 0's intervals inside the run are disjoint, so the run has no
+        # intersection box, and no arm may be certified a candidate from
+        # one: the first call holds only the hull, and every arm that is a
+        # candidate on the hull goes to the per-box call.
+        spec = OsaSpec((5, 1, 1), 10)
+        lower = np.array([[0.10, 0.30, 0.50, 0.52], [0.0, 0.0, 0.0, 0.0], [0.0, 0.01, 0.0, 0.0]])
+        upper = np.array([[0.20, 0.40, 0.60, 0.62], [0.5, 0.5, 0.5, 0.5], [0.02, 0.02, 0.02, 0.02]])
+        sizes = []
+
+        def box_mask(lo, up):
+            sizes.append(lo.shape[1])
+            return osa._osa_box_mask(spec, lo, up)
+
+        got = certified_mask(box_mask, lower, upper, 4)
+        assert sizes == [1, 4]
+        expected = osa._osa_box_mask(spec, lower, upper)
+        assert (got == expected).all()
+        assert expected.any() and not expected.all()
