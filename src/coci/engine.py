@@ -24,7 +24,7 @@ does not depend on when it is pulled.
 The rounds step in blocks. The candidate set rarely changes (a few dozen
 times in a run of 60,000 rounds), so the next picks can be guessed: the
 fewest-pulls rule over the last candidate set, or over all arms for the
-uniform ablation. From the current state, one block guesses up to 1,024
+uniform ablation. From the current state, one block guesses up to 2,048
 picks and computes every state they lead to as arrays: pull counts,
 running sums, estimates, radii, boxes, and the xi and half-flip-radius
 audits. The arrays are exact because every float operation happens in the
@@ -42,7 +42,10 @@ draws.
 A block keeps the rounds up to the first state whose real pick differs
 from the guess, or that stops, or that reaches ``max_rounds``. That state
 depends only on picks already checked, so it is exact, and the next block
-starts there. The picks are checked in one of two ways:
+starts there. A block costs about the same whatever its length, so a run's
+first block is as long as a block may be; after a miss, the next one is
+twice the stretch that held, and at least 64 rounds. The picks are checked
+in one of two ways:
 
 - with the oracle's vectorized ``candidate_mask``, on every state of the
   block at once, for untraced runs on a bi-monotone oracle that has one
@@ -79,10 +82,11 @@ from .hardness import sample_complexity_bound
 from .sim import BufferedArm, arm_stream
 
 _DEFAULT_MAX_ROUNDS = 10**6
-#: Fewest and most rounds one block of the block loop speculates, and the
-#: most entries of one (m, m, rounds) array in the top-k candidate mask.
+#: Most rounds one block of the block loop speculates (a run's first block
+#: takes that many), fewest after a missed guess, and the most entries of
+#: one (m, m, rounds) array in the top-k candidate mask.
+_BLOCK_ROUNDS = 2048
 _BLOCK_ROUNDS_MIN = 64
-_BLOCK_ROUNDS = 1024
 _BLOCK_CELLS = 1 << 20
 #: Entries per chunk of the level table.
 _LOG_CHUNK = 1 << 15
@@ -284,9 +288,6 @@ def _run_blocks(
     docstring); returns ``(t, pulls, lower, upper, xi_held,
     lemma_violations, converged)`` at the state where the run stops.
     When ``trace`` is a list, one :class:`CociState` per round is appended.
-    Untraced runs on a bi-monotone oracle with a ``candidate_mask``
-    (best-arm, top-k, OSA) check a block's picks with the mask; the others
-    with the exact test, one state at a time.
 
     Block arrays are arm-major: entry ``[i, s]`` belongs to arm i in the
     state after the block's first s guessed pulls.
@@ -305,7 +306,7 @@ def _run_blocks(
     xi_held = True
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
-    size = min(most, _BLOCK_ROUNDS_MIN)
+    size = most
     # Exact checks only: the arm uniform tests first, whether the current
     # state's pick is already checked, and the pull that produced it.
     last_candidate = 0
@@ -414,8 +415,7 @@ def _run_blocks(
                 if converged == mask[:, last].any():
                     raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
             return t, pulls.tolist(), lo, up, xi_held, violations if lam is not None else None, converged
-        # Grow the block while guesses hold; after a miss, size it to twice
-        # the stretch that held.
+        # After a miss, the next block is twice the stretch that held.
         size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
 
 

@@ -21,7 +21,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Optional, Sequence, get_type_hints
@@ -444,6 +443,10 @@ def run_experiment(
         for trial in range(config.trials)
     ]
     if workers > 1 and config.trials > 1:
+        # Imported here: the pool's modules are a third of this module's
+        # import time, which one-worker runs would pay for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:

@@ -213,6 +213,13 @@ def water_maximizer(spec: WaterSpec, theta: Sequence[float]) -> tuple[float, ...
     Dynamic program over (source, remaining required units); decisions may
     overshoot b when profitable. Among optima, returns the lexicographically
     smallest vector.
+
+    The objective is exact: the sum over sources of theta_i * x - f_i(x),
+    with x = u * step and f_i(x) the floats they compute to, taken as exact
+    rationals. A float DP solves it unless, at a state the optimum passes
+    through, another choice comes within the DP's rounding bound; then the
+    same DP runs on the terms as integer numerators over one power-of-two
+    denominator.
     """
     m = spec.m
     if len(theta) != m:
@@ -225,44 +232,73 @@ def water_maximizer(spec: WaterSpec, theta: Sequence[float]) -> tuple[float, ...
         [theta[i] * (u * step) - spec.costs[i](u * step) for u in range(caps[i] + 1)]
         for i in range(m)
     ]
+    path, gap = _water_dp(terms, need)
+    # Each float DP value is within (m + 1) * 2^-53 * S of the exact value
+    # it stands for (each term rounds twice, each sum once), where S is the
+    # sum over sources of max_u |theta_i x| + |f_i(x)|; ``scale`` bounds S
+    # by |f_i(x)| <= |term| + |theta_i x|. A gap beyond twice that, with
+    # slack for products that underflow, keeps the float choices exact.
+    scale = sum(
+        2 * abs(theta[i]) * caps[i] * step + max(max(row), -min(row)) for i, row in enumerate(terms)
+    )
+    if gap <= (m + 2) * (2.0**-52 * scale + 2.0**-1074):
+        path, _ = _water_dp(_exact_terms(spec, theta), need)
+    return tuple(u * step for u in path)
 
-    neg_inf = -math.inf
-    # value[rho]: best achievable from the current source onward when rho
-    # units are still required; entries start from the empty suffix.
-    value = [neg_inf] * (need + 1)
-    value[0] = 0.0
-    choice: list[list[int]] = []
-    for i in range(m - 1, -1, -1):
-        new_value = [neg_inf] * (need + 1)
-        new_choice = [0] * (need + 1)
-        row = terms[i]
-        for rho in range(need + 1):
-            best = neg_inf
-            best_u = 0
-            for u in range(caps[i] + 1):
-                nxt = value[rho - u if rho > u else 0]
-                if nxt == neg_inf:
-                    continue
-                v = row[u] + nxt
-                if v > best:  # strict: the smallest u wins ties
+
+def _water_dp(terms, need: int) -> tuple[list[int], float]:
+    """The units per source of the lexicographically smallest optimum over
+    ``terms[i][u]`` (the value of u units of source i) with at least
+    ``need`` units in all, and the smallest gap between the chosen value and
+    another choice's at the states that optimum passes through."""
+    # values[i][rho]: best achievable from source i onward when rho units
+    # are still required, for every rho those sources can cover; the last
+    # list is the empty suffix.
+    values = [[0]]
+    for row in reversed(terms):
+        value = values[-1]
+        last, units = len(value) - 1, range(len(row))
+        new_value = []
+        for rho in range(min(need, last + len(row) - 1) + 1):
+            best = -math.inf
+            for u in units[rho - last if rho > last else 0 :]:
+                v = row[u] + value[rho - u if rho > u else 0]
+                if v > best:
                     best = v
-                    best_u = u
-            new_value[rho] = best
-            new_choice[rho] = best_u
-        value = new_value
-        choice.append(new_choice)
-    choice.reverse()
-
-    if value[need] == neg_inf:
+            new_value.append(best)
+        values.append(new_value)
+    values.reverse()
+    if len(values[0]) <= need:
         raise DomainError("no feasible allocation meets the required total")
 
-    y = []
-    rho = need
-    for i in range(m):
-        u = choice[i][rho]
-        y.append(u * step)
+    path, gap, rho = [], math.inf, need
+    for row, value in zip(terms, values[1:]):
+        lo = max(0, rho - len(value) + 1)
+        options = [row[u] + value[rho - u if rho > u else 0] for u in range(lo, len(row))]
+        best = max(options)
+        u = lo + options.index(best)  # the smallest u wins ties
+        del options[u - lo]
+        if options:
+            gap = min(gap, best - max(options))
+        path.append(u)
         rho = rho - u if rho > u else 0
-    return tuple(y)
+    return path, gap
+
+
+def _exact_terms(spec: WaterSpec, theta: Sequence[float]) -> list[list[int]]:
+    """Every term theta_i * x - f_i(x) of the water DP, taken as an exact
+    rational, as an integer numerator over one power-of-two denominator."""
+    ratios = []
+    for t, cost, cap in zip(theta, spec.costs, spec.cap_units):
+        tn, td = t.as_integer_ratio()
+        row = []
+        for u in range(cap + 1):
+            x = u * spec.grid_step
+            (xn, xd), (cn, cd) = x.as_integer_ratio(), cost(x).as_integer_ratio()
+            row.append((tn * xn * cd - cn * td * xd, td * xd * cd))
+        ratios.append(row)
+    denominator = max(d for row in ratios for _, d in row)
+    return [[n * (denominator // d) for n, d in row] for row in ratios]
 
 
 def _strictly_convex(spec: WaterSpec, i: int) -> bool:

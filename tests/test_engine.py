@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,39 +412,58 @@ def _counted(instance):
     return replace(instance, oracle=replace(instance.oracle, maximizer=count)), calls
 
 
+def _counted_mask(instance):
+    """A copy of the instance whose oracle counts its candidate-mask calls."""
+    calls = [0]
+    mask = instance.oracle.candidate_mask
+
+    def count(lower, upper):
+        calls[0] += 1
+        return mask(lower, upper)
+
+    return replace(instance, oracle=replace(instance.oracle, candidate_mask=count)), calls
+
+
+# Block caps: short ones put misses at block edges, 1-round blocks and the
+# state handed to the next block within reach of short runs.
+_CAPS = st.sampled_from([1, 2, 7, 64, engine._BLOCK_ROUNDS])
+
+
 class TestBlockLoop:
     """Every run takes the block loop; it must equal the round-at-a-time
     reference ``scalar_run`` on every ``RunResult`` field, whether its picks
-    are checked by the candidate mask or by the exact candidate test."""
+    are checked by the candidate mask or by the exact candidate test, and
+    whatever the block cap."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]))
-    def test_matches_scalar_loop(self, case, run):
+    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
+    def test_matches_scalar_loop(self, case, run, cap):
         instance, delta, kwargs = case
-        fast = run(instance, delta, **kwargs)
+        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+            fast = run(instance, delta, **kwargs)
         slow = scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
         assert repr(fast) == repr(slow)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]))
-    def test_exact_checks_match_scalar_loop(self, case, run):
+    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
+    def test_exact_checks_match_scalar_loop(self, case, run, cap):
         instance, delta, kwargs = case
         (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
-        assert repr(run(fast, delta, **kwargs)) == repr(
-            scalar_run(slow, delta, uniform=run is run_uniform, **kwargs)
-        )
+        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+            fast_run = run(fast, delta, **kwargs)
+        assert repr(fast_run) == repr(scalar_run(slow, delta, uniform=run is run_uniform, **kwargs))
         # Only a wrong coci guess adds candidate tests (one full set).
         if run is run_uniform or kwargs["record_trace"]:
             assert fast_calls[0] == slow_calls[0]
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]))
-    def test_osa_mask_matches_scalar_loop(self, case, run):
+    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
+    def test_osa_mask_matches_scalar_loop(self, case, run, cap):
         instance, delta, kwargs = case
         fast, calls = _counted(instance)
-        assert repr(run(fast, delta, **kwargs)) == repr(
-            scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
-        )
+        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+            fast_run = run(fast, delta, **kwargs)
+        assert repr(fast_run) == repr(scalar_run(instance, delta, uniform=run is run_uniform, **kwargs))
         # The mask checks every guessed pick. The maximizer serves only the
         # exact test at the stopping state (2m calls at most), the output
         # and the true optimum.
@@ -505,23 +525,26 @@ class TestBlockLoop:
             with pytest.raises(AssertionError, match="candidate mask disagrees"):
                 run_coci(replace(instance, oracle=wrong), 0.05, seed=1)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_uniform_blocks_start_full(self, seed):
+        # A uniform block ends only where the run stops, so a run whose
+        # blocks all take the most rounds makes one mask call per such
+        # stretch.
+        instance = build_instance(make_best_arm_oracle(3), (0.6, 0.5, 0.3), EstimatorKind.MEAN)
+        counting, calls = _counted_mask(instance)
+        result = run_uniform(counting, 0.05, seed=seed)
+        assert result.converged and result.rounds > 2 * engine._BLOCK_ROUNDS
+        assert calls[0] <= (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
+
     def test_paths_follow_the_oracle(self, best_arm_instance):
         # The mask is used only when the oracle is bi-monotone and the run
         # keeps no trace.
-        calls = [0]
-        mask = best_arm_instance.oracle.candidate_mask
-
-        def counted(lower, upper):
-            calls[0] += 1
-            return mask(lower, upper)
-
-        oracle = replace(best_arm_instance.oracle, candidate_mask=counted)
-        instance = replace(best_arm_instance, oracle=oracle)
+        instance, calls = _counted_mask(best_arm_instance)
         run_coci(instance, 0.05, seed=3)
         assert calls[0] > 0
         calls[0] = 0
         run_coci(instance, 0.05, seed=3, record_trace=True)
-        run_coci(replace(instance, oracle=replace(oracle, bi_monotone=False)), 0.05, seed=3)
+        run_coci(replace(instance, oracle=replace(instance.oracle, bi_monotone=False)), 0.05, seed=3)
         assert calls[0] == 0
 
 

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from coci.harness import (
 )
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+SRC_DIR = Path(__file__).parent.parent / "src"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -193,6 +197,14 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=2)
         strip = lambda r: (r.trial, r.seed, r.mode, r.rounds, r.correct, r.xi_held, r.pulls)  # noqa: E731
         assert [strip(r) for r in serial.records] == [strip(r) for r in parallel.records]
+
+    def test_import_leaves_the_process_pool_out(self):
+        # One-worker runs never start a pool, so importing the harness must
+        # not pay for the pool's modules.
+        probe = "import sys, coci.harness; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
 
     def test_hardness_attached_and_bound_checked(self):
         result = run_experiment(quick_config(trials=3))

@@ -247,6 +247,25 @@ class TestWaterBiMonotone:
                     oracle, lower, upper, i, 5
                 ), (lower, upper, i)
 
+    def test_exact_ties_break_lexicographically(self):
+        # Regression: at theta = (0.25, 0.25, 0.75), units (2, 3, 3) and
+        # (3, 3, 2) tie in exact arithmetic, and a float DP picked (3, 3, 2)
+        # by rounding, so the declared two-corner test called arm 2 constant
+        # on a box where a lattice point changes it.
+        spec = WaterSpec(
+            b=0.8,
+            caps=(0.30000000000000004,) * 3,
+            costs=(QuadraticCost(1.0), QuadraticCost(0.5), QuadraticCost(2.0)),
+            grid_step=0.1,
+        )
+        oracle = make_water_oracle(spec)
+        assert oracle.bi_monotone
+        y = water_maximizer(spec, (0.25, 0.25, 0.75))
+        assert tuple(round(v / spec.grid_step) for v in y) == (2, 3, 3)
+        lower = (0.015053805075161741, 0.25, 0.75)
+        upper = (0.25, 0.9989731587971157, 0.8385236012660758)
+        assert candidate_on_bounds(oracle, lower, upper, 2) == lattice_candidate(oracle, lower, upper, 2, 5)
+
     def test_oracle_flag_propagates(self):
         tight = WaterSpec(
             b=1.8, caps=(1.0, 1.0), costs=(QuadraticCost(), QuadraticCost()), grid_step=0.1
