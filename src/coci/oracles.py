@@ -183,10 +183,10 @@ class WaterSpec:
         object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.costs) != len(caps):
             raise UsageError("need one cost function per source")
-        if self.grid_step <= 0:
-            raise UsageError(f"grid_step must be positive, got {self.grid_step!r}")
-        if self.b < 0 or any(c < 0 for c in caps):
-            raise DomainError("b and caps must be nonnegative")
+        if not (0 < self.grid_step < math.inf):
+            raise UsageError(f"grid_step must be finite and positive, got {self.grid_step!r}")
+        if not all(0 <= v < math.inf for v in (self.b,) + caps):
+            raise DomainError("b and caps must be finite and nonnegative")
         for label, value in [("b", self.b)] + [(f"caps[{i}]", c) for i, c in enumerate(caps)]:
             units = value / self.grid_step
             if abs(units - round(units)) > _GRID_TOLERANCE:

@@ -2,12 +2,24 @@
 
 Given m groups with sizes n_i, per-group variances theta_i, and a total
 sample budget k, the offline problem is to pick integer sample counts
-y_i >= 1 with sum(y) <= k minimizing sum(n_i^2 theta_i / y_i). The greedy
-solver below starts from a provably safe base allocation derived from the
-real-valued optimum (y_i proportional to n_i sqrt(theta_i)) and spends the
-remaining budget one unit at a time on the group with the largest marginal
-decrease of the objective. It returns the exact integral optimum, and among
-ties the lexicographically first one.
+y_i >= 1 with sum(y) <= k minimizing sum(n_i^2 theta_i / y_i). Raising y_i
+from y to y + 1 lowers the objective by the marginal n_i^2 theta_i /
+(y (y + 1)), which strictly decreases in y. So the greedy that spends the
+k - m samples above y = 1 on the largest marginals, ties to the later
+group, returns the exact optimum, and among ties the lexicographically
+first one. It returns the same answer from every base the optimum
+dominates, and :func:`_bases` gives one about m steps away.
+
+The threshold base. Let a_i = n_i sqrt(theta_i) (k - m) / sum_j n_j
+sqrt(theta_j), the real optimum for a budget of k - m (a = 0 when every
+theta is 0), and lambda = (sum_j n_j sqrt(theta_j) / (k - m))^2, so that
+a_i^2 = n_i^2 theta_i / lambda. Group i's marginal at y is above lambda
+exactly when y (y + 1) < a_i^2, that is for y < r_i = (sqrt(1 + 4 a_i^2)
+- 1) / 2. That is ceil(r_i) - 1 < r_i <= a_i marginals of group i, at most
+k - m over all groups, so the optimum takes all of them whatever the tie
+rule: it dominates base_i = max(1, ceil(r_i - e)). The margin e = 1e-15 (m + 8) k
+is about 9 times the float error of r_i. As r_i >= a_i - 1/2, the base
+leaves at most floor(3 m / 2) + 1 greedy steps.
 
 Marginal comparisons are exact: a single-rounding float product is used as a
 monotone fast path, falling back to integer cross-multiplication over the
@@ -28,6 +40,7 @@ box at once: a batched greedy over the columns of an array, equal to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -38,16 +51,12 @@ from .condition import certified_mask
 from .core import OracleSpec
 from .errors import DomainError, UsageError
 
-#: Absolute slack subtracted before flooring the base allocation, guarding
-#: against one-ulp overshoot at exact integer boundaries. Undershooting by a
-#: unit only costs one extra greedy step; overshooting would be incorrect.
-_FLOOR_GUARD = 1e-9
 #: Integers below this convert to float exactly, so a float product of one
 #: with a parameter rounds once and is monotone in the exact product.
 _EXACT_INT = 2**53
-#: The batched solver's rounding margin grows like 1e-15 (m + 8) k and must
-#: stay far below one sample; from this (m + 8) k on, :func:`greedy_osa`
-#: solves every column.
+#: Below this (m + 8) k the batched solver's float64 allocations stay exact
+#: and the base's margin e = 1e-15 (m + 8) k stays far below one sample;
+#: from it on, :func:`greedy_osa` solves every column.
 _BATCH_SIZE_LIMIT = 2**40
 #: Most floats in one corner array of :func:`_osa_box_mask`; the
 #: batched solver's temporaries have the corner array's shape.
@@ -67,37 +76,25 @@ class OsaSpec:
     k: int
 
     def __post_init__(self) -> None:
-        n = tuple(int(v) for v in self.n)
+        n = tuple(_integer(v, "group size") for v in self.n)
+        k = _integer(self.k, "budget k")
         if any(v < 1 for v in n):
             raise UsageError(f"group sizes must be >= 1, got {n}")
-        if self.k < len(n):
-            raise DomainError(f"budget k={self.k} is below the group count {len(n)}")
+        if k < len(n):
+            raise DomainError(f"budget k={k} is below the group count {len(n)}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
 
     @property
     def m(self) -> int:
         return len(self.n)
 
 
-@dataclass(frozen=True)
-class GreedyOsaScratch:
-    """Intermediate quantities of the greedy solver, exposed for testing.
-
-    ``alpha`` is the real-valued optimum restricted to the effective budget
-    (groups with zero weight are pinned to one sample and excluded),
-    ``delta_slack`` the per-group slack each dimension contributes to
-    pushing down the base of the others, and ``base`` the starting integral
-    allocation. ``budget`` is the budget available to the positive-weight
-    groups.
-    """
-
-    z: float | None
-    alpha: tuple[float, ...]
-    delta_slack: tuple[float, ...]
-    base: tuple[int, ...]
-    positive: tuple[bool, ...]
-    budget: int
+def _integer(value, label: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is a :class:`UsageError`."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise UsageError(f"{label} must be an integer, got {value!r}")
 
 
 def marginal(spec: OsaSpec, theta: Sequence[float], i: int, level: int) -> float:
@@ -106,36 +103,6 @@ def marginal(spec: OsaSpec, theta: Sequence[float], i: int, level: int) -> float
         raise UsageError("level must be >= 1")
     w = spec.n[i] * spec.n[i] * theta[i]
     return w / level - w / (level + 1)
-
-
-def greedy_scratch(spec: OsaSpec, theta: Sequence[float]) -> GreedyOsaScratch:
-    """Compute the base allocation and its ingredients."""
-    m = spec.m
-    positive = tuple(spec.n[i] * spec.n[i] * theta[i] > 0.0 for i in range(m))
-    budget = spec.k - (m - sum(positive))
-
-    a = [spec.n[i] * math.sqrt(theta[i]) if positive[i] else 0.0 for i in range(m)]
-    total_a = math.fsum(a)
-    z = 1.0 / total_a if total_a > 0.0 else None
-    alpha = tuple(z * a[i] * budget if positive[i] else 0.0 for i in range(m)) if z else (0.0,) * m
-
-    delta = []
-    for i in range(m):
-        if not positive[i]:
-            delta.append(0.0)
-            continue
-        c = math.ceil(alpha[i])
-        delta.append(0.0 if c * (c - 1) >= alpha[i] * alpha[i] else c - alpha[i])
-    sum_delta = math.fsum(delta)
-
-    base = []
-    for i in range(m):
-        if not positive[i]:
-            base.append(1)
-            continue
-        others = sum_delta - delta[i]
-        base.append(max(1, math.floor(alpha[i] - others - _FLOOR_GUARD)))
-    return GreedyOsaScratch(z, alpha, tuple(delta), tuple(base), positive, budget)
 
 
 def _marginal_greater(
@@ -190,9 +157,8 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
         if not (0.0 <= v <= 1.0):
             raise DomainError(f"parameter {i} is {v!r}, outside [0, 1]")
 
-    scratch = greedy_scratch(spec, theta)
-    y = list(scratch.base)
-    arms = [i for i in range(m) if scratch.positive[i]]
+    y = _bases(spec, np.array(theta).reshape(m, 1)).astype(np.int64)[:, 0].tolist()
+    arms = [i for i in range(m) if theta[i] > 0.0]
 
     if not arms:
         # Every weight is zero: all allocations tie, and the leading one
@@ -215,53 +181,32 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
     return tuple(y)
 
 
-def _safe_bases(spec: OsaSpec, theta: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """A base allocation for every column of ``theta``, never above
-    :func:`greedy_scratch`'s base: its formula in numpy's float order, with
-    every group's slack bounded from above and a margin for the rounding.
-    Zero-weight groups get one sample.
+def _bases(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
+    """The threshold base of every column of the ``(m, N)`` array ``theta``,
+    as floats (see the module docstring). The optimum dominates it, and it
+    gives one sample to every group whose parameter is 0.
     """
     m, k = spec.m, spec.k
-    alpha = np.sqrt(theta)
-    alpha *= np.array(spec.n, dtype=np.float64)[:, None]
-    total = alpha.sum(axis=0)
-    budget = k - m + pos.sum(axis=0)
-    alpha *= np.divide(budget, total, out=np.zeros_like(total), where=total > 0.0)
-    # err bounds how far alpha is from greedy_scratch's and the rounding of
-    # sums of slacks. A group's slack is at most ceil - alpha + err over the
-    # alphas within err of this one (ceil at least 1), and 0 when all of
-    # them take greedy_scratch's zero branch (ceil (ceil - 1) >= alpha^2).
-    # 3 err covers every rounding between this base's floor argument and
-    # greedy_scratch's.
-    err = 1e-6 + 1e-15 * (m + 8) * (k + m)
-    c = np.ceil(alpha - err)
-    np.maximum(c, 1.0, out=c)
-    root = c - 1.0
-    root *= c
-    np.sqrt(root, out=root)
-    root -= alpha
-    slack = c
-    slack -= alpha - err
-    slack[(root >= 2.0 * err) | ~pos] = 0.0
-    base = alpha
-    base -= slack.sum(axis=0) + 3.0 * err
-    base += slack
-    np.floor(base, out=base)
-    return np.maximum(base, 1.0, out=base)  # alpha is 0 at zero weight
+    a = np.sqrt(theta)
+    a *= np.array(spec.n, dtype=np.float64)[:, None]
+    total = a.sum(axis=0)
+    a *= (k - m) / (total + (total == 0.0))  # every a is 0 where the total is
+    r = np.sqrt(4.0 * a * a + 1.0)  # 2 r_i + 1
+    r -= 1.0 + 2e-15 * (m + 8) * k
+    r *= 0.5
+    return np.maximum(np.ceil(r, out=r), 1.0, out=r)
 
 
 def _greedy_osa_columns(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
     """:func:`greedy_osa` on every column of the ``(m, N)`` array ``theta``,
     returned as an ``(m, N)`` int array equal to it column by column.
 
-    The greedy spends the budget on the increments of largest marginal,
-    ties to the later group. Comparisons are exact and each group's
-    marginals strictly decrease, so the answer is the same from every base
-    the optimum dominates, such as :func:`_safe_bases`. From there one
-    numpy step per greedy step serves every column still under budget,
-    with the scalar's rules: arms in index order, ``>=`` to the later one,
-    zero-weight arms at one sample, and an all-zero column's slack on the
-    last group.
+    Every column starts from the threshold base :func:`_bases`, which the
+    optimum dominates and which leaves at most floor(3 m / 2) + 1 steps (see
+    the module docstring). From there one numpy step per greedy step serves
+    every column still under budget, with the scalar's rules: arms in index
+    order, ``>=`` to the later one, zero-weight arms at one sample, and an
+    all-zero column's slack on the last group.
 
     The float comparison is the scalar's fast path and has its premises:
     both integer products below 2^53 and the two floats distinct. Floats
@@ -277,10 +222,9 @@ def _greedy_osa_columns(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
         _solve_columns(spec, theta, out, range(cols))
         return out
 
-    pos = theta > 0.0
-    y = _safe_bases(spec, theta, pos)
+    y = _bases(spec, theta)
     steps = k - y.sum(axis=0).astype(np.int64)
-    zero = ~pos.any(axis=0)
+    zero = ~(theta > 0.0).any(axis=0)
     y[m - 1, zero] += k - m
     steps[zero] = 0
     bad = steps < 0  # never expected: the base is under budget
@@ -405,7 +349,7 @@ def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:
     where inclusion decides every arm, the rest solved box by box by the
     batched greedy (see :func:`_osa_box_mask`).
     """
-    spec = OsaSpec(tuple(int(v) for v in n), int(k))
+    spec = OsaSpec(tuple(n), k)
     m = spec.m
     return OracleSpec(
         arm_count=m,

@@ -3,15 +3,17 @@
 The oracle references share no code with the library paths they check:
 the allocation reference enumerates every feasible allocation and compares
 objectives in exact integer arithmetic over the binary expansions of the
-inputs, so its optima and tie-breaks are authoritative. :func:`scalar_run`
-is the sampler one round at a time, the slow exact path that the engine's
-block loop must equal.
+inputs, so its optima and tie-breaks are authoritative, and
+:func:`greedy_from_ones` is the textbook greedy in exact fractions.
+:func:`scalar_run` is the sampler one round at a time, the slow exact path
+that the engine's block loop must equal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from coci import ConfidenceBox, RunResult, UsageError
@@ -65,6 +67,21 @@ def exact_osa_optimum(n: Sequence[int], k: int, theta: Sequence[float]) -> tuple
             best_y = y
     assert best_y is not None and best_obj is not None
     return best_y
+
+
+def greedy_from_ones(n: Sequence[int], k: int, theta: Sequence[float]) -> tuple[int, ...]:
+    """The textbook allocation greedy: from y = 1, each of the k - m other
+    samples goes to the group of largest marginal n_i^2 theta_i / (y_i (y_i
+    + 1)), compared as exact fractions, ties to the later group. An all-zero
+    theta ties everywhere and so puts the slack on the last group.
+    """
+    m = len(n)
+    weights = [n[i] * n[i] * Fraction(theta[i]) for i in range(m)]
+    y = [1] * m
+    for _ in range(k - m):
+        best = max(range(m), key=lambda i: (weights[i] / (y[i] * (y[i] + 1)), i))
+        y[best] += 1
+    return tuple(y)
 
 
 def continuous_water_optimum(

@@ -85,6 +85,15 @@ class TestWaterMaximizer:
         with pytest.raises(DomainError):
             WaterSpec(b=3.0, caps=(1.0, 1.0), costs=(QuadraticCost(), QuadraticCost()), grid_step=0.5)
 
+    def test_non_finite_numbers_are_rejected(self):
+        inf, nan = float("inf"), float("nan")
+        for step in [inf, nan, 0.0]:
+            with pytest.raises(UsageError):
+                WaterSpec(b=1.0, caps=(1.0,), costs=(QuadraticCost(),), grid_step=step)
+        for b, caps in [(nan, (1.0,)), (inf, (inf,)), (1.0, (inf,)), (0.5, (nan, 1.0))]:
+            with pytest.raises(DomainError):
+                WaterSpec(b=b, caps=caps, costs=(QuadraticCost(),) * len(caps), grid_step=0.5)
+
     def test_off_grid_threshold(self):
         with pytest.raises(UsageError):
             WaterSpec(b=0.3, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.25)

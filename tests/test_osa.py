@@ -1,6 +1,6 @@
-import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -11,9 +11,14 @@ from hypothesis import given, settings, strategies as st
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
 from coci import osa
 from coci.condition import candidate_on_bounds, certified_mask
-from coci.osa import _greedy_osa_columns, _marginal_greater, greedy_scratch, make_osa_oracle, marginal
+from coci.osa import _bases, _greedy_osa_columns, _marginal_greater, make_osa_oracle, marginal
 
-from _reference import exact_osa_optimum
+from _reference import exact_osa_optimum, greedy_from_ones
+
+
+def _base(spec, theta):
+    """The threshold base of one parameter vector, as a tuple of ints."""
+    return tuple(int(v) for v in _bases(spec, np.array([theta], dtype=float).T)[:, 0])
 
 
 class TestSpec:
@@ -29,13 +34,26 @@ class TestSpec:
         with pytest.raises(DomainError):
             greedy_osa(OsaSpec((1, 1), 4), (0.5, 1.5))
 
+    def test_integer_inputs_are_not_truncated(self):
+        # Fractional sizes or budgets and bools are rejected, not cast to int.
+        for n, k in [((2.7, 1), 5), ((2, 1), 5.5), ((True, 2), 3), ((2, 1), True), (("2", 1), 5)]:
+            with pytest.raises(UsageError):
+                OsaSpec(n, k)
+        with pytest.raises(UsageError):
+            make_osa_oracle((2.7, 1), 5.5)
+        # Integers of any type that has __index__, numpy's included, are read exactly.
+        spec = OsaSpec((np.int64(2), np.uint8(1)), np.int32(5))
+        assert spec == OsaSpec((2, 1), 5) and all(type(v) is int for v in spec.n + (spec.k,))
+        assert make_osa_oracle((np.int64(2), 1), np.int64(5)).name == "osa(n=(2, 1), k=5)"
+
 
 class TestKnownOptima:
     def test_tight_base_instance(self):
-        # Large first group forces the base vector a full step below the
-        # naive floors; the exact optimum is (29, 2, 2).
+        # The threshold base is (27, 1, 1), four greedy steps below the
+        # exact optimum (29, 2, 2).
         spec = OsaSpec((20, 1, 1), 33)
         theta = (1.0, 1.0, 1.0)
+        assert _base(spec, theta) == (27, 1, 1)
         assert greedy_osa(spec, theta) == (29, 2, 2)
         assert exact_osa_optimum(spec.n, spec.k, theta) == (29, 2, 2)
 
@@ -64,43 +82,6 @@ class TestKnownOptima:
 
 
 class TestScratch:
-    def test_zero_weight_conventions(self):
-        scratch = greedy_scratch(OsaSpec((1, 1), 6), (0.25, 0.0))
-        assert scratch.alpha[1] == 0.0
-        assert scratch.delta_slack[1] == 0.0
-        assert scratch.base[1] == 1
-        assert scratch.positive == (True, False)
-        assert scratch.budget == 5
-
-    def test_slack_formula(self):
-        spec = OsaSpec((20, 1, 1), 33)
-        scratch = greedy_scratch(spec, (1.0, 1.0, 1.0))
-        for i in range(3):
-            a = scratch.alpha[i]
-            c = math.ceil(a)
-            expected = 0.0 if c * (c - 1) >= a * a else c - a
-            assert scratch.delta_slack[i] == pytest.approx(expected, abs=1e-12)
-        # alpha = (30, 1.5, 1.5) for this instance
-        assert scratch.alpha == pytest.approx((30.0, 1.5, 1.5), abs=1e-9)
-        assert scratch.delta_slack == pytest.approx((0.0, 0.5, 0.5), abs=1e-9)
-
-    def test_base_within_one_step_of_formula(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            m = rng.randint(1, 4)
-            spec = OsaSpec(tuple(rng.randint(1, 3) for _ in range(m)), rng.randint(m, 12))
-            theta = tuple(rng.choice([j / 10 for j in range(11)]) for _ in range(m))
-            scratch = greedy_scratch(spec, theta)
-            total_slack = math.fsum(scratch.delta_slack)
-            for i in range(m):
-                if not scratch.positive[i]:
-                    assert scratch.base[i] == 1
-                    continue
-                formula = max(
-                    1, math.floor(scratch.alpha[i] - (total_slack - scratch.delta_slack[i]))
-                )
-                assert formula - 1 <= scratch.base[i] <= formula
-
     def test_marginals_strictly_decrease(self):
         spec = OsaSpec((2, 1), 8)
         theta = (0.4, 0.7)
@@ -152,16 +133,29 @@ class TestExactness:
                 assert got == want, (n, k, theta, got, want)
 
     def test_base_vector_is_safe(self):
-        # Every enumerated optimum dominates the base vector componentwise.
+        # Every enumerated optimum dominates the base vector componentwise,
+        # and a group whose parameter is 0 gets one sample.
         rng = random.Random(7)
         for _ in range(120):
             m = rng.randint(1, 3)
             k = rng.randint(m, 10)
             n = tuple(rng.randint(1, 3) for _ in range(m))
             theta = tuple(rng.choice([j / 10 for j in range(11)]) for _ in range(m))
-            scratch = greedy_scratch(OsaSpec(n, k), theta)
+            base = _base(OsaSpec(n, k), theta)
             optimum = exact_osa_optimum(n, k, theta)
-            assert all(optimum[i] >= scratch.base[i] for i in range(m)), (n, k, theta)
+            assert all(optimum[i] >= base[i] for i in range(m)), (n, k, theta)
+            assert all(base[i] == 1 for i in range(m) if theta[i] == 0.0)
+        assert _base(OsaSpec((1, 1), 6), (0.25, 0.0)) == (4, 1)
+
+    def test_base_margin_covers_rounding(self):
+        # At these parameters r_0 is just below 3 in exact arithmetic, and
+        # its float image is just above: without the margin e, group 0's
+        # base would be 4, one more than its marginals above the threshold.
+        for k, t in [(9, 0.959802097401857), (11, 0.39156604681154256), (16, 0.1081030878628983)]:
+            with localcontext(prec=60):
+                a = Decimal(t).sqrt() * (k - 2) / (Decimal(t).sqrt() + 1)
+                r = ((1 + 4 * a * a).sqrt() - 1) / 2
+            assert r < 3 and _base(OsaSpec((1, 1), k), (t, 1.0))[0] == 3
 
     def test_budget_saturated(self):
         rng = random.Random(11)
@@ -179,16 +173,14 @@ class TestExactness:
             k = rng.randint(m, 12)
             n = tuple(rng.randint(1, 3) for _ in range(m))
             theta = tuple(rng.choice([j / 10 for j in range(11)]) for _ in range(m))
-            scratch = greedy_scratch(OsaSpec(n, k), theta)
-            positive = sum(scratch.positive)
-            if positive == 0:
-                continue  # no greedy step: the slack goes to the last group
+            base = _base(OsaSpec(n, k), theta)
+            if not any(theta):
+                # No greedy step: the slack goes to the last group.
+                assert base == (1,) * m
+                continue
             # The greedy loop's trip count: the budget the base leaves over.
-            increments = k - sum(scratch.base)
-            assert increments >= 0
-            slack_bound = (positive - 1) * math.fsum(scratch.delta_slack) + positive + 1
-            assert increments <= min(k, slack_bound)
-            assert increments <= positive * positive + positive
+            increments = k - sum(base)
+            assert 0 <= increments <= 3 * m // 2 + 1, (n, k, theta)
 
 
 class TestMaximizerWrapper:
@@ -278,6 +270,20 @@ def _column_cases(draw):
 
 
 class TestBatchedSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(_column_cases())
+    def test_bases_are_below_the_textbook_greedy(self, case):
+        spec, columns = case
+        bases = _bases(spec, np.array(columns).T.reshape(spec.m, len(columns)))
+        for c, column in enumerate(columns):
+            base = bases[:, c].tolist()
+            assert all(b == int(b) for b in base)
+            assert all(b <= y for b, y in zip(base, greedy_from_ones(spec.n, spec.k, column))), column
+            assert all(b == 1 for b, t in zip(base, column) if t == 0.0)
+            assert sum(base) <= spec.k
+            if any(column):
+                assert spec.k - sum(base) <= 3 * spec.m // 2 + 1, column
+
     @settings(max_examples=400, deadline=None)
     @given(_column_cases())
     def test_matches_greedy_osa_column_by_column(self, case):
@@ -309,8 +315,8 @@ class TestBatchedSolver:
         assert self._scalar_calls(monkeypatch, OsaSpec((1, 2), 8), [[0.4, 0.1], [0.5, 0.1]]) == 1
         # n^2 y (y + 1) reaches 2^53: the scalar solves the column.
         assert self._scalar_calls(monkeypatch, OsaSpec((10**8, 1), 6), [[0.3, 0.6], [0.0, 0.6]]) == 1
-        # Past (m + 8) k = 2^40 the base's rounding margin is not proven:
-        # the scalar solves every column.
+        # From (m + 8) k = 2^40 on the batched solver's premises are not
+        # proven: the scalar solves every column.
         assert self._scalar_calls(monkeypatch, OsaSpec((1, 3), 2**37), [[0.3, 0.6], [0.5, 0.5]]) == 2
 
 
