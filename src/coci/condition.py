@@ -20,6 +20,7 @@ that is a candidate on a box is one on every larger box.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,12 @@ from .core import ConfidenceBox, OracleSpec
 from .errors import CapacityError, UsageError
 
 _CORNER_ARM_LIMIT = 20
+#: Most floats in one corner array of :func:`two_corner_box_mask`.
+_MASK_CELLS = 1 << 20
+#: Consecutive boxes that :func:`certified_mask` settles by one hull and one
+#: intersection test. Of 8 to 64, 64 ran fastest for OSA at m = 3, 8 and 16:
+#: longer runs leave more open, but a mask call costs mostly fixed overhead.
+CERTIFY_RUN = 64
 
 
 def arm_is_candidate(spec: OracleSpec, box: ConfidenceBox, i: int) -> bool:
@@ -47,8 +54,8 @@ def candidate_on_bounds(
 ) -> bool:
     """Candidate test on raw interval bounds (no box validation).
 
-    The sampler's hot loop calls this directly; :func:`arm_is_candidate` is
-    the validated public entry point with identical semantics. Corner
+    The sampler calls this directly; :func:`arm_is_candidate` is the
+    validated public entry point with identical semantics. Corner
     enumeration is exact when every oracle component attains its extremes
     over the box at corners; otherwise it can miss interior variation.
     """
@@ -60,10 +67,7 @@ def candidate_on_bounds(
         return spec.maximizer(corner_a)[i] != spec.maximizer(corner_b)[i]
 
     if spec.arm_count > _CORNER_ARM_LIMIT:
-        raise CapacityError(
-            f"corner enumeration over {spec.arm_count} arms exceeds the "
-            f"{_CORNER_ARM_LIMIT}-arm limit"
-        )
+        raise CapacityError(f"corner enumeration over {spec.arm_count} arms exceeds the {_CORNER_ARM_LIMIT}-arm limit")
     corners = itertools.product(*zip(lower, upper))
     first = spec.maximizer(next(corners))[i]
     return any(spec.maximizer(theta)[i] != first for theta in corners)
@@ -73,22 +77,23 @@ def certified_mask(
     box_mask: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
-    run: int,
+    run: int | None = None,
 ) -> np.ndarray:
     """``box_mask(lower, upper)``, settled a run of boxes at a time.
 
     ``box_mask`` is the exact two-corner test of a bi-monotone oracle on a
     stack of boxes (see :attr:`OracleSpec.candidate_mask`). The stack is cut
-    into runs of ``run`` consecutive boxes, the last one shorter, and one
-    ``box_mask`` call tests every run's hull [min lower, max upper] and,
-    where every arm's one is nonempty, its intersection [max lower, min
-    upper]. Every box of a run lies in its hull and holds its intersection,
+    into runs of ``run`` consecutive boxes (``CERTIFY_RUN`` when None), the
+    last one shorter, and one ``box_mask`` call tests every run's hull [min
+    lower, max upper] and, where every arm's one is nonempty, its
+    intersection [max lower, min upper]. Every box of a run lies in its hull and holds its intersection,
     so by inclusion (see the module docstring) an arm that is not a
     candidate on the hull is none on any box of the run, and an arm that
     is a candidate on the intersection is one on every box. Runs with an
     arm left undecided are tested box by box in one more call.
     """
     m, boxes = lower.shape
+    run = CERTIFY_RUN if run is None else run
     starts = np.arange(0, boxes, run)
     runs = len(starts)
     hull_lo = np.minimum.reduceat(lower, starts, axis=1)
@@ -108,3 +113,51 @@ def certified_mask(
         open_boxes = np.repeat(open_runs, run)[:boxes]
         mask[:, open_boxes] = box_mask(lower[:, open_boxes], upper[:, open_boxes])
     return mask
+
+
+def two_corner_box_mask(
+    solve: Callable[[np.ndarray], np.ndarray],
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> np.ndarray:
+    """The two-corner test of every arm on every box of a stack, box by box.
+
+    ``solve`` maps an ``(m, N)`` array of parameter columns to their
+    decisions. Arm i's two corners put its parameter at its upper bound and
+    every other at its lower one, and the reverse. They are solved for as
+    many boxes at a time as keep the ``(m, 2 m boxes)`` corner array within
+    ``_MASK_CELLS`` floats, and arm i is a candidate where its own
+    component differs between them.
+    """
+    m, boxes = lower.shape
+    arm = np.arange(m)
+    step = max(1, _MASK_CELLS // (2 * m * m))
+    mask = np.empty((m, boxes), dtype=bool)
+    for start in range(0, boxes, step):
+        lo, up = lower[:, start : start + step], upper[:, start : start + step]
+        width = lo.shape[1]
+        corners = np.empty((m, 2, m, width))  # [param, corner, arm, box]
+        corners[:, 0] = lo[:, None]
+        corners[:, 1] = up[:, None]
+        corners[arm, 0, arm] = up
+        corners[arm, 1, arm] = lo
+        y = solve(corners.reshape(m, 2 * m * width)).reshape(m, 2, m, width)
+        own = y[arm, :, arm]  # [arm, corner, box]
+        mask[:, start : start + step] = own[:, 0] != own[:, 1]
+    return mask
+
+
+def _maximizer_columns(spec: OracleSpec, theta: np.ndarray) -> np.ndarray:
+    return np.array([spec.maximizer(column) for column in theta.T.tolist()]).T
+
+
+def block_mask(spec: OracleSpec, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The two-corner test of a bi-monotone oracle on a stack of boxes (see
+    :attr:`OracleSpec.candidate_mask`): the oracle's own ``candidate_mask``,
+    or else :func:`two_corner_box_mask` over one ``maximizer`` call per
+    corner, settled by :func:`certified_mask`."""
+    if not spec.bi_monotone:
+        raise UsageError(f"{spec.name} is not bi-monotone: its boxes have no two-corner test")
+    if spec.candidate_mask is not None:
+        return spec.candidate_mask(lower, upper)
+    return certified_mask(partial(two_corner_box_mask, partial(_maximizer_columns, spec)), lower, upper)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import math
+import operator
 
 import numpy as np
 
@@ -40,6 +41,13 @@ def validate_parameters(values: Sequence[float], arm_count: int | None = None) -
         if not (0.0 <= v <= 1.0):
             raise DomainError(f"parameter {i} is {v!r}, outside [0, 1]")
     return out
+
+
+def integer_value(value, label: str) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is a :class:`UsageError`."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise UsageError(f"{label} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,12 @@ class OracleSpec:
         ``candidate_mask(lower, upper)`` takes two float arrays of shape
         ``(m, n)``, a stack of n boxes with box r in column r, and returns
         the boolean ``(m, n)`` array whose entry ``[i, r]`` equals the
-        two-corner test of arm i on box r. The sampler checks its guessed
-        picks with it on untraced runs when ``bi_monotone`` is set; other
-        runs check them with the exact test one round at a time. The top-k
-        oracles (best-arm included) and the OSA oracle set it.
+        two-corner test of arm i on box r. The top-k oracles (best-arm
+        included) and the OSA oracle set it. On a bi-monotone oracle the
+        sampler checks its guessed picks with it or, when it is None, with a
+        generic mask of ``maximizer`` calls (see
+        :func:`coci.condition.block_mask`); other oracles' picks are checked
+        by corner enumeration one round at a time.
     batch_maximizer:
         Optional vectorized oracle over an (n, m) array of parameter rows,
         returning an (n, m) array of decisions. Must agree exactly with

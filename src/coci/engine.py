@@ -14,9 +14,6 @@ mean estimation, 2 for variance estimation), each round
    arms, and each float step is monotone, so the largest radius is exactly
    the fewest pulls, ties to the lower index; arms are picked that way.
 
-The candidate test follows the oracle: the exact two-corner test when it
-is bi-monotone, corner enumeration otherwise (see :mod:`coci.condition`).
-
 Runs are deterministic given (instance, delta, seed): each arm draws from
 a private sub-stream keyed by (seed, arm index), so an arm's j-th sample
 does not depend on when it is pulled.
@@ -44,24 +41,22 @@ from the guess, or that stops, or that reaches ``max_rounds``. That state
 depends only on picks already checked, so it is exact, and the next block
 starts there. A block costs about the same whatever its length, so a run's
 first block is as long as a block may be; after a miss, the next one is
-twice the stretch that held, and at least 64 rounds. The picks are checked
-in one of two ways:
+twice the stretch that held, and at least 64 rounds. The picks are checked:
 
-- with the oracle's vectorized ``candidate_mask``, on every state of the
-  block at once, for untraced runs on a bi-monotone oracle that has one
-  (best-arm, top-k and OSA; OSA's settles runs of consecutive states by
-  their hull and intersection, see :func:`coci.condition.certified_mask`).
-  A coci block ends at the first state whose fewest-pulls candidate is not
-  the guess; a uniform guess is the fewest-pulls rule over all arms, which
-  is the real pick by construction, so a uniform block ends only where it
-  stops. The verdict at the final state is the exact test on every arm,
-  and a run whose mask disagrees with it raises;
-- otherwise (traced runs, water and ``bi_monotone=False`` oracles) with
-  the exact candidate test, one state at a time, testing arms in a fixed
-  order: coci in pull order up to the first candidate, uniform the last
-  candidate found first and then the others in index order, traced runs
-  every arm. After a wrong coci guess the full candidate set at that
-  state seeds the next guesses.
+- on a bi-monotone oracle, by the exact two-corner test of every state of
+  the block at once (:func:`coci.condition.block_mask`). A coci block ends at
+  the first state whose fewest-pulls candidate is not the guess; a uniform
+  guess is the fewest-pulls rule over all arms, the real pick by
+  construction, so a uniform block ends only where it stops. The verdict
+  at the final state is the exact test on every arm, and a run whose mask
+  disagrees with it raises;
+- on any other oracle, by corner enumeration one state at a time, testing
+  arms in a fixed order: coci in pull order up to the first candidate,
+  uniform the last candidate found first and then the rest in index order.
+  After a wrong coci guess the full candidate set there seeds the guesses.
+
+A traced run then records the kept states, each with its full candidate set
+from the exact test.
 """
 
 from __future__ import annotations
@@ -74,8 +69,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .condition import candidate_on_bounds
-from .core import ConfidenceBox, ProblemInstance
+from .condition import block_mask, candidate_on_bounds
+from .core import ConfidenceBox, ProblemInstance, integer_value
 from .errors import UsageError
 from .estimators import check_delta, estimate_from_sums
 from .hardness import sample_complexity_bound
@@ -171,10 +166,11 @@ def _run(
     largest-radius one, because all radii share the round's ``level``.
     The rounds step in verified blocks (see the module docstring).
 
+    ``seed`` is a nonnegative integer or a sequence of them.
     ``max_rounds`` defaults to ten times the round bound implied by
-    ``h_lambda`` (10^6 without one). ``lambda_lower`` enables the
-    half-flip-radius pull audit; ``record_trace`` keeps every round, with
-    its full candidate set, and each arm's samples.
+    ``h_lambda`` (10^6 without one). ``lambda_lower``, finite and
+    nonnegative, enables the half-flip-radius pull audit; ``record_trace``
+    keeps every round, with its full candidate set, and each arm's samples.
     """
     oracle = instance.oracle
     m = oracle.arm_count
@@ -189,6 +185,7 @@ def _run(
         bound_value = sample_complexity_bound(h_lambda, m, tau, delta)
     if max_rounds is None:
         max_rounds = math.ceil(10 * bound_value) if bound_value is not None else _DEFAULT_MAX_ROUNDS
+    max_rounds = integer_value(max_rounds, "max_rounds")
     if max_rounds < tau * m:
         raise UsageError(f"max_rounds={max_rounds} cannot cover initialization ({tau * m})")
 
@@ -196,9 +193,14 @@ def _run(
     if lambda_lower is not None:
         if len(lambda_lower) != m:
             raise UsageError("lambda_lower must have one entry per arm")
+        if not all(0.0 <= v < math.inf for v in lambda_lower):
+            raise UsageError(f"lambda_lower entries must be finite and nonnegative, got {lambda_lower!r}")
         lam_half = [v / 2.0 for v in lambda_lower]
 
-    seed_key = (int(seed),) if isinstance(seed, int) else tuple(int(v) for v in seed)
+    entries = tuple(seed) if hasattr(seed, "__iter__") and not isinstance(seed, (str, bytes)) else (seed,)
+    seed_key = tuple(integer_value(v, "seed") for v in entries)
+    if any(v < 0 for v in seed_key):
+        raise UsageError(f"seed entries must be nonnegative, got {seed!r}")
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
     theta_star = instance.true_params.values
 
@@ -293,7 +295,6 @@ def _run_blocks(
     state after the block's first s guessed pulls.
     """
     m = len(pulls)
-    use_mask = trace is None and oracle.bi_monotone and oracle.candidate_mask is not None
     arms = np.arange(m)[:, None]
     theta = np.asarray(theta_star, dtype=np.float64)[:, None]
     lam = np.asarray(lam_half, dtype=np.float64) if lam_half is not None else None
@@ -307,11 +308,8 @@ def _run_blocks(
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = most
-    # Exact checks only: the arm uniform tests first, whether the current
-    # state's pick is already checked, and the pull that produced it.
-    last_candidate = 0
-    checked = False
-    pulled = observation = None
+    untraced = 0  # the block's first state the trace lacks: 1 after the first block
+    last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     while True:
         size = min(size, max_rounds - t)
@@ -340,8 +338,8 @@ def _run_blocks(
         lower = np.maximum(0.0, np.minimum(1.0, est - rad))
         upper = np.minimum(1.0, np.maximum(0.0, est + rad))
 
-        if use_mask:
-            mask = oracle.candidate_mask(lower, upper)
+        if oracle.bi_monotone:
+            mask = block_mask(oracle, lower, upper)
             stop = ~mask.any(axis=0)
             stop[size] |= t + size >= max_rounds
             if uniform:
@@ -356,48 +354,34 @@ def _run_blocks(
         else:
             last, stopped = size, False
             for s in range(size + 1):
-                if trace is not None and s > 0:
-                    pulled = int(guess[s - 1])
-                    observation = float(rows[0, pulled, counts[pulled, s]])
                 at_cap = t + s >= max_rounds
                 if s == size and not at_cap:
                     break  # the next block checks this state first
-                if s == 0 and checked:
-                    continue
                 lo, up = lower[:, s].tolist(), upper[:, s].tolist()
-                p = block_pulls[:, s].tolist()
-                cands = None
-                if trace is not None:
-                    cands = [i for i in range(m) if candidate_on_bounds(oracle, lo, up, i)]
-                    chosen = min(cands, key=p.__getitem__, default=-1)
-                    box = ConfidenceBox(tuple(lo), tuple(up))
-                    trace.append(
-                        CociState(
-                            t + s, tuple(p), tuple(est[:, s].tolist()), tuple(rad[:, s].tolist()),
-                            box, tuple(cands), pulled, observation,
-                        )
-                    )
+                if uniform:
+                    order = [last_candidate] + [i for i in range(m) if i != last_candidate]
                 else:
-                    if uniform:
-                        order = [last_candidate] + [i for i in range(m) if i != last_candidate]
-                    else:
-                        order = sorted(range(m), key=p.__getitem__)
-                    chosen = next((i for i in order if candidate_on_bounds(oracle, lo, up, i)), -1)
+                    order = sorted(range(m), key=block_pulls[:, s].tolist().__getitem__)
+                chosen = next((i for i in order if candidate_on_bounds(oracle, lo, up, i)), -1)
                 if chosen < 0 or at_cap:
                     last, stopped, converged = s, True, chosen < 0
                     break
                 last_candidate = chosen
                 if not uniform and chosen != guess[s]:
-                    # Guess on from the full candidate set here; its first
-                    # guess is this state's pick, so it is already checked.
-                    if cands is None:
-                        cands = [i for i in range(m) if candidate_on_bounds(oracle, lo, up, i)]
-                    guess_from = np.zeros(m, dtype=bool)
-                    guess_from[cands] = True
+                    # Guess on from the full candidate set here.
+                    guess_from = np.array([candidate_on_bounds(oracle, lo, up, i) for i in range(m)])
                     last = s
                     break
-            checked = last < size and not stopped
 
+        if trace is not None:
+            for s in range(untraced, last + 1):
+                lo, up = tuple(lower[:, s].tolist()), tuple(upper[:, s].tolist())
+                cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
+                j = int(guess[s - 1]) if s else None  # the pull that led here
+                x = float(rows[0, j, counts[j, s]]) if s else None
+                p, e, r = (tuple(v[:, s].tolist()) for v in (block_pulls, est, rad))
+                trace.append(CociState(t + s, p, e, r, ConfidenceBox(lo, up), cands, j, x))
+            untraced = 1
         if (np.abs(est[:, : last + 1] - theta) > rad[:, : last + 1]).any():
             xi_held = False
         if lam is not None:
@@ -409,7 +393,7 @@ def _run_blocks(
         pulls, sums, sums_sq = block_pulls[:, last], block_sums[:, last], block_sq[:, last]
         if stopped:
             lo, up = lower[:, last].tolist(), upper[:, last].tolist()
-            if use_mask:
+            if oracle.bi_monotone:
                 # The verdict comes from the exact test; the mask must agree.
                 converged = not any(candidate_on_bounds(oracle, lo, up, i) for i in range(m))
                 if converged == mask[:, last].any():

@@ -28,27 +28,23 @@ integer factor is too large to convert to float exactly. This keeps the
 greedy's tie handling consistent with enumeration even on inputs where
 mathematically equal marginals have unequal floating-point images.
 
-The candidate mask settles the boxes of a stack in runs of
-``_CERTIFY_RUN`` consecutive boxes (:func:`coci.condition.certified_mask`):
-one call tests every run's hull and intersection, and only the runs that
-leave an arm undecided are tested box by box. Each call is
-:func:`_osa_box_mask`, which solves the problem at two corners of every
-box at once: a batched greedy over the columns of an array, equal to
-:func:`greedy_osa` column by column.
+The candidate mask is :func:`coci.condition.two_corner_box_mask`, settled
+a run of boxes at a time by :func:`coci.condition.certified_mask`, with
+:func:`_greedy_osa_columns` as its solver: a batched greedy over the
+columns of an array, equal to :func:`greedy_osa` column by column.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .condition import certified_mask
-from .core import OracleSpec
+from .condition import certified_mask, two_corner_box_mask
+from .core import OracleSpec, integer_value
 from .errors import DomainError, UsageError
 
 #: Integers below this convert to float exactly, so a float product of one
@@ -58,14 +54,6 @@ _EXACT_INT = 2**53
 #: and the base's margin e = 1e-15 (m + 8) k stays far below one sample;
 #: from it on, :func:`greedy_osa` solves every column.
 _BATCH_SIZE_LIMIT = 2**40
-#: Most floats in one corner array of :func:`_osa_box_mask`; the
-#: batched solver's temporaries have the corner array's shape.
-_MASK_CELLS = 1 << 20
-#: Consecutive boxes that the candidate mask settles by one hull and one
-#: intersection test (see :func:`coci.condition.certified_mask`). Of 8, 16,
-#: 32 and 64, 64 ran fastest at m = 3, 8 and 16: longer runs leave more of
-#: them open, but each mask call costs mostly its fixed numpy overhead.
-_CERTIFY_RUN = 64
 
 
 @dataclass(frozen=True)
@@ -76,8 +64,8 @@ class OsaSpec:
     k: int
 
     def __post_init__(self) -> None:
-        n = tuple(_integer(v, "group size") for v in self.n)
-        k = _integer(self.k, "budget k")
+        n = tuple(integer_value(v, "group size") for v in self.n)
+        k = integer_value(self.k, "budget k")
         if any(v < 1 for v in n):
             raise UsageError(f"group sizes must be >= 1, got {n}")
         if k < len(n):
@@ -88,13 +76,6 @@ class OsaSpec:
     @property
     def m(self) -> int:
         return len(self.n)
-
-
-def _integer(value, label: str) -> int:
-    """``value`` as an ``int``; a bool or a non-integer is a :class:`UsageError`."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise UsageError(f"{label} must be an integer, got {value!r}")
 
 
 def marginal(spec: OsaSpec, theta: Sequence[float], i: int, level: int) -> float:
@@ -277,34 +258,6 @@ def _solve_columns(spec: OsaSpec, theta: np.ndarray, out: np.ndarray, cols) -> N
         out[:, col] = greedy_osa(spec, theta[:, col].tolist())
 
 
-def _osa_box_mask(spec: OsaSpec, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The two-corner test of every arm on every box of a stack, at once,
-    box by box.
-
-    At corner a arm i's parameter sits at its upper bound and every other at
-    its lower bound; corner b swaps the roles. The 2 m corners of a box are
-    solved in batched calls, as many boxes at a time as keep the ``(m, 2 m
-    boxes)`` corner array within ``_MASK_CELLS`` floats, and arm i is a
-    candidate when its own component differs between its two corners.
-    """
-    m, boxes = lower.shape
-    arm = np.arange(m)
-    step = max(1, _MASK_CELLS // (2 * m * m))
-    mask = np.empty((m, boxes), dtype=bool)
-    for start in range(0, boxes, step):
-        lo, up = lower[:, start : start + step], upper[:, start : start + step]
-        width = lo.shape[1]
-        corners = np.empty((m, 2, m, width))  # [param, corner, arm, box]
-        corners[:, 0] = lo[:, None]
-        corners[:, 1] = up[:, None]
-        corners[arm, 0, arm] = up
-        corners[arm, 1, arm] = lo
-        y = _greedy_osa_columns(spec, corners.reshape(m, 2 * m * width)).reshape(m, 2, m, width)
-        own = y[arm, :, arm]  # [arm, corner, box]
-        mask[:, start : start + step] = own[:, 0] != own[:, 1]
-    return mask
-
-
 def _osa_reward_term(n: tuple[int, ...], i: int, theta_i: float, y_i: float) -> float:
     return -(n[i] * n[i] * theta_i) / y_i
 
@@ -346,8 +299,8 @@ def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:
     variance and non-increasing in every other group's variance, so the
     two-corner candidate test applies. ``candidate_mask`` is that test over
     a stack of boxes: runs of boxes settled by their hull and intersection
-    where inclusion decides every arm, the rest solved box by box by the
-    batched greedy (see :func:`_osa_box_mask`).
+    where inclusion decides every arm, the rest box by box, every corner
+    solved by the batched greedy :func:`_greedy_osa_columns`.
     """
     spec = OsaSpec(tuple(n), k)
     m = spec.m
@@ -360,5 +313,5 @@ def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:
         enumerate_decisions=partial(_enumerate_allocations, m, spec.k),
         decision_count=math.comb(spec.k, m),
         bi_monotone=True,
-        candidate_mask=partial(certified_mask, partial(_osa_box_mask, spec), run=_CERTIFY_RUN),
+        candidate_mask=partial(certified_mask, partial(two_corner_box_mask, partial(_greedy_osa_columns, spec))),
     )

@@ -38,9 +38,9 @@ def test_traced_run_covers_every_layer_and_matches_untraced(name, monkeypatch):
     assert strip(traced.records) == strip(plain.records)
     assert traced.summary == plain.summary
     if config.application == "water":
-        # Water has no candidate mask: the exact check tests every round
-        # after initialization at least once, through the name the
-        # benchmark wraps.
-        init = config.estimator.tau * len(config.theta_star)
-        rounds = sum(r.rounds - init + 1 for r in traced.records)
-        assert recorder.trial_totals("condition").calls >= rounds
+        # Water's blocks are checked by the generic two-corner mask, whose
+        # certified runs of rounds need fewer maximizer calls than rounds;
+        # the stopping verdict still takes the exact test, through the name
+        # the benchmark wraps.
+        assert recorder.trial_totals("oracles").calls < sum(r.rounds for r in traced.records)
+        assert recorder.trial_totals("condition").calls > 0

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from coci import (
     make_water_oracle,
     run_coci,
 )
-from coci.condition import candidate_on_bounds
+from coci.condition import CERTIFY_RUN, block_mask, candidate_on_bounds, certified_mask, two_corner_box_mask
 
 from _reference import grid_points, lattice_candidate
 
@@ -288,3 +289,70 @@ def test_top_k_mask_counts_past_255_arms(k):
     for r in range(2):
         lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
         assert [bool(v) for v in mask[:, r]] == [candidate_on_bounds(spec, lo, hi, i) for i in range(m)]
+
+
+def _water(m, b, step):
+    """A water oracle with quadratic costs and unit caps, declared
+    bi-monotone."""
+    return make_water_oracle(WaterSpec(b=b, caps=(1.0,) * m, costs=(QuadraticCost(1.0),) * m, grid_step=step))
+
+
+#: Bi-monotone oracles without a mask of their own: the sampler checks
+#: their blocks with the generic two-corner mask.
+_MASKLESS_ORACLES = [
+    _water(2, 1.6, 0.1),  # configs/water.json
+    _water(3, 1.5, 0.5),
+    _water(2, 1.0, 0.5),
+] + [replace(make_top_k_oracle(m, k), candidate_mask=None) for m, k in ((4, 2), (3, 1))]
+
+
+def _columns(spec):
+    """A solver of parameter columns that calls ``spec.maximizer`` once
+    per column."""
+    return lambda theta: np.array([spec.maximizer(tuple(col)) for col in theta.T.tolist()]).T
+
+
+def test_maskless_oracles_are_bi_monotone():
+    assert all(spec.bi_monotone and spec.candidate_mask is None for spec in _MASKLESS_ORACLES)
+    with pytest.raises(UsageError):
+        block_mask(corners_only(_MASKLESS_ORACLES[1]), np.zeros((3, 1)), np.ones((3, 1)))
+
+
+@st.composite
+def _maskless_stacks(draw):
+    """A bi-monotone oracle without its own mask and a stack of boxes:
+    either a few boxes drawn like :func:`_stacked_boxes`, or a random walk
+    of centres with shrinking radii, clamped like the sampler's, over one
+    to three certified runs of ``CERTIFY_RUN`` boxes."""
+    spec = draw(st.sampled_from(_MASKLESS_ORACLES))
+    m = spec.arm_count
+    if draw(st.integers(0, 3)) == 0:
+        bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
+        pairs = [[sorted((draw(bound), draw(bound))) for _ in range(m)] for _ in range(draw(st.integers(1, 6)))]
+        lower, upper = np.array(pairs).transpose(2, 1, 0)
+        return spec, lower, upper
+    boxes = draw(st.sampled_from([2 * CERTIFY_RUN + 5, 1, 9, CERTIFY_RUN, 3 * CERTIFY_RUN - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+    centre = rng.random((m, 1)) + np.cumsum(rng.normal(0.0, step, (m, boxes)), axis=1)
+    radius = draw(st.sampled_from([0.02, 0.1, 0.3])) / np.sqrt(np.arange(1, boxes + 1))
+    lower = np.maximum(0.0, np.minimum(1.0, centre - radius))
+    upper = np.minimum(1.0, np.maximum(0.0, centre + radius))
+    return spec, lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(_maskless_stacks())
+def test_generic_mask_matches_two_corner_test(case):
+    # The two-corner mask over per-column maximizer calls equals the
+    # two-corner test box by box; settled by certified runs at the module
+    # length, it equals itself unsettled, and it is the sampler's mask.
+    spec, lower, upper = case
+    box_mask = partial(two_corner_box_mask, _columns(spec))
+    direct = box_mask(lower, upper)
+    assert direct.shape == lower.shape and direct.dtype == bool
+    for r in range(lower.shape[1]):
+        lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
+        assert direct[:, r].tolist() == [candidate_on_bounds(spec, lo, hi, i) for i in range(spec.arm_count)], r
+    assert (certified_mask(box_mask, lower, upper, CERTIFY_RUN) == direct).all()
+    assert (block_mask(spec, lower, upper) == direct).all()

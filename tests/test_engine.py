@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
@@ -27,7 +28,7 @@ from coci import (
     run_coci,
     run_uniform,
 )
-from coci import engine
+from coci import condition, engine
 from coci.engine import CociState
 
 from _reference import grid_points, scalar_run
@@ -89,6 +90,24 @@ class TestBasics:
         for run in (run_coci, run_uniform):
             with pytest.raises(TypeError):
                 run(best_arm_instance, 0.05, 42)
+
+    def test_seed_is_integers(self, best_arm_instance):
+        assert run_coci(best_arm_instance, 0.05, seed=np.int64(3)) == run_coci(best_arm_instance, 0.05, seed=3)
+        assert run_coci(best_arm_instance, 0.05, seed=[np.int64(1), 2]).seed == (1, 2)
+        for seed in (2.5, (1.5, 2), -1, (3, -1), True, (True, 2), "12", None):
+            with pytest.raises(UsageError):
+                run_coci(best_arm_instance, 0.05, seed=seed)
+
+    def test_max_rounds_is_an_integer(self, best_arm_instance):
+        assert run_coci(best_arm_instance, 0.05, seed=42, max_rounds=np.int64(2)).rounds == 2
+        for cap in (6.5, True, "10"):
+            with pytest.raises(UsageError):
+                run_coci(best_arm_instance, 0.05, seed=42, max_rounds=cap)
+
+    def test_lambda_lower_is_finite_and_nonnegative(self, best_arm_instance):
+        for lam in ((math.nan, 0.4), (0.4, math.inf), (-0.1, 0.4)):
+            with pytest.raises(UsageError):
+                run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=lam)
 
     def test_max_rounds_budget(self, best_arm_instance):
         result = run_coci(best_arm_instance, 0.05, seed=42, max_rounds=2)
@@ -355,11 +374,11 @@ def _top_k_runs(draw):
 
 @st.composite
 def _exact_runs(draw):
-    """A run whose picks are checked by the exact candidate test: OSA
-    allocation with variance estimates and the mask removed, water planning
-    with quadratic (bi-monotone) or linear (corner enumeration) costs, or
-    top-k with the mask removed or the bi-monotone flag cleared; traced or
-    not."""
+    """A run on an oracle without its own candidate mask: OSA allocation
+    with variance estimates and the mask removed, water planning with
+    quadratic (bi-monotone) or linear (corner enumeration) costs, or top-k
+    with the mask removed or the bi-monotone flag cleared; traced or not.
+    The bi-monotone ones are checked by the generic two-corner mask."""
     m = draw(st.integers(2, 3))
     app = draw(st.sampled_from(["osa", "water-quadratic", "water-linear", "top-k-no-mask", "top-k-corners"]))
     grid = [j / 8 for j in range(9)]
@@ -427,41 +446,54 @@ def _counted_mask(instance):
 # Block caps: short ones put misses at block edges, 1-round blocks and the
 # state handed to the next block within reach of short runs.
 _CAPS = st.sampled_from([1, 2, 7, 64, engine._BLOCK_ROUNDS])
+# Certified-mask run lengths: short ones put the edges of the runs that one
+# hull and intersection settle within reach of short runs.
+_RUNS = st.sampled_from([1, 3, condition.CERTIFY_RUN])
+
+
+def _patched(cap, run_length):
+    """The block cap and the certified-mask run length, patched."""
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS", cap))
+    stack.enter_context(mock.patch.object(condition, "CERTIFY_RUN", run_length))
+    return stack
 
 
 class TestBlockLoop:
     """Every run takes the block loop; it must equal the round-at-a-time
     reference ``scalar_run`` on every ``RunResult`` field, whether its picks
-    are checked by the candidate mask or by the exact candidate test, and
-    whatever the block cap."""
+    are checked by a candidate mask or by corner enumeration, traced or
+    not, and whatever the block cap and certified-mask run length."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
-    def test_matches_scalar_loop(self, case, run, cap):
+    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
+    def test_matches_scalar_loop(self, case, run, cap, run_length):
         instance, delta, kwargs = case
-        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+        with _patched(cap, run_length):
             fast = run(instance, delta, **kwargs)
         slow = scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
         assert repr(fast) == repr(slow)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
-    def test_exact_checks_match_scalar_loop(self, case, run, cap):
+    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
+    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length):
         instance, delta, kwargs = case
         (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
-        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+        with _patched(cap, run_length):
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(slow, delta, uniform=run is run_uniform, **kwargs))
-        # Only a wrong coci guess adds candidate tests (one full set).
-        if run is run_uniform or kwargs["record_trace"]:
+        # Untraced uniform corner enumeration tests arms in the reference's
+        # order; a wrong coci guess adds one full candidate set, a trace
+        # tests every arm again, and a mask tests every state.
+        if run is run_uniform and not kwargs["record_trace"] and not instance.oracle.bi_monotone:
             assert fast_calls[0] == slow_calls[0]
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
-    def test_osa_mask_matches_scalar_loop(self, case, run, cap):
+    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
+    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length):
         instance, delta, kwargs = case
         fast, calls = _counted(instance)
-        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+        with _patched(cap, run_length):
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(instance, delta, uniform=run is run_uniform, **kwargs))
         # The mask checks every guessed pick. The maximizer serves only the
@@ -471,6 +503,9 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_checks_oracle_calls(self, seed):
+        # Without its own mask, a bi-monotone oracle's blocks are checked by
+        # the generic two-corner mask, whose certified runs of states need
+        # fewer maximizer calls than a two-corner test per round.
         oracle = replace(make_osa_oracle((5, 1, 1), 10), candidate_mask=None)
         osa = build_instance(oracle, (0.25, 0.01, 0.01), EstimatorKind.VARIANCE)
         for run in (run_coci, run_uniform):
@@ -478,10 +513,7 @@ class TestBlockLoop:
             assert repr(run(fast, 0.05, seed=seed)) == repr(
                 scalar_run(slow, 0.05, uniform=run is run_uniform, seed=seed)
             )
-            if run is run_uniform:
-                assert fast_calls[0] == slow_calls[0]
-            else:
-                assert slow_calls[0] <= fast_calls[0] <= 1.05 * slow_calls[0]
+            assert fast_calls[0] < slow_calls[0]
 
     @pytest.mark.parametrize(
         "theta, kind, run",
@@ -537,13 +569,14 @@ class TestBlockLoop:
         assert calls[0] <= (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
 
     def test_paths_follow_the_oracle(self, best_arm_instance):
-        # The mask is used only when the oracle is bi-monotone and the run
-        # keeps no trace.
+        # The mask checks every run on a bi-monotone oracle, traced or not;
+        # corner enumeration never uses it.
         instance, calls = _counted_mask(best_arm_instance)
-        run_coci(instance, 0.05, seed=3)
-        assert calls[0] > 0
+        for record_trace in (False, True):
+            calls[0] = 0
+            run_coci(instance, 0.05, seed=3, record_trace=record_trace)
+            assert calls[0] > 0
         calls[0] = 0
-        run_coci(instance, 0.05, seed=3, record_trace=True)
         run_coci(replace(instance, oracle=replace(instance.oracle, bi_monotone=False)), 0.05, seed=3)
         assert calls[0] == 0
 

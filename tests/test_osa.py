@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
-from coci import osa
-from coci.condition import candidate_on_bounds, certified_mask
+from coci import condition, osa
+from coci.condition import CERTIFY_RUN, candidate_on_bounds, certified_mask, two_corner_box_mask
 from coci.osa import _bases, _greedy_osa_columns, _marginal_greater, make_osa_oracle, marginal
 
 from _reference import exact_osa_optimum, greedy_from_ones
@@ -337,12 +337,18 @@ class TestCandidateMask:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 8 * osa._MASK_CELLS
+        assert peak < 8 * 8 * condition._MASK_CELLS
         assert mask.any() and not mask.all()
         for box in range(0, 1024, 97):
             lo, up = lower[:, box].tolist(), upper[:, box].tolist()
             for i in range(m):
                 assert mask[i, box] == candidate_on_bounds(oracle, lo, up, i), (box, i)
+
+
+def _osa_box_mask(spec):
+    """The per-box two-corner mask of the OSA oracle: the batched greedy
+    solves every corner."""
+    return partial(two_corner_box_mask, partial(_greedy_osa_columns, spec))
 
 
 @st.composite
@@ -354,7 +360,7 @@ def _walk_stacks(draw):
     m = draw(st.integers(1, 4))
     spec = OsaSpec(tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))), draw(st.integers(m, 40)))
     boxes = draw(st.one_of(st.just(1), st.integers(2, 90)))
-    run = draw(st.sampled_from([1, 2, 3, 4, 7, 16, osa._CERTIFY_RUN]))
+    run = draw(st.sampled_from([1, 2, 3, 4, 7, 16, CERTIFY_RUN]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     step = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.1]))
     centre = rng.random((m, 1)) + np.cumsum(rng.normal(0.0, step, (m, boxes)), axis=1)
@@ -378,7 +384,7 @@ class TestCertifiedMask:
     @given(_walk_stacks())
     def test_matches_the_per_box_mask(self, case):
         spec, lower, upper, run = case
-        box_mask = partial(osa._osa_box_mask, spec)
+        box_mask = _osa_box_mask(spec)
         got = certified_mask(box_mask, lower, upper, run)
         assert got.shape == lower.shape and got.dtype == bool
         assert (got == box_mask(lower, upper)).all()
@@ -391,16 +397,16 @@ class TestCertifiedMask:
 
         def box_mask(lower, upper):
             sizes.append(lower.shape[1])
-            return osa._osa_box_mask(spec, lower, upper)
+            return _osa_box_mask(spec)(lower, upper)
 
-        boxes = 5 * osa._CERTIFY_RUN + 3
+        boxes = 5 * CERTIFY_RUN + 3
         rng = np.random.default_rng(5)
         centre = np.array([[0.25], [0.01], [0.01]]) + np.cumsum(rng.normal(0.0, 1e-3, (3, boxes)), axis=1)
         radius = 0.3 / np.sqrt(np.arange(1, boxes + 1))
         lower, upper = np.clip(centre - radius, 0.0, 1.0), np.clip(centre + radius, 0.0, 1.0)
-        got = certified_mask(box_mask, lower, upper, osa._CERTIFY_RUN)
+        got = certified_mask(box_mask, lower, upper, CERTIFY_RUN)
         assert (got == make_osa_oracle(spec.n, spec.k).candidate_mask(lower, upper)).all()
-        assert (got == osa._osa_box_mask(spec, lower, upper)).all()
+        assert (got == _osa_box_mask(spec)(lower, upper)).all()
         assert sizes[0] <= 2 * 6 and sum(sizes[1:]) < boxes
 
     def test_disjoint_intervals_leave_no_intersection(self):
@@ -415,10 +421,10 @@ class TestCertifiedMask:
 
         def box_mask(lo, up):
             sizes.append(lo.shape[1])
-            return osa._osa_box_mask(spec, lo, up)
+            return _osa_box_mask(spec)(lo, up)
 
         got = certified_mask(box_mask, lower, upper, 4)
         assert sizes == [1, 4]
-        expected = osa._osa_box_mask(spec, lower, upper)
+        expected = _osa_box_mask(spec)(lower, upper)
         assert (got == expected).all()
         assert expected.any() and not expected.all()
