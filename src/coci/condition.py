@@ -67,7 +67,10 @@ def candidate_on_bounds(
         return spec.maximizer(corner_a)[i] != spec.maximizer(corner_b)[i]
 
     if spec.arm_count > _CORNER_ARM_LIMIT:
-        raise CapacityError(f"corner enumeration over {spec.arm_count} arms exceeds the {_CORNER_ARM_LIMIT}-arm limit")
+        raise CapacityError(
+            f"corner enumeration over {spec.arm_count} arms exceeds the "
+            f"{_CORNER_ARM_LIMIT}-arm limit"
+        )
     corners = itertools.product(*zip(lower, upper))
     first = spec.maximizer(next(corners))[i]
     return any(spec.maximizer(theta)[i] != first for theta in corners)
@@ -86,11 +89,12 @@ def certified_mask(
     into runs of ``run`` consecutive boxes (``CERTIFY_RUN`` when None), the
     last one shorter, and one ``box_mask`` call tests every run's hull [min
     lower, max upper] and, where every arm's one is nonempty, its
-    intersection [max lower, min upper]. Every box of a run lies in its hull and holds its intersection,
-    so by inclusion (see the module docstring) an arm that is not a
-    candidate on the hull is none on any box of the run, and an arm that
-    is a candidate on the intersection is one on every box. Runs with an
-    arm left undecided are tested box by box in one more call.
+    intersection [max lower, min upper]. Every box of a run lies in its
+    hull and holds its intersection, so by inclusion (see the module
+    docstring) an arm that is not a candidate on the hull is none on any
+    box of the run, and an arm that is a candidate on the intersection is
+    one on every box. Runs with an arm left undecided are tested box by box
+    in one more call.
     """
     m, boxes = lower.shape
     run = CERTIFY_RUN if run is None else run

@@ -43,11 +43,13 @@ def validate_parameters(values: Sequence[float], arm_count: int | None = None) -
     return out
 
 
-def integer_value(value, label: str) -> int:
-    """``value`` as an ``int``; a bool or a non-integer is a :class:`UsageError`."""
-    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
-        return operator.index(value)
-    raise UsageError(f"{label} must be an integer, got {value!r}")
+def integer_value(value, label: str, low: int | None = None) -> int:
+    """``value`` as an ``int``; a bool, a non-integer or one below ``low`` is a :class:`UsageError`."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise UsageError(f"{label} must be an integer, got {value!r}")
+    if low is not None and operator.index(value) < low:
+        raise UsageError(f"{label} must be >= {low}, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def _run(
     largest-radius one, because all radii share the round's ``level``.
     The rounds step in verified blocks (see the module docstring).
 
-    ``seed`` is a nonnegative integer or a sequence of them.
+    ``seed`` is a nonnegative integer or a tuple or list of them.
     ``max_rounds`` defaults to ten times the round bound implied by
     ``h_lambda`` (10^6 without one). ``lambda_lower``, finite and
     nonnegative, enables the half-flip-radius pull audit; ``record_trace``
@@ -197,10 +197,8 @@ def _run(
             raise UsageError(f"lambda_lower entries must be finite and nonnegative, got {lambda_lower!r}")
         lam_half = [v / 2.0 for v in lambda_lower]
 
-    entries = tuple(seed) if hasattr(seed, "__iter__") and not isinstance(seed, (str, bytes)) else (seed,)
-    seed_key = tuple(integer_value(v, "seed") for v in entries)
-    if any(v < 0 for v in seed_key):
-        raise UsageError(f"seed entries must be nonnegative, got {seed!r}")
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    seed_key = tuple(integer_value(v, "seed", low=0) for v in entries)
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
     theta_star = instance.true_params.values
 
@@ -308,7 +306,6 @@ def _run_blocks(
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = most
-    untraced = 0  # the block's first state the trace lacks: 1 after the first block
     last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     while True:
@@ -374,14 +371,13 @@ def _run_blocks(
                     break
 
         if trace is not None:
-            for s in range(untraced, last + 1):
+            for s in range(1 if trace else 0, last + 1):  # a later block's state 0 is recorded
                 lo, up = tuple(lower[:, s].tolist()), tuple(upper[:, s].tolist())
                 cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
                 j = int(guess[s - 1]) if s else None  # the pull that led here
                 x = float(rows[0, j, counts[j, s]]) if s else None
                 p, e, r = (tuple(v[:, s].tolist()) for v in (block_pulls, est, rad))
                 trace.append(CociState(t + s, p, e, r, ConfidenceBox(lo, up), cands, j, x))
-            untraced = 1
         if (np.abs(est[:, : last + 1] - theta) > rad[:, : last + 1]).any():
             xi_held = False
         if lam is not None:

@@ -64,10 +64,8 @@ class OsaSpec:
     k: int
 
     def __post_init__(self) -> None:
-        n = tuple(integer_value(v, "group size") for v in self.n)
+        n = tuple(integer_value(v, "group size", low=1) for v in self.n)
         k = integer_value(self.k, "budget k")
-        if any(v < 1 for v in n):
-            raise UsageError(f"group sizes must be >= 1, got {n}")
         if k < len(n):
             raise DomainError(f"budget k={k} is below the group count {len(n)}")
         object.__setattr__(self, "n", n)
