@@ -152,7 +152,11 @@ def two_corner_box_mask(
 
 
 def _maximizer_columns(spec: OracleSpec, theta: np.ndarray) -> np.ndarray:
-    return np.array([spec.maximizer(column) for column in theta.T.tolist()]).T
+    """The maximizer of every column, each distinct column solved once: at
+    m = 2, arm 0's first corner is arm 1's second."""
+    columns = list(map(tuple, theta.T.tolist()))
+    solved = {column: spec.maximizer(column) for column in dict.fromkeys(columns)}
+    return np.array([solved[column] for column in columns]).T
 
 
 def block_mask(spec: OracleSpec, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

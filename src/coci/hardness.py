@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .condition import candidate_on_bounds
@@ -70,16 +70,7 @@ class HardnessReport:
     width: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_lower": list(self.lambda_lower),
-            "saturated": list(self.saturated),
-            "h_lambda": self.h_lambda,
-            "h_uniform": self.h_uniform,
-            "grid_resolution": self.grid_resolution,
-            "delta_gap": list(self.delta_gap) if self.delta_gap is not None else None,
-            "h_delta": self.h_delta,
-            "width": self.width,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _coordinate_ladder(center: float, epsilon: float) -> list[list[float]]:

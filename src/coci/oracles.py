@@ -4,8 +4,8 @@ The top-k oracle (best-arm is the k=1 case) picks the k largest parameters,
 breaking ties toward smaller indices. The water-planning oracle maximizes
 ``sum(theta_i y_i - f_i(y_i))`` over per-source grids subject to a minimum
 total allocation, via exact dynamic programming over the discretized
-requirement. All oracles break reward ties toward the lexicographically
-smallest decision vector.
+requirement; it is bi-monotone when every exact DP term is concave. All
+oracles break reward ties toward the lexicographically smallest decision.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class PowerCost:
 
 @dataclass(frozen=True)
 class LinearCost:
-    """f(y) = a * y (constant derivative: does not qualify as bi-monotone)."""
+    """f(y) = a * y (bi-monotone where rounding keeps its grid terms concave)."""
 
     a: float = 0.0
 
@@ -301,31 +301,28 @@ def _exact_terms(spec: WaterSpec, theta: Sequence[float]) -> list[list[int]]:
     return [[n * (denominator // d) for n, d in row] for row in ratios]
 
 
-def _strictly_convex(spec: WaterSpec, i: int) -> bool:
-    """True when source i's cost has a strictly increasing grid derivative
-    over at least two grid steps."""
-    step = spec.grid_step
-    cost = spec.costs[i]
-    diffs = [cost((u + 1) * step) - cost(u * step) for u in range(spec.cap_units[i])]
-    return len(diffs) >= 2 and all(b > a for a, b in zip(diffs, diffs[1:]))
-
-
 def water_bi_monotone(spec: WaterSpec) -> bool:
-    """Whether the water oracle is bi-monotone, by a sufficient condition.
+    """Whether every source's exact DP terms (:func:`_exact_terms`) are
+    concave in its units at theta = 0 and 1, hence on all of [0, 1]: the
+    terms are linear in theta.
 
-    True only when every cost is strictly convex on its grid and the optimum
-    at theta = (1, ..., 1) spends exactly ``b``. Each source's own optimum
-    rises with its theta_i, so the total is largest at theta = 1, and tight
-    there means tight at every theta. A concave objective under a tight sum
-    is water-filling with one multiplier: y_i rises with theta_i and falls
-    with every other theta_j. Concave costs fail the test (y_i can fall as
-    theta_i rises), and so does a budget that is loose anywhere; a false
-    negative only routes the candidate test to corner enumeration.
+    That makes the oracle bi-monotone. A separable concave objective on the
+    M-natural-convex set {sum u >= need} within the caps is M-natural-
+    concave (Murota, 2003), so its demand has gross substitutes (Fujishige
+    and Yang, 2003): an optimum takes the ``need`` largest increments, then
+    every further positive one, and raising theta_i raises only source i's
+    increments, so y_i can only rise and every other y_j only fall, loose
+    budget or not. The lexicographic tie rule is the limit of the unique
+    optimum under a vanishing linear perturbation -eps * sum w_i u_i
+    (w_1 >> ... >> w_m), which keeps every term concave. Where the test
+    fails, corner enumeration serves: slower, never inexact.
     """
-    if spec.required_units == 0 or not all(_strictly_convex(spec, i) for i in range(spec.m)):
-        return False
-    y = water_maximizer(spec, (1.0,) * spec.m)
-    return round(sum(y) / spec.grid_step) == spec.required_units
+    for theta in (0.0, 1.0):
+        for row in _exact_terms(spec, (theta,) * spec.m):
+            steps = [b - a for a, b in zip(row, row[1:])]
+            if any(later > earlier for earlier, later in zip(steps, steps[1:])):
+                return False
+    return True
 
 
 def _water_term(spec: WaterSpec, i: int, theta_i: float, y_i: float) -> float:
@@ -357,9 +354,9 @@ def _enumerate_water(spec: WaterSpec):
 def make_water_oracle(spec: WaterSpec) -> OracleSpec:
     """Package a water-planning problem as an :class:`OracleSpec`.
 
-    The bi-monotonicity flag is established by :func:`water_bi_monotone` at
-    build time; when the check fails, the condition module falls back to
-    corner enumeration.
+    The bi-monotonicity flag is :func:`water_bi_monotone`, an exact test of
+    the costs on their grids that makes no maximizer call. Where it fails,
+    the candidate test is corner enumeration.
     """
     return OracleSpec(
         arm_count=spec.m,

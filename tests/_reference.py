@@ -182,20 +182,6 @@ def lattice_candidates(spec, box_lower, box_upper, resolution: int) -> tuple[boo
     return tuple(varied)
 
 
-def water_tight_on_lattice(spec) -> bool:
-    """True when the water optimum spends exactly ``b`` at every point of
-    the lattice {0, 1/4, 1/2, 3/4, 1}^m: 5^m dynamic programs, a brute-force
-    cross-check of the one-point rule in ``water_bi_monotone``."""
-    from coci import water_maximizer
-
-    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for theta in itertools.product(grid, repeat=spec.m):
-        y = water_maximizer(spec, theta)
-        if round(sum(y) / spec.grid_step) != spec.required_units:
-            return False
-    return True
-
-
 def scalar_run(
     instance,
     delta: float,

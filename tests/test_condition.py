@@ -10,6 +10,7 @@ from coci import (
     CapacityError,
     ConfidenceBox,
     EstimatorKind,
+    PowerCost,
     QuadraticCost,
     UsageError,
     WaterSpec,
@@ -21,7 +22,14 @@ from coci import (
     make_water_oracle,
     run_coci,
 )
-from coci.condition import CERTIFY_RUN, block_mask, candidate_on_bounds, certified_mask, two_corner_box_mask
+from coci.condition import (
+    CERTIFY_RUN,
+    _maximizer_columns,
+    block_mask,
+    candidate_on_bounds,
+    certified_mask,
+    two_corner_box_mask,
+)
 
 from _reference import grid_points, lattice_candidate
 
@@ -79,16 +87,16 @@ class TestErrors:
     def test_bi_monotone_requires_declaration(self):
         # An oracle that does not declare bi_monotone never gets the
         # two-corner test: all four corners of a constant box are evaluated.
-        loose_water = make_water_oracle(
+        concave_water = make_water_oracle(
             WaterSpec(
                 b=0.2,
                 caps=(1.0, 1.0),
-                costs=(QuadraticCost(), QuadraticCost()),
+                costs=(PowerCost(1.0, 0.5), PowerCost(1.0, 0.5)),
                 grid_step=0.2,
             )
         )
-        assert loose_water.bi_monotone is False
-        spec, calls = count_calls(loose_water)
+        assert concave_water.bi_monotone is False
+        spec, calls = count_calls(concave_water)
         box = ConfidenceBox((0.3, 0.5), (0.3, 0.5))
         assert arm_is_candidate(spec, box, 0) is False
         assert calls[0] == 4
@@ -127,13 +135,13 @@ class TestDefaultStrategy:
         box = ConfidenceBox((0.7, 0.5, 0.1), (0.9, 0.6, 0.3))
         assert arm_is_candidate(spec, box, 0) is False
         assert calls[0] == 8
-        loose_water = make_water_oracle(
-            WaterSpec(b=0.2, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.2)
+        concave_water = make_water_oracle(
+            WaterSpec(b=0.2, caps=(1.0,), costs=(PowerCost(1.0, 0.5),), grid_step=0.2)
         )
-        assert loose_water.bi_monotone is False
+        assert concave_water.bi_monotone is False
         box = ConfidenceBox((0.2,), (0.4,))
-        assert arm_is_candidate(loose_water, box, 0) == lattice_candidate(
-            loose_water, box.lower, box.upper, 0, 21
+        assert arm_is_candidate(concave_water, box, 0) == lattice_candidate(
+            concave_water, box.lower, box.upper, 0, 21
         )
 
 
@@ -356,3 +364,14 @@ def test_generic_mask_matches_two_corner_test(case):
         assert direct[:, r].tolist() == [candidate_on_bounds(spec, lo, hi, i) for i in range(spec.arm_count)], r
     assert (certified_mask(box_mask, lower, upper, CERTIFY_RUN) == direct).all()
     assert (block_mask(spec, lower, upper) == direct).all()
+
+
+def test_generic_mask_solves_each_distinct_corner_once():
+    # At m = 2 arm 0's first corner (upper_0, lower_1) is arm 1's second,
+    # and the first and last boxes here are equal: 4 distinct corners of 12.
+    spec, calls = count_calls(_MASKLESS_ORACLES[0])
+    lower = np.array([[0.1, 0.2, 0.1], [0.3, 0.3, 0.3]])
+    upper = lower + 0.25
+    mask = two_corner_box_mask(partial(_maximizer_columns, spec), lower, upper)
+    assert calls[0] == 4
+    assert (mask == two_corner_box_mask(_columns(_MASKLESS_ORACLES[0]), lower, upper)).all()

@@ -13,6 +13,7 @@ from coci import (
     LinearCost,
     ParameterVector,
     PointMass,
+    PowerCost,
     QuadraticCost,
     UsageError,
     WaterSpec,
@@ -376,11 +377,12 @@ def _top_k_runs(draw):
 def _exact_runs(draw):
     """A run on an oracle without its own candidate mask: OSA allocation
     with variance estimates and the mask removed, water planning with
-    quadratic (bi-monotone) or linear (corner enumeration) costs, or top-k
-    with the mask removed or the bi-monotone flag cleared; traced or not.
-    The bi-monotone ones are checked by the generic two-corner mask."""
+    quadratic or linear (bi-monotone) or concave (corner enumeration) costs,
+    or top-k with the mask removed or the bi-monotone flag cleared; traced
+    or not. The bi-monotone ones are checked by the generic two-corner mask."""
     m = draw(st.integers(2, 3))
-    app = draw(st.sampled_from(["osa", "water-quadratic", "water-linear", "top-k-no-mask", "top-k-corners"]))
+    apps = ["osa", "water-quadratic", "water-linear", "water-concave", "top-k-no-mask", "top-k-corners"]
+    app = draw(st.sampled_from(apps))
     grid = [j / 8 for j in range(9)]
     if app == "osa":
         kind = EstimatorKind.VARIANCE
@@ -391,10 +393,14 @@ def _exact_runs(draw):
         kind = EstimatorKind.MEAN
         theta = draw(st.lists(st.sampled_from(grid), min_size=m, max_size=m))
         if app.startswith("water"):
-            quadratic = app == "water-quadratic"
-            cost = QuadraticCost(1.0) if quadratic else LinearCost(draw(st.sampled_from([0.0, 0.25])))
+            if app == "water-quadratic":
+                cost = QuadraticCost(1.0)
+            elif app == "water-linear":
+                cost = LinearCost(draw(st.sampled_from([0.0, 0.25])))
+            else:
+                cost = PowerCost(1.0, 0.5)
             oracle = make_water_oracle(WaterSpec(b=0.5 * m, caps=(1.0,) * m, costs=(cost,) * m, grid_step=0.5))
-            assert oracle.bi_monotone is quadratic
+            assert oracle.bi_monotone is (app != "water-concave")
         else:
             oracle = make_top_k_oracle(m, draw(st.integers(1, m)))
             oracle = replace(oracle, candidate_mask=None, bi_monotone=app == "top-k-no-mask")

@@ -449,9 +449,10 @@ class TestCli:
         assert "config error: --theta:" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # Linear costs make the water oracle not bi-monotone, so the
-        # flip-radius search enumerates the lattice, which over five sources
-        # exceeds the capacity limit: a runtime (not config) failure, exit 2.
+        # Concave costs over two grid steps make the water oracle not
+        # bi-monotone, so the flip-radius search enumerates the lattice, which
+        # over five sources exceeds the capacity limit: a runtime (not
+        # config) failure, exit 2.
         config = {
             "application": "water",
             "theta_star": [0.9, 0.7, 0.5, 0.3, 0.1],
@@ -459,7 +460,7 @@ class TestCli:
                 "b": 1.0,
                 "caps": [1.0] * 5,
                 "grid_step": 0.5,
-                "costs": [{"kind": "linear", "a": 0.0}] * 5,
+                "costs": [{"kind": "power", "a": 1.0, "p": 0.5}] * 5,
             },
             "delta": 0.1,
             "trials": 1,

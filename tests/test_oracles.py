@@ -22,7 +22,7 @@ from coci import (
 from coci.condition import candidate_on_bounds
 from coci.oracles import _top_k_phi
 
-from _reference import continuous_water_optimum, lattice_candidate, water_tight_on_lattice
+from _reference import continuous_water_optimum, lattice_candidate
 
 
 class TestTopK:
@@ -154,45 +154,78 @@ _THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @st.composite
-def _water_specs(draw, convex_only):
-    """Small water specs with quadratic or power costs. With
-    ``convex_only``, every cost is strictly convex over at least two grid
-    steps; otherwise power exponents below 1 (concave costs) and one-step
-    caps occur too."""
+def _water_specs(draw):
+    """Small water specs: quadratic, power (convex or concave, p < 1) or
+    linear costs, caps of one grid step or more, and any budget from 0 to
+    the total cap."""
     m = draw(st.integers(1, 3))
     step = draw(st.sampled_from([0.1, 0.25, 0.5]))
-    caps = [step * draw(st.integers(2 if convex_only else 1, round(1.0 / step))) for _ in range(m)]
-    exponents = [1.5, 2.0, 3.0] + ([] if convex_only else [0.5, 0.8])
-    costs = [
-        QuadraticCost(draw(st.sampled_from([0.5, 1.0, 2.0])))
-        if draw(st.booleans())
-        else PowerCost(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from(exponents)))
-        for _ in range(m)
-    ]
-    # Budgets in the upper half of the total cap are mostly tight.
+    caps = [step * draw(st.integers(1, round(1.0 / step))) for _ in range(m)]
+    coefficients = st.sampled_from([0.5, 1.0, 2.0])
+    cost = st.one_of(
+        st.builds(QuadraticCost, coefficients),
+        st.builds(PowerCost, coefficients, st.sampled_from([0.5, 0.8, 1.5, 2.0, 3.0])),
+        st.builds(LinearCost, st.sampled_from([0.0, 0.25, 0.5])),
+    )
+    costs = [draw(cost) for _ in range(m)]
     total = sum(round(c / step) for c in caps)
-    b = step * draw(st.integers(total // 2, total))
+    b = step * draw(st.integers(0, total))
     return WaterSpec(b=b, caps=tuple(caps), costs=tuple(costs), grid_step=step)
+
+
+# Strictly convex costs with a budget spent exactly at theta = 1:
+# configs/water.json, a tight quadratic, and the exact-tie regression spec.
+_TIGHT_CONVEX = [
+    WaterSpec(b=1.6, caps=(1.0, 1.0), costs=(QuadraticCost(),) * 2, grid_step=0.1),
+    WaterSpec(b=1.8, caps=(1.0, 1.0), costs=(QuadraticCost(),) * 2, grid_step=0.1),
+    WaterSpec(
+        b=0.8,
+        caps=(0.30000000000000004,) * 3,
+        costs=(QuadraticCost(1.0), QuadraticCost(0.5), QuadraticCost(2.0)),
+        grid_step=0.1,
+    ),
+]
+# Concave DP terms without a tight budget or strictly convex costs: a loose
+# budget, b = 0, linear costs, and concave costs capped at one grid step.
+_CONCAVE_TERMS = [
+    WaterSpec(b=0.2, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.2),
+    WaterSpec(b=0.0, caps=(1.0, 1.0), costs=(QuadraticCost(), PowerCost(1.0, 3.0)), grid_step=0.25),
+    WaterSpec(b=1.0, caps=(1.0, 1.0), costs=(LinearCost(0.0), LinearCost(0.25)), grid_step=0.5),
+    WaterSpec(b=0.5, caps=(0.5, 0.5), costs=(PowerCost(1.0, 0.5), PowerCost(2.0, 0.8)), grid_step=0.5),
+]
+# Concave costs over two or more grid steps: corner enumeration serves.
+_CONCAVE = WaterSpec(b=0.2, caps=(1.0, 1.0), costs=(PowerCost(1.0, 0.5),) * 2, grid_step=0.2)
 
 
 class TestWaterBiMonotone:
     def test_quadratic_with_tight_budget(self):
-        spec = WaterSpec(
-            b=1.8, caps=(1.0, 1.0), costs=(QuadraticCost(), QuadraticCost()), grid_step=0.1
-        )
-        assert water_bi_monotone(spec) is True
+        for spec in _TIGHT_CONVEX:
+            assert water_bi_monotone(spec) is True
+
+    @pytest.mark.parametrize("spec", _CONCAVE_TERMS, ids=["loose", "b=0", "linear", "one-step-concave"])
+    def test_concave_terms_are_declared(self, spec):
+        oracle = make_water_oracle(spec)
+        assert oracle.bi_monotone is True
+        rng = random.Random(3)
+        for _ in range(20):
+            lower, upper = zip(*(sorted((rng.random(), rng.random())) for _ in range(spec.m)))
+            for i in range(spec.m):
+                assert candidate_on_bounds(oracle, lower, upper, i) == lattice_candidate(
+                    oracle, lower, upper, i, 9
+                ), (lower, upper, i)
 
     def test_zero_cost_slack_budget(self):
-        spec = WaterSpec(
-            b=0.0, caps=(1.0, 1.0), costs=(LinearCost(0.0), LinearCost(0.0)), grid_step=0.5
-        )
-        assert water_bi_monotone(spec) is False
+        # A budget of 0 does not decide: zero costs give linear terms, which
+        # are concave; concave costs over two grid steps give convex ones.
+        zero = WaterSpec(b=0.0, caps=(1.0, 1.0), costs=(LinearCost(0.0),) * 2, grid_step=0.5)
+        assert water_bi_monotone(zero) is True
+        assert water_bi_monotone(replace(_CONCAVE, b=0.0)) is False
 
     def test_loose_budget_fails_sweep(self):
-        # Strictly convex costs but a non-binding requirement: the optimum
-        # at theta = 1 overshoots b, so the check declines.
-        spec = WaterSpec(b=0.2, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.2)
-        assert water_bi_monotone(spec) is False
+        # A non-binding requirement with concave costs: the terms are convex
+        # in u, so the check declines whatever the budget.
+        assert water_bi_monotone(_CONCAVE) is False
+        assert water_bi_monotone(replace(_CONCAVE, b=1.8)) is False
 
     def test_mixed_derivative_directions(self):
         spec = WaterSpec(
@@ -236,14 +269,10 @@ class TestWaterBiMonotone:
         assert candidate_on_bounds(oracle, lower, upper, 0) is True
         assert candidate_on_bounds(replace(oracle, bi_monotone=True), lower, upper, 0) is False
 
-    @settings(max_examples=40, deadline=None)
-    @given(spec=_water_specs(convex_only=True))
-    def test_one_point_rule_matches_lattice_sweep(self, spec):
-        assert water_bi_monotone(spec) == water_tight_on_lattice(spec)
-
-    # About one drawn spec in six is declared bi-monotone.
+    # About three drawn specs in five are declared bi-monotone, loose and
+    # zero budgets, linear costs and one-step concave caps among them.
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-    @given(spec=_water_specs(convex_only=False), seed=st.integers(0, 2**16))
+    @given(spec=_water_specs(), seed=st.integers(0, 2**16))
     def test_declared_two_corner_test_matches_lattice(self, spec, seed):
         oracle = make_water_oracle(spec)
         assume(oracle.bi_monotone)
@@ -276,11 +305,5 @@ class TestWaterBiMonotone:
         assert candidate_on_bounds(oracle, lower, upper, 2) == lattice_candidate(oracle, lower, upper, 2, 5)
 
     def test_oracle_flag_propagates(self):
-        tight = WaterSpec(
-            b=1.8, caps=(1.0, 1.0), costs=(QuadraticCost(), QuadraticCost()), grid_step=0.1
-        )
-        loose = WaterSpec(
-            b=0.2, caps=(1.0,), costs=(QuadraticCost(),), grid_step=0.2
-        )
-        assert make_water_oracle(tight).bi_monotone is True
-        assert make_water_oracle(loose).bi_monotone is False
+        assert make_water_oracle(_TIGHT_CONVEX[1]).bi_monotone is True
+        assert make_water_oracle(_CONCAVE).bi_monotone is False
