@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     UsageError,
 )
-from .estimators import EstimatorKind, clamp_box, confidence_radius, estimate
+from .estimators import EstimatorKind, confidence_radius, estimate
 from .hardness import (
     HardnessReport,
     WIDTH_TOP_K,
@@ -94,7 +94,6 @@ __all__ = [
     "audit_xi",
     "brute_force_maximizer",
     "build_instance",
-    "clamp_box",
     "compute_lambda",
     "compute_reward_gaps",
     "confidence_radius",

@@ -31,10 +31,12 @@ read-ahead samples, so they add one sample at a time; sums of squares are
 formed only for variance estimates, the one estimator that reads them.
 ``level`` is read from a per-process table of ``math.log(t)`` values,
 grown in fixed chunks as runs reach larger t (``np.log`` can differ from
-``math.log`` in the last place). Numpy's elementwise ``+ - * / sqrt minimum
-maximum`` round exactly like Python floats. Samples come from
-``BufferedArm`` read-ahead, which yields exactly the sequence of successive
-draws.
+``math.log`` in the last place). Numpy's elementwise ``+ - * / sqrt`` round
+exactly like Python floats, and ``clip`` to [0, 1] gives ``max(0.0,
+min(1.0, x))`` for every float x but NaN and -0.0, which ``est - rad`` and
+``est + rad`` never are, estimates being finite and radii positive.
+Samples come from ``BufferedArm`` read-ahead, which yields exactly the
+sequence of successive draws.
 
 A block keeps the rounds up to the first state whose real pick differs
 from the guess, or that stops, or that reaches ``max_rounds``. That state
@@ -72,7 +74,7 @@ import numpy as np
 from .condition import block_mask, candidate_on_bounds
 from .core import ConfidenceBox, ProblemInstance, integer_value
 from .errors import UsageError
-from .estimators import check_delta, estimate_from_sums
+from .estimators import check_delta, estimate_from_sums, radius_from_logs
 from .hardness import sample_complexity_bound
 from .sim import BufferedArm, arm_stream
 
@@ -212,7 +214,7 @@ def _run(
     pulls = [tau] * m
     t = tau * m
 
-    # Radii: sqrt((log(4 / (tau delta)) + 3 log t) / (2 pulls)).
+    # The constant term of every radius (see estimators.radius_from_logs).
     log_const = math.log(4.0 / (tau * delta))
     trace: list[CociState] | None = [] if record_trace else None
     t, pulls, lower, upper, xi_held, lemma_violations, converged = _run_blocks(
@@ -331,9 +333,9 @@ def _run_blocks(
         block_sums = running[at]
         block_sq = running[at + m * width] if squares else block_sums
         est = estimate_from_sums(kind, block_sums, block_sq, block_pulls)
-        rad = np.sqrt((log_const + 3.0 * _logs(t, t + size + 1)) * (0.5 / block_pulls))
-        lower = np.maximum(0.0, np.minimum(1.0, est - rad))
-        upper = np.minimum(1.0, np.maximum(0.0, est + rad))
+        rad = radius_from_logs(log_const, _logs(t, t + size + 1), block_pulls)
+        lower = np.clip(est - rad, 0.0, 1.0)
+        upper = np.clip(est + rad, 0.0, 1.0)
 
         if oracle.bi_monotone:
             mask = block_mask(oracle, lower, upper)

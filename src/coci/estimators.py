@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfidenceBox
 from .errors import DomainError, UsageError
 
 #: Sanity bound: variance estimates below this are a bug, not cancellation.
@@ -94,26 +93,26 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
 
     ``t`` is the global round index (total samples so far), ``pulls`` the
     number of samples of the arm in question. Natural logarithm; the radius
-    is strictly increasing in t and scales as 1/sqrt(pulls). Evaluated in the
-    sampler's float order, so it equals the sampler's radii bit for bit.
+    is strictly increasing in t and scales as 1/sqrt(pulls). Evaluated by
+    :func:`radius_from_logs`, as the sampler's radii are, so it equals them
+    bit for bit.
     """
     if tau not in (1, 2):
         raise UsageError(f"tau must be 1 or 2, got {tau!r}")
     check_delta(delta, tau)
     if t < tau or pulls < tau:
         raise UsageError(f"need t >= tau and pulls >= tau, got t={t}, pulls={pulls}")
-    return math.sqrt((math.log(4.0 / (tau * delta)) + 3.0 * math.log(t)) * (0.5 / pulls))
+    return float(radius_from_logs(math.log(4.0 / (tau * delta)), math.log(t), pulls))
 
 
-def clamp_box(estimates: Sequence[float], radii: Sequence[float]) -> ConfidenceBox:
-    """Build the confidence box: per-arm intervals clipped to [0, 1]."""
-    if len(estimates) != len(radii):
-        raise UsageError("estimates and radii must have equal length")
-    lower = []
-    upper = []
-    for e, r in zip(estimates, radii):
-        if r <= 0.0:
-            raise UsageError(f"radius {r!r} is not positive")
-        lower.append(max(0.0, min(1.0, e - r)))
-        upper.append(min(1.0, max(0.0, e + r)))
-    return ConfidenceBox(tuple(lower), tuple(upper))
+def radius_from_logs(
+    log_const: float, log_t: float | np.ndarray, pulls: int | np.ndarray
+) -> float | np.ndarray:
+    """The confidence radius ``sqrt((log_const + 3 log_t) * (0.5 / pulls))``
+    from ``log_const = ln(4 / (tau delta))`` and ``log_t = ln(t)``.
+
+    ``log_t`` and ``pulls`` may also be numpy arrays, as the sampler's block
+    loop passes them: the elementwise float operations are the same, so
+    each entry equals the scalar call on that entry. Unchecked; see
+    :func:`confidence_radius`."""
+    return np.sqrt((log_const + 3.0 * log_t) * (0.5 / pulls))

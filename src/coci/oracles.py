@@ -81,27 +81,26 @@ def _top_k_candidate_mask(k: int, lower: np.ndarray, upper: np.ndarray) -> np.nd
     upper bound and every other arm at its lower bound; corner b swaps the
     roles. The arm is a candidate when the two answers differ.
 
-    The counts run over every j, i included. At corner a arm i never beats
-    itself (its lower bound is at most its upper one); at corner b it does
-    exactly when its interval has width, which is subtracted.
+    One tensor serves both corners: ``beats[i, j, box]`` is "arm j at its
+    lower bound beats arm i at its upper bound", so row i counts the arms
+    that beat i at corner a. Two distinct arms never tie under the rule,
+    so "j at its upper bound beats i at its lower bound", the test at
+    corner b, is exactly ``not beats[j, i]``. Arm i never beats itself
+    (its lower bound is at most its upper one), so m - 1 minus column i's
+    count is the number of arms beating i at corner b, and i is in the top
+    k there when column i counts more than m - 1 - k.
     """
     m = lower.shape[0]
-    before = _tie_mask(m)
-    lower = np.ascontiguousarray(lower)
-    upper = np.ascontiguousarray(upper)
-    # [i, j, box]: does arm j beat arm i? Counted in the smallest unsigned
-    # type that holds m, which numpy sums far faster than bools.
+    # Counted in the smallest unsigned type that holds m, which numpy sums
+    # far faster than bools.
     count = np.min_scalar_type(m)
-    mine, theirs = upper[:, None], lower[None, :]
-    beaten = theirs > mine
-    beaten ^= (theirs == mine) & before
-    in_a = beaten.view(np.uint8).sum(axis=1, dtype=count) < k
-    mine, theirs = lower[:, None], upper[None, :]
-    beaten = theirs > mine
-    beaten ^= (theirs == mine) & before
-    beaten_b = beaten.view(np.uint8).sum(axis=1, dtype=count)
-    beaten_b -= upper > lower
-    return in_a != (beaten_b < k)
+    mine, theirs = np.ascontiguousarray(upper)[:, None], np.ascontiguousarray(lower)[None, :]
+    beats = theirs > mine
+    ties = theirs == mine  # masked in place: one temporary of the tensor's size
+    ties &= _tie_mask(m)
+    beats |= ties
+    beats = beats.view(np.uint8)
+    return (beats.sum(axis=1, dtype=count) < k) != (beats.sum(axis=0, dtype=count) > m - 1 - k)
 
 
 def make_top_k_oracle(m: int, k: int) -> OracleSpec:

@@ -182,6 +182,15 @@ def lattice_candidates(spec, box_lower, box_upper, resolution: int) -> tuple[boo
     return tuple(varied)
 
 
+def clamp_box(estimates: Sequence[float], radii: Sequence[float]) -> ConfidenceBox:
+    """The confidence box in Python floats: each interval ``[e - r, e +
+    r]`` clipped to [0, 1] as ``max(0.0, min(1.0, e - r))`` and ``min(1.0,
+    max(0.0, e + r))``, the form :func:`scalar_run` uses."""
+    lower = tuple(max(0.0, min(1.0, e - r)) for e, r in zip(estimates, radii))
+    upper = tuple(min(1.0, max(0.0, e + r)) for e, r in zip(estimates, radii))
+    return ConfidenceBox(lower, upper)
+
+
 def scalar_run(
     instance,
     delta: float,

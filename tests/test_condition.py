@@ -231,12 +231,32 @@ def test_no_candidates_means_constant_decision():
     assert checked > 10
 
 
+def _loose_stack(draw, m):
+    """A few boxes drawn like :func:`_candidate_cases` (ties, zero widths
+    and 0/1 faces), as ``(lower, upper)`` arrays of shape (m, boxes)."""
+    bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
+    pairs = [[sorted((draw(bound), draw(bound))) for _ in range(m)] for _ in range(draw(st.integers(1, 6)))]
+    return np.array(pairs).transpose(2, 1, 0)
+
+
+def _walk_stack(draw, m):
+    """A stack shaped like the sampler's: a random walk of centres with
+    shrinking radii, clipped at the 0/1 faces, over one to three certified
+    runs of ``CERTIFY_RUN`` boxes."""
+    boxes = draw(st.sampled_from([2 * CERTIFY_RUN + 5, 1, 9, CERTIFY_RUN, 3 * CERTIFY_RUN - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.0, 1e-3, 1e-2]))
+    centre = rng.random((m, 1)) + np.cumsum(rng.normal(0.0, step, (m, boxes)), axis=1)
+    radius = draw(st.sampled_from([0.02, 0.1, 0.3])) / np.sqrt(np.arange(1, boxes + 1))
+    return np.clip(centre - radius, 0.0, 1.0), np.clip(centre + radius, 0.0, 1.0)
+
+
 @st.composite
 def _stacked_boxes(draw):
     """A top-k oracle with m = 1..12 and any k (k = m included), or an OSA
     oracle with m = 1..4, group sizes 1..6 and k = m..60, and a stack of
-    boxes drawn like :func:`_candidate_cases`: ties, zero widths and 0/1
-    faces."""
+    boxes: a loose one (:func:`_loose_stack`) or, one time in three, a
+    sampler-shaped one (:func:`_walk_stack`)."""
     if draw(st.booleans()):
         m = draw(st.integers(1, 12))
         spec = make_top_k_oracle(m, draw(st.integers(1, m)))
@@ -244,25 +264,19 @@ def _stacked_boxes(draw):
         m = draw(st.integers(1, 4))
         n = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
         spec = make_osa_oracle(n, draw(st.integers(m, 60)))
-    bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
-    boxes = []
-    for _ in range(draw(st.integers(1, 6))):
-        pairs = [sorted((draw(bound), draw(bound))) for _ in range(m)]
-        boxes.append(tuple(zip(*pairs)))
-    return spec, boxes
+    lower, upper = (_walk_stack if draw(st.integers(0, 2)) == 0 else _loose_stack)(draw, m)
+    return spec, lower, upper
 
 
 @settings(max_examples=300, deadline=None)
 @given(_stacked_boxes())
 def test_candidate_mask_matches_two_corner_test(case):
-    spec, boxes = case
-    lower = np.array([lo for lo, _ in boxes]).T
-    upper = np.array([hi for _, hi in boxes]).T
+    spec, lower, upper = case
     mask = spec.candidate_mask(lower, upper)
-    assert mask.shape == (spec.arm_count, len(boxes))
-    for r, (lo, hi) in enumerate(boxes):
-        for i in range(spec.arm_count):
-            assert mask[i, r] == candidate_on_bounds(spec, lo, hi, i), (r, i)
+    assert mask.shape == lower.shape
+    for r in range(lower.shape[1]):
+        lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
+        assert mask[:, r].tolist() == [candidate_on_bounds(spec, lo, hi, i) for i in range(spec.arm_count)], r
 
 
 @pytest.mark.parametrize(
@@ -285,18 +299,24 @@ def test_candidate_mask_results_are_not_shared(spec):
     assert expected.any() and not expected.all()
 
 
-@pytest.mark.parametrize("k", [1, 200, 299])
-def test_top_k_mask_counts_past_255_arms(k):
-    # Past 255 arms a count no longer fits the smallest unsigned type.
-    m = 300
+@pytest.mark.parametrize("m, k", [(m, k) for m in (255, 256, 300) for k in (1, m - 1, m)])
+def test_top_k_mask_counts_past_255_arms(m, k):
+    # Past 255 arms a count no longer fits the smallest unsigned type; at
+    # k = m the corner-b threshold m - 1 - k is -1. Box 0 is wide, box 1
+    # ties on a quarter grid, and box 2 is disjoint, so that its row and
+    # column counts run through every value from 0 to m - 1.
     spec = make_top_k_oracle(m, k)
     rng = np.random.default_rng(11)
-    lower = 0.5 * rng.random((m, 2))
+    lower = 0.5 * rng.random((m, 3))
+    lower[:, 1] = np.floor(4.0 * lower[:, 1]) / 4.0
     upper = lower + 0.5
+    lower[:, 2] = rng.permutation(m) / m
+    upper[:, 2] = lower[:, 2] + 0.5 / m
     mask = spec.candidate_mask(lower, upper)
-    for r in range(2):
+    for r in range(3):
         lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
-        assert [bool(v) for v in mask[:, r]] == [candidate_on_bounds(spec, lo, hi, i) for i in range(m)]
+        assert mask[:, r].tolist() == [candidate_on_bounds(spec, lo, hi, i) for i in range(m)]
+    assert mask.any() == (k < m)
 
 
 def _water(m, b, step):
@@ -329,23 +349,10 @@ def test_maskless_oracles_are_bi_monotone():
 @st.composite
 def _maskless_stacks(draw):
     """A bi-monotone oracle without its own mask and a stack of boxes:
-    either a few boxes drawn like :func:`_stacked_boxes`, or a random walk
-    of centres with shrinking radii, clamped like the sampler's, over one
-    to three certified runs of ``CERTIFY_RUN`` boxes."""
+    a loose one (:func:`_loose_stack`) or, three times in four, a
+    sampler-shaped one (:func:`_walk_stack`)."""
     spec = draw(st.sampled_from(_MASKLESS_ORACLES))
-    m = spec.arm_count
-    if draw(st.integers(0, 3)) == 0:
-        bound = st.one_of(st.sampled_from(_BOUND_POOL), st.floats(0.0, 1.0))
-        pairs = [[sorted((draw(bound), draw(bound))) for _ in range(m)] for _ in range(draw(st.integers(1, 6)))]
-        lower, upper = np.array(pairs).transpose(2, 1, 0)
-        return spec, lower, upper
-    boxes = draw(st.sampled_from([2 * CERTIFY_RUN + 5, 1, 9, CERTIFY_RUN, 3 * CERTIFY_RUN - 1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    step = draw(st.sampled_from([0.0, 1e-3, 1e-2]))
-    centre = rng.random((m, 1)) + np.cumsum(rng.normal(0.0, step, (m, boxes)), axis=1)
-    radius = draw(st.sampled_from([0.02, 0.1, 0.3])) / np.sqrt(np.arange(1, boxes + 1))
-    lower = np.maximum(0.0, np.minimum(1.0, centre - radius))
-    upper = np.minimum(1.0, np.maximum(0.0, centre + radius))
+    lower, upper = (_loose_stack if draw(st.integers(0, 3)) == 0 else _walk_stack)(draw, spec.arm_count)
     return spec, lower, upper
 
 

@@ -32,7 +32,7 @@ from coci import (
 from coci import condition, engine
 from coci.engine import CociState
 
-from _reference import grid_points, scalar_run
+from _reference import clamp_box, grid_points, scalar_run
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +207,6 @@ class TestTrace:
             assert audit_xi(result.trace, best_arm_instance.true_params.values) == result.xi_held
 
     def test_radii_match_reference_formula(self, best_arm_instance):
-        from coci import clamp_box, confidence_radius
-
         result = run_coci(best_arm_instance, 0.05, seed=11, record_trace=True)
         for state in result.trace:
             for pulls_i, rad_i in zip(state.pulls, state.radii):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from coci import DomainError, EstimatorKind, UsageError, clamp_box, confidence_radius, estimate
-from coci.estimators import estimate_from_sums
+from coci import DomainError, EstimatorKind, UsageError, confidence_radius, estimate
+from coci.estimators import estimate_from_sums, radius_from_logs
+
+from _reference import clamp_box
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -96,6 +98,20 @@ class TestConfidenceRadius:
         radii = [confidence_radius(t, 3, 1, 0.2) for t in range(3, 40)]
         assert all(b > a for a, b in zip(radii, radii[1:]))
 
+    @given(
+        st.lists(st.tuples(st.integers(1, 2**40), st.integers(1, 10**7)), min_size=1, max_size=8),
+        st.sampled_from([1, 2]),
+        st.floats(1e-12, 0.999),
+    )
+    def test_array_entries_equal_scalar_calls(self, cases, tau, delta):
+        # The sampler evaluates whole blocks of radii at once; each entry
+        # must be the public scalar radius bit for bit.
+        cases = [(t + tau, p + tau) for t, p in cases]
+        log_t = np.array([math.log(t) for t, _ in cases])
+        pulls = np.array([p for _, p in cases])
+        radii = radius_from_logs(math.log(4.0 / (tau * delta)), log_t, pulls)
+        assert radii.tolist() == [confidence_radius(t, p, tau, delta) for t, p in cases]
+
     def test_preconditions(self):
         with pytest.raises(UsageError):
             confidence_radius(3, 1, 1, 0.0)
@@ -122,13 +138,17 @@ class TestClampBox:
         box = clamp_box((0.9,), (1.9,))
         assert box.lower == (0.0,) and box.upper == (1.0,)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            clamp_box((0.5, 0.5), (0.2,))
-
-    def test_radius_positive(self):
-        with pytest.raises(UsageError):
-            clamp_box((0.5,), (0.0,))
+    @given(
+        st.integers(1, 2**40),
+        st.integers(1, 2**40),
+        st.sampled_from([1, 2]),
+        st.floats(5e-308, 1.0, exclude_max=True),
+    )
+    def test_radius_positive(self, t, pulls, tau, delta):
+        # The sampler's clip gives the scalar clamp's floats because every
+        # radius it clamps with is positive.
+        assume(math.isfinite(4.0 / (tau * delta)))
+        assert confidence_radius(t + tau, pulls + tau, tau, delta) > 0.0
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
@@ -143,3 +163,8 @@ class TestClampBox:
         box = clamp_box(estimates, radii)
         for lo, hi in zip(box.lower, box.upper):
             assert 0.0 <= lo <= hi <= 1.0
+        # The sampler clamps with one clip per side; with positive radii it
+        # gives the same floats, signs of zero included.
+        est, rad = np.array(estimates), np.array(radii)
+        assert np.array(box.lower).tobytes() == np.clip(est - rad, 0.0, 1.0).tobytes()
+        assert np.array(box.upper).tobytes() == np.clip(est + rad, 0.0, 1.0).tobytes()
