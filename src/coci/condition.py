@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import ConfidenceBox, OracleSpec
 from .errors import CapacityError, UsageError
+from .estimators import radius_from_logs
 
 _CORNER_ARM_LIMIT = 20
 #: Most floats in one corner array of :func:`two_corner_box_mask`.
@@ -117,6 +118,41 @@ def certified_mask(
         open_boxes = np.repeat(open_runs, run)[:boxes]
         mask[:, open_boxes] = box_mask(lower[:, open_boxes], upper[:, open_boxes])
     return mask
+
+
+def run_bounds(table: np.ndarray, pulls: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray, log_const: float,
+               log_lo: np.ndarray, log_hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Boxes that bound the sampler's state boxes over runs of consecutive
+    states, from per-arm quantities only.
+
+    With c pulls past ``pulls[i]``, arm i has estimate ``table[i, c]`` and
+    box side [clip(e - r), clip(e + r)], r the radius at the state's
+    ``log_t``. Over run j, c stays in [``c_lo[i, j]``, ``c_hi[i, j]``] (the
+    next run starts at c_hi or one more) and ``log_t`` in [``log_lo[j]``,
+    ``log_hi[j]``], extremes over the run's states, so ``math.log`` need not
+    be monotone. The estimate then stays in [e_min, e_max], its table row's
+    extremes there, and the radius in [r_in, r_out], taken at (log_lo, c_hi)
+    and (log_hi, c_lo). IEEE ``+ - * / sqrt`` and ``clip`` are monotone in
+    each operand, so every state box of the run holds the inner box
+    [clip(e_max - r_in), clip(e_min + r_in)], which may be empty, and lies
+    in the outer box [clip(e_min - r_out), clip(e_max + r_out)]; a run of
+    one state has both equal to its box. Returns ``(lower, upper, e_min,
+    e_max, r_in)``: the inner boxes, then the outer ones, as ``(m, 2 runs)``
+    arrays, and the ``(m, runs)`` extremes and inner radii.
+    """
+    m, width = table.shape
+    # Segment j of arm i runs from c_lo[j] to the next cut, and the entry at
+    # c_hi[j] completes it; a last cut per arm stops at its own row.
+    flat = table.ravel()
+    base = np.arange(m)[:, None] * width
+    cuts = (np.concatenate((c_lo, c_hi[:, -1:]), axis=1) + base).ravel()
+    at_hi = flat[c_hi + base]
+    e_min = np.minimum(np.minimum.reduceat(flat, cuts).reshape(m, -1)[:, :-1], at_hi)
+    e_max = np.maximum(np.maximum.reduceat(flat, cuts).reshape(m, -1)[:, :-1], at_hi)
+    rad = radius_from_logs(log_const, np.append(log_lo, log_hi), pulls[:, None] + np.append(c_hi, c_lo, axis=1))
+    lower = np.clip(np.concatenate((e_max, e_min), axis=1) - rad, 0.0, 1.0)
+    upper = np.clip(np.concatenate((e_min, e_max), axis=1) + rad, 0.0, 1.0)
+    return lower, upper, e_min, e_max, rad[:, : c_lo.shape[1]]
 
 
 def two_corner_box_mask(

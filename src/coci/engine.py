@@ -22,21 +22,21 @@ The rounds step in blocks. The candidate set rarely changes (a few dozen
 times in a run of 60,000 rounds), so the next picks can be guessed: the
 fewest-pulls rule over the last candidate set, or over all arms for the
 uniform ablation. From the current state, one block guesses up to 2,048
-picks and computes every state they lead to as arrays: pull counts,
-running sums, estimates, radii, boxes, and the xi and half-flip-radius
-audits. The arrays are exact because every float operation happens in the
-order of a round-at-a-time loop. The running sums come from one sequential
-``np.cumsum`` along rows that hold each arm's current sum and then its
-read-ahead samples, so they add one sample at a time; sums of squares are
-formed only for variance estimates, the one estimator that reads them.
-``level`` is read from a per-process table of ``math.log(t)`` values,
-grown in fixed chunks as runs reach larger t (``np.log`` can differ from
-``math.log`` in the last place). Numpy's elementwise ``+ - * / sqrt`` round
-exactly like Python floats, and ``clip`` to [0, 1] gives ``max(0.0,
-min(1.0, x))`` for every float x but NaN and -0.0, which ``est - rad`` and
-``est + rad`` never are, estimates being finite and radii positive.
-Samples come from ``BufferedArm`` read-ahead, which yields exactly the
-sequence of successive draws.
+picks and computes the states they lead to as arrays. Each arm's running
+sums come from one sequential ``np.cumsum`` along a row that holds its
+current sum and then its read-ahead samples, so they add one sample at a
+time; sums of squares are formed only for variance estimates, the one
+estimator that reads them. They give a table of each arm's estimate after
+c more pulls, and a state's estimates are read from it by its pull counts.
+``level`` is read from a per-process table of ``math.log(t)`` values, grown
+in fixed chunks as runs reach larger t (``np.log`` can differ from
+``math.log`` in the last place). Every float operation happens as in a
+round-at-a-time loop, so the arrays are exact: numpy's elementwise ``+ - *
+/ sqrt`` round exactly like Python floats, and ``clip`` to [0, 1] gives
+``max(0.0, min(1.0, x))`` for every float x but NaN and -0.0, which ``est -
+rad`` and ``est + rad`` never are, estimates being finite and radii
+positive. Samples come from ``BufferedArm`` read-ahead, which yields
+exactly the sequence of successive draws.
 
 A block keeps the rounds up to the first state whose real pick differs
 from the guess, or that stops, or that reaches ``max_rounds``. That state
@@ -45,8 +45,8 @@ starts there. A block costs about the same whatever its length, so a run's
 first block is as long as a block may be; after a miss, the next one is
 twice the stretch that held, and at least 64 rounds. The picks are checked:
 
-- on a bi-monotone oracle, by the exact two-corner test of every state of
-  the block at once (:func:`coci.condition.block_mask`). A coci block ends at
+- on a bi-monotone oracle, by the exact two-corner test of the block's
+  states at once (:func:`coci.condition.block_mask`). A coci block ends at
   the first state whose fewest-pulls candidate is not the guess; a uniform
   guess is the fewest-pulls rule over all arms, the real pick by
   construction, so a uniform block ends only where it stops. The verdict
@@ -56,6 +56,15 @@ twice the stretch that held, and at least 64 rounds. The picks are checked:
   arms in a fixed order: coci in pull order up to the first candidate,
   uniform the last candidate found first and then the rest in index order.
   After a wrong coci guess the full candidate set there seeds the guesses.
+
+In a stable stretch (a full-size block after ``_STABLE_BLOCKS`` blocks kept
+whole, untraced and without the half-flip-radius audit), a bi-monotone
+block first bounds each run of ``CERTIFY_RUN`` states between an inner and
+an outer box by monotonicity (:func:`coci.condition.run_bounds`) and tests
+them in one mask call. By inclusion, that settles a uniform run where an
+arm is a candidate on its nonempty inner box, and a coci run whose
+candidates are the guessed set in every state; a settled run passes the xi
+audit by its extremes. Only open runs and the last state take state boxes.
 
 A traced run then records the kept states, each with its full candidate set
 from the exact test.
@@ -71,6 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import condition
 from .condition import block_mask, candidate_on_bounds
 from .core import ConfidenceBox, ProblemInstance, integer_value
 from .errors import UsageError
@@ -85,6 +95,8 @@ _DEFAULT_MAX_ROUNDS = 10**6
 _BLOCK_ROUNDS = 2048
 _BLOCK_ROUNDS_MIN = 64
 _BLOCK_CELLS = 1 << 20
+#: Blocks kept whole in a row before a full-size block takes the pre-pass.
+_STABLE_BLOCKS = 2
 #: Entries per chunk of the level table.
 _LOG_CHUNK = 1 << 15
 #: The level table: ``math.log(t)`` for t = 1, 2, ..., shared by every run
@@ -291,8 +303,8 @@ def _run_blocks(
     lemma_violations, converged)`` at the state where the run stops.
     When ``trace`` is a list, one :class:`CociState` per round is appended.
 
-    Block arrays are arm-major: entry ``[i, s]`` belongs to arm i in the
-    state after the block's first s guessed pulls.
+    Block arrays are arm-major: entry ``[i, s]`` is arm i after the block's
+    first s guessed pulls, or ``cols[s]`` in the per-state arrays.
     """
     m = len(pulls)
     arms = np.arange(m)[:, None]
@@ -308,17 +320,20 @@ def _run_blocks(
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = most
+    whole = 0  # blocks kept whole since the run's start or its last miss
+    may_prepass = oracle.bi_monotone and trace is None and lam is None
     last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     while True:
+        prepass = may_prepass and size == most and whole >= _STABLE_BLOCKS
         size = min(size, max_rounds - t)
         guess = _fewest_pulls_order(pulls, guess_from, size + 1)
         counts = np.zeros((m, size + 1), dtype=np.int64)
         np.cumsum(guess[:size] == arms, axis=1, out=counts[:, 1:])
-        block_pulls = pulls[:, None] + counts
         # Row i of layer 0: arm i's running sum, then its read-ahead
         # samples; layer 1, for variance estimates only, the same for
-        # squares. One cumsum along the rows adds one sample at a time.
+        # squares. One cumsum along the rows adds one sample at a time;
+        # table[i, c] is arm i's estimate after c more pulls.
         drawn = counts[:, size].tolist()
         width = 1 + max(drawn)
         rows = np.zeros((1 + squares, m, width))
@@ -328,28 +343,54 @@ def _run_blocks(
         if squares:
             np.multiply(rows[0], rows[0], out=rows[1])
             rows[1, :, 0] = sums_sq
-        running = np.cumsum(rows, axis=2).ravel()
-        at = counts + arms * width
-        block_sums = running[at]
-        block_sq = running[at + m * width] if squares else block_sums
-        est = estimate_from_sums(kind, block_sums, block_sq, block_pulls)
-        rad = radius_from_logs(log_const, _logs(t, t + size + 1), block_pulls)
-        lower = np.clip(est - rad, 0.0, 1.0)
-        upper = np.clip(est + rad, 0.0, 1.0)
+        running = np.cumsum(rows, axis=2)
+        table = estimate_from_sums(kind, running[0], running[-1], pulls[:, None] + np.arange(width))
+        logs = _logs(t, t + size + 1)
+
+        cols, mask = slice(None), None  # the states that take per-state boxes
+        if prepass:
+            starts = np.append(np.arange(0, size, condition.CERTIFY_RUN), size)  # the last state alone
+            run_lo, run_up, e_min, e_max, r_in = condition.run_bounds(
+                table, pulls, counts[:, starts], counts[:, np.append(starts[1:] - 1, size)], log_const,
+                np.minimum.reduceat(logs, starts), np.maximum.reduceat(logs, starts),
+            )
+            # Inner boxes, then outer ones; an empty inner box settles nothing.
+            settled = block_mask(oracle, run_lo, run_up)
+            inner, outer = np.split(settled & (run_lo <= run_up).all(axis=0), 2, axis=1)
+            # Uniform: no state of the run stops. Coci: every state's candidate
+            # set is guess_from, so each pick is the guess.
+            shut = inner.any(axis=0) if uniform else np.where(guess_from[:, None], inner, ~outer).all(axis=0)
+            shut &= (np.maximum(e_max - theta, theta - e_min) <= r_in).all(axis=0)
+            if shut[:-1].all():
+                # Only the last state is left, and its run's inner box is its box.
+                cols = [size]
+                est, rad, mask = e_min[:, -1:], r_in[:, -1:], outer[:, -1:]
+                lower, upper = run_lo[:, -1:], run_up[:, -1:]
+            else:
+                shut[-1] = False
+                cols = np.flatnonzero(np.repeat(~shut, np.diff(starts, append=size + 1)))
+        block_counts = counts[:, cols]
+        block_pulls = pulls[:, None] + block_counts
+        if mask is None:
+            est = table.ravel()[block_counts + arms * width]
+            rad = radius_from_logs(log_const, logs[cols], block_pulls)
+            lower = np.clip(est - rad, 0.0, 1.0)
+            upper = np.clip(est + rad, 0.0, 1.0)
 
         if oracle.bi_monotone:
-            mask = block_mask(oracle, lower, upper)
+            if mask is None:
+                mask = block_mask(oracle, lower, upper)
             stop = ~mask.any(axis=0)
-            stop[size] |= t + size >= max_rounds
+            stop[-1] |= t + size >= max_rounds
             if uniform:
                 ends = stop  # the guess is the fewest-pulls rule over all arms
             else:
                 pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
-                ends = stop | (pick != guess)
-            last = int(ends.argmax()) if ends.any() else size
-            stopped = stop[last]
+                ends = stop | (pick != guess[cols])
+            k = int(ends.argmax()) if ends.any() else len(ends) - 1
+            last, stopped = int(cols[k]) if prepass else k, stop[k]  # column k holds state last
             if not uniform:
-                guess_from = mask[:, last]
+                guess_from = mask[:, k]
         else:
             last, stopped = size, False
             for s in range(size + 1):
@@ -371,8 +412,9 @@ def _run_blocks(
                     guess_from = np.array([candidate_on_bounds(oracle, lo, up, i) for i in range(m)])
                     last = s
                     break
+            k = last
 
-        if trace is not None:
+        if trace is not None:  # every state has its column
             for s in range(1 if trace else 0, last + 1):  # a later block's state 0 is recorded
                 lo, up = tuple(lower[:, s].tolist()), tuple(upper[:, s].tolist())
                 cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
@@ -380,23 +422,27 @@ def _run_blocks(
                 x = float(rows[0, j, counts[j, s]]) if s else None
                 p, e, r = (tuple(v[:, s].tolist()) for v in (block_pulls, est, rad))
                 trace.append(CociState(t + s, p, e, r, ConfidenceBox(lo, up), cands, j, x))
-        if (np.abs(est[:, : last + 1] - theta) > rad[:, : last + 1]).any():
+        # The settled runs before the last state passed their xi bound.
+        if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
             xi_held = False
-        if lam is not None:
+        if lam is not None:  # every state has its column
             kept = guess[:last]
             violations += int(np.count_nonzero(rad[kept, np.arange(last)] < lam[kept]))
         for i in range(m):
             streams[i].advance(int(counts[i, last]))
         t += last
-        pulls, sums, sums_sq = block_pulls[:, last], block_sums[:, last], block_sq[:, last]
+        pulls = block_pulls[:, k]
+        at_last = running[:, arms[:, 0], counts[:, last]]
+        sums, sums_sq = at_last[0], at_last[-1]
         if stopped:
-            lo, up = lower[:, last].tolist(), upper[:, last].tolist()
+            lo, up = lower[:, k].tolist(), upper[:, k].tolist()
             if oracle.bi_monotone:
                 # The verdict comes from the exact test; the mask must agree.
                 converged = not any(candidate_on_bounds(oracle, lo, up, i) for i in range(m))
-                if converged == mask[:, last].any():
+                if converged == mask[:, k].any():
                     raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
             return t, pulls.tolist(), lo, up, xi_held, violations if lam is not None else None, converged
+        whole = whole + 1 if last == size else 0
         # After a miss, the next block is twice the stretch that held.
         size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
 

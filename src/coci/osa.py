@@ -18,7 +18,10 @@ exactly when y (y + 1) < a_i^2, that is for y < r_i = (sqrt(1 + 4 a_i^2)
 - 1) / 2. That is ceil(r_i) - 1 < r_i <= a_i marginals of group i, at most
 k - m over all groups, so the optimum takes all of them whatever the tie
 rule: it dominates base_i = max(1, ceil(r_i - e)). The margin e = 1e-15 (m + 8) k
-is about 9 times the float error of r_i. As r_i >= a_i - 1/2, the base
+is about 9 times the float error of r_i in any order of the sum in a_i:
+its terms are nonnegative, so each addition errs by at most half an ulp of
+the total, in numpy's order in :func:`_bases` as in the index order of the
+scalar form :func:`_base`. As r_i >= a_i - 1/2, the base
 leaves at most floor(3 m / 2) + 1 greedy steps.
 
 Marginal comparisons are exact: a single-rounding float product is used as a
@@ -136,7 +139,7 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
         if not (0.0 <= v <= 1.0):
             raise DomainError(f"parameter {i} is {v!r}, outside [0, 1]")
 
-    y = _bases(spec, np.array(theta).reshape(m, 1)).astype(np.int64)[:, 0].tolist()
+    y = _base(spec, theta)
     arms = [i for i in range(m) if theta[i] > 0.0]
 
     if not arms:
@@ -158,6 +161,18 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
                 best = i
         y[best] += 1
     return tuple(y)
+
+
+def _base(spec: OsaSpec, theta: Sequence[float]) -> list[int]:
+    """:func:`_bases` of one column in Python floats, the sum in index order."""
+    m, k = spec.m, spec.k
+    a = [math.sqrt(v) * n for v, n in zip(theta, spec.n)]
+    total = 0.0
+    for v in a:
+        total += v
+    scale = (k - m) / (total if total else 1.0)  # every a is 0 where the total is
+    cut = 1.0 + 2e-15 * (m + 8) * k
+    return [max(1, math.ceil((math.sqrt(4.0 * (v * scale) * (v * scale) + 1.0) - cut) * 0.5)) for v in a]
 
 
 def _bases(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from functools import partial
@@ -28,10 +29,12 @@ from coci.condition import (
     block_mask,
     candidate_on_bounds,
     certified_mask,
+    run_bounds,
     two_corner_box_mask,
 )
+from coci.estimators import estimate_from_sums, radius_from_logs
 
-from _reference import grid_points, lattice_candidate
+from _reference import clamp_box, grid_points, lattice_candidate
 
 
 def random_box(rng: random.Random, m: int) -> ConfidenceBox:
@@ -382,3 +385,102 @@ def test_generic_mask_solves_each_distinct_corner_once():
     mask = two_corner_box_mask(partial(_maximizer_columns, spec), lower, upper)
     assert calls[0] == 4
     assert (mask == two_corner_box_mask(_columns(_MASKLESS_ORACLES[0]), lower, upper)).all()
+
+
+@st.composite
+def _sampler_stretches(draw):
+    """A stretch of sampler states cut into runs, in Python floats: mean or
+    variance estimates from running sums, arms with 1 to 5,000 pulls (small
+    counts give radii clipped at the 0/1 faces), samples from point masses
+    at 0, 1/2 or 1, Bernoulli, quarter-grid or uniform draws, picks in
+    phases that leave some arms idle, and runs cut at random states (a
+    pull then straddles a run edge) or every ``CERTIFY_RUN`` states with
+    the last state a run of its own.
+
+    Returns the arguments of :func:`run_bounds`, each state's box and
+    (estimates, radii), and the runs as ranges of states. Each table row
+    is padded with NaN past the arm's last count, which no bound may read.
+    """
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([EstimatorKind.MEAN, EstimatorKind.VARIANCE]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = draw(st.sampled_from([1, 2, 5, 40, CERTIFY_RUN + 1, 2 * CERTIFY_RUN + 7]))
+    pulls = [int(v) for v in rng.choice([kind.tau, 3, 40, 5000], m)]
+    picks = []
+    while len(picks) < states - 1:
+        subset = np.flatnonzero(rng.random(m) < 0.5)
+        subset = subset if len(subset) else [int(rng.integers(m))]
+        picks += rng.choice(subset, int(rng.integers(1, states))).tolist()
+    picks = picks[: states - 1]
+    counts = np.zeros((m, states), dtype=np.int64)
+    for s, i in enumerate(picks):
+        counts[:, s + 1] = counts[:, s]
+        counts[i, s + 1] += 1
+    drawn = counts[:, -1].tolist()
+    width = 1 + max(drawn) + int(rng.integers(0, 3))
+    table = np.full((m, width), np.nan)
+    for i in range(m):
+        model = int(rng.integers(5))
+        n = pulls[i] + drawn[i]
+        if model == 0:
+            xs = [float(rng.choice([0.0, 0.5, 1.0]))] * n
+        elif model == 1:
+            xs = (rng.random(n) < rng.random()).astype(float).tolist()
+        elif model == 2:
+            xs = (rng.integers(0, 5, n) / 4).tolist()
+        else:
+            xs = rng.random(n).tolist()
+        total = total_sq = 0.0
+        for c, x in enumerate(xs):
+            total += x
+            total_sq += x * x
+            if c + 1 >= pulls[i]:
+                table[i, c + 1 - pulls[i]] = estimate_from_sums(kind, total, total_sq, c + 1)
+    t0 = sum(pulls)
+    log_t = np.array([math.log(t0 + s) for s in range(states)])
+    log_const = math.log(4.0 / (kind.tau * draw(st.floats(0.05, 0.6))))
+    boxes, values = [], []
+    for s in range(states):
+        est = [float(table[i, counts[i, s]]) for i in range(m)]
+        rad = [float(radius_from_logs(log_const, float(log_t[s]), pulls[i] + int(counts[i, s]))) for i in range(m)]
+        boxes.append(clamp_box(est, rad))
+        values.append((est, rad))
+    if draw(st.booleans()):
+        starts = sorted({0, *rng.integers(1, states, int(rng.integers(0, 6))).tolist()} if states > 1 else {0})
+    else:
+        starts = list(range(0, states - 1, CERTIFY_RUN)) + [states - 1]
+    starts = np.array(sorted(set(starts)))
+    ends = np.append(starts[1:], states) - 1
+    args = (
+        table, np.array(pulls), counts[:, starts], counts[:, ends], log_const,
+        np.minimum.reduceat(log_t, starts), np.maximum.reduceat(log_t, starts),
+    )
+    return args, boxes, values, [range(a, b + 1) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sampler_stretches())
+def test_run_bounds_nest_around_every_state_box(case):
+    # The inner box lies in every state box of its run and the outer box
+    # holds each of them; the estimate extremes are attained and the inner
+    # radius is at most each state's. A one-state run's boxes are its box.
+    args, boxes, values, runs = case
+    lower, upper, e_min, e_max, r_in = run_bounds(*args)
+    n = len(runs)
+    assert lower.shape == upper.shape == (len(values[0][0]), 2 * n)
+    assert not np.isnan(lower).any() and not np.isnan(upper).any()
+    for j, run in enumerate(runs):
+        inner = lower[:, j].tolist(), upper[:, j].tolist()
+        outer = lower[:, n + j].tolist(), upper[:, n + j].tolist()
+        for s in run:
+            box, (est, rad) = boxes[s], values[s]
+            for i in range(len(est)):
+                assert outer[0][i] <= box.lower[i] <= inner[0][i], (j, s, i)
+                assert inner[1][i] <= box.upper[i] <= outer[1][i], (j, s, i)
+                assert r_in[i, j] <= rad[i]
+        for i in range(len(e_min)):
+            assert e_min[i, j] == min(values[s][0][i] for s in run)
+            assert e_max[i, j] == max(values[s][0][i] for s in run)
+        if len(run) == 1:
+            box = boxes[run[0]]
+            assert inner == outer == (list(box.lower), list(box.upper))

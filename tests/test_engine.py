@@ -450,40 +450,64 @@ def _counted_mask(instance):
 # Block caps: short ones put misses at block edges, 1-round blocks and the
 # state handed to the next block within reach of short runs.
 _CAPS = st.sampled_from([1, 2, 7, 64, engine._BLOCK_ROUNDS])
-# Certified-mask run lengths: short ones put the edges of the runs that one
-# hull and intersection settle within reach of short runs.
+# Certified-mask and pre-pass run lengths: short ones put the edges of the
+# runs that one pair of boxes settles within reach of short runs.
 _RUNS = st.sampled_from([1, 3, condition.CERTIFY_RUN])
 
 
-def _patched(cap, run_length):
-    """The block cap and the certified-mask run length, patched."""
+def _patched(cap, run_length, prepass=False):
+    """The block cap and the run length, patched; with ``prepass``, every
+    block is full size and takes the pre-pass, whatever came before it."""
     stack = ExitStack()
     stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS", cap))
     stack.enter_context(mock.patch.object(condition, "CERTIFY_RUN", run_length))
+    if prepass:
+        stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS_MIN", cap))
+        stack.enter_context(mock.patch.object(engine, "_STABLE_BLOCKS", 0))
     return stack
+
+
+def _counted_prepasses():
+    """``condition.run_bounds`` wrapped to count its calls, one per block
+    that takes the pre-pass."""
+    calls = [0]
+    bounds = condition.run_bounds
+
+    def count(*args):
+        calls[0] += 1
+        return bounds(*args)
+
+    return mock.patch.object(condition, "run_bounds", count), calls
 
 
 class TestBlockLoop:
     """Every run takes the block loop; it must equal the round-at-a-time
     reference ``scalar_run`` on every ``RunResult`` field, whether its picks
     are checked by a candidate mask or by corner enumeration, traced or
-    not, and whatever the block cap and certified-mask run length."""
+    not, whatever the block cap and run length, and with the pre-pass on
+    the stable blocks only or on every block."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
-    def test_matches_scalar_loop(self, case, run, cap, run_length):
+    @given(
+        case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
+        prepass=st.booleans(),
+    )
+    def test_matches_scalar_loop(self, case, run, cap, run_length, prepass):
         instance, delta, kwargs = case
-        with _patched(cap, run_length):
+        with _patched(cap, run_length, prepass):
             fast = run(instance, delta, **kwargs)
         slow = scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
         assert repr(fast) == repr(slow)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
-    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length):
+    @given(
+        case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
+        prepass=st.booleans(),
+    )
+    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length, prepass):
         instance, delta, kwargs = case
         (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
-        with _patched(cap, run_length):
+        with _patched(cap, run_length, prepass):
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(slow, delta, uniform=run is run_uniform, **kwargs))
         # Untraced uniform corner enumeration tests arms in the reference's
@@ -493,11 +517,14 @@ class TestBlockLoop:
             assert fast_calls[0] == slow_calls[0]
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS)
-    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length):
+    @given(
+        case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
+        prepass=st.booleans(),
+    )
+    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length, prepass):
         instance, delta, kwargs = case
         fast, calls = _counted(instance)
-        with _patched(cap, run_length):
+        with _patched(cap, run_length, prepass):
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(instance, delta, uniform=run is run_uniform, **kwargs))
         # The mask checks every guessed pick. The maximizer serves only the
@@ -539,16 +566,21 @@ class TestBlockLoop:
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
         # Declared parameters off from the arms' means make the xi audit
         # fail once the radii shrink below the offset, and on and off near
-        # that point.
+        # that point: in runs the pre-pass leaves open for it, and with the
+        # pre-pass on every block, in runs of 1, 3 and 64 states.
         instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
         object.__setattr__(instance, "true_params", ParameterVector((0.6 - offset, 0.5, 0.2)))
         fails = 0
         for seed in range(4):
             for run in (run_coci, run_uniform):
-                fast = run(instance, 0.1, seed=seed, max_rounds=5000)
                 slow = scalar_run(instance, 0.1, uniform=run is run_uniform, seed=seed, max_rounds=5000)
-                assert repr(fast) == repr(slow)
-                fails += not fast.xi_held
+                fails += not slow.xi_held
+                for prepass, run_length in ((False, condition.CERTIFY_RUN), (True, 1), (True, 3), (True, 64)):
+                    counting, prepasses = _counted_prepasses()
+                    with counting, _patched(engine._BLOCK_ROUNDS, run_length, prepass):
+                        fast = run(instance, 0.1, seed=seed, max_rounds=5000)
+                    assert repr(fast) == repr(slow), run_length
+                    assert prepasses[0] > 0 or not prepass
         assert fails > 0
 
     def test_mask_disagreement_raises(self, best_arm_instance):
@@ -563,14 +595,20 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniform_blocks_start_full(self, seed):
-        # A uniform block ends only where the run stops, so a run whose
-        # blocks all take the most rounds makes one mask call per such
-        # stretch.
+        # A uniform block ends only where the run stops, so every block of
+        # the run takes the most rounds. Each makes one mask call: the
+        # per-state one for the first two, the pre-pass one for the rest,
+        # which settles every run of states but the one where the run stops
+        # and so adds one per-state call in the last block.
         instance = build_instance(make_best_arm_oracle(3), (0.6, 0.5, 0.3), EstimatorKind.MEAN)
         counting, calls = _counted_mask(instance)
-        result = run_uniform(counting, 0.05, seed=seed)
+        counting_prepasses, prepasses = _counted_prepasses()
+        with counting_prepasses:
+            result = run_uniform(counting, 0.05, seed=seed)
         assert result.converged and result.rounds > 2 * engine._BLOCK_ROUNDS
-        assert calls[0] <= (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
+        blocks = (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
+        assert prepasses[0] == blocks - engine._STABLE_BLOCKS
+        assert calls[0] == blocks + 1
 
     def test_paths_follow_the_oracle(self, best_arm_instance):
         # The mask checks every run on a bi-monotone oracle, traced or not;

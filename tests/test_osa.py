@@ -284,6 +284,18 @@ class TestBatchedSolver:
             if any(column):
                 assert spec.k - sum(base) <= 3 * spec.m // 2 + 1, column
 
+    @settings(max_examples=300, deadline=None)
+    @given(_column_cases())
+    def test_scalar_base_equals_bases(self, case):
+        # greedy_osa's scalar base and the batched one agree column by
+        # column, whether _bases sees the columns alone or stacked.
+        spec, columns = case
+        bases = _bases(spec, np.array(columns).T.reshape(spec.m, len(columns)))
+        for c, column in enumerate(columns):
+            base = osa._base(spec, column)
+            assert all(type(b) is int for b in base)
+            assert base == bases[:, c].tolist() == _bases(spec, np.array([column]).T)[:, 0].tolist(), column
+
     @settings(max_examples=400, deadline=None)
     @given(_column_cases())
     def test_matches_greedy_osa_column_by_column(self, case):
