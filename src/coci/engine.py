@@ -178,13 +178,18 @@ def _run(
     """One run of either sampler: each round pulls the fewest-pulled arm
     (candidate, for coci), ties to the lower index. That is exactly the
     largest-radius one, because all radii share the round's ``level``.
-    The rounds step in verified blocks (see the module docstring).
+    After the set-up pulls, the rounds step in verified blocks (see the
+    module docstring) until a block ends at a state that stops.
 
     ``seed`` is a nonnegative integer or a tuple or list of them.
     ``max_rounds`` defaults to ten times the round bound implied by
     ``h_lambda`` (10^6 without one). ``lambda_lower``, finite and
     nonnegative, enables the half-flip-radius pull audit; ``record_trace``
     keeps every round, with its full candidate set, and each arm's samples.
+
+    The run keeps ``pulls``, ``sums`` and ``sums_sq`` as arrays over the
+    arms. Block arrays are arm-major: entry ``[i, s]`` is arm i after the
+    block's first s guessed pulls, or ``cols[s]`` in the per-state arrays.
     """
     oracle = instance.oracle
     m = oracle.arm_count
@@ -203,117 +208,33 @@ def _run(
     if max_rounds < tau * m:
         raise UsageError(f"max_rounds={max_rounds} cannot cover initialization ({tau * m})")
 
-    lam_half = None
+    lam = None  # half of each flip radius
     if lambda_lower is not None:
         if len(lambda_lower) != m:
             raise UsageError("lambda_lower must have one entry per arm")
         if not all(0.0 <= v < math.inf for v in lambda_lower):
             raise UsageError(f"lambda_lower entries must be finite and nonnegative, got {lambda_lower!r}")
-        lam_half = [v / 2.0 for v in lambda_lower]
+        lam = np.asarray(lambda_lower, dtype=np.float64) / 2.0
 
     entries = seed if isinstance(seed, (tuple, list)) else (seed,)
     seed_key = tuple(integer_value(v, "seed", low=0) for v in entries)
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
-    theta_star = instance.true_params.values
+    theta = np.asarray(instance.true_params.values, dtype=np.float64)[:, None]
 
-    sums = [0.0] * m
-    sums_sq = [0.0] * m
+    sums, sums_sq = np.zeros(m), np.zeros(m)
     for i in range(m):
         for _ in range(tau):
             x = streams[i].next()
             sums[i] += x
             sums_sq[i] += x * x
-    pulls = [tau] * m
+    pulls = np.full(m, tau, dtype=np.int64)
     t = tau * m
 
     # The constant term of every radius (see estimators.radius_from_logs).
     log_const = math.log(4.0 / (tau * delta))
     trace: list[CociState] | None = [] if record_trace else None
-    t, pulls, lower, upper, xi_held, lemma_violations, converged = _run_blocks(
-        oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half, trace,
-        t, pulls, sums, sums_sq,
-    )
-    sample_log = None
-    if record_trace:
-        # Each arm's first pulls[i] samples, read again from a fresh stream.
-        sample_log = tuple(
-            tuple(BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)).peek(pulls[i]).tolist())
-            for i in range(m)
-        )
-    output = oracle.maximizer(tuple(lower))
-    return RunResult(
-        output=tuple(output),
-        rounds=t,
-        per_arm_pulls=tuple(pulls),
-        correct=tuple(output) == tuple(instance.optimal_decision()),
-        xi_held=xi_held,
-        converged=converged,
-        mode="uniform" if uniform else "coci",
-        seed=seed_key,
-        bound_value=bound_value,
-        bound_satisfied=(t <= bound_value) if bound_value is not None else None,
-        lemma_violations=lemma_violations,
-        final_box=ConfidenceBox(tuple(lower), tuple(upper)),
-        trace=tuple(trace) if trace is not None else None,
-        sample_log=sample_log,
-    )
-
-
-def _logs(start: int, stop: int) -> np.ndarray:
-    """``math.log(t)`` for t in ``range(start, stop)``, ``1 <= start <
-    stop``, read from the level table, which first grows by whole chunks up
-    to the one holding ``stop - 1``. The entries come from ``math.log``:
-    ``np.log`` can differ from it in the last place."""
-    lo, hi = start - 1, stop - 1  # table indices
-    while len(_LOG_TABLE) * _LOG_CHUNK < hi:
-        base = len(_LOG_TABLE) * _LOG_CHUNK + 1
-        chunk = np.fromiter(map(math.log, range(base, base + _LOG_CHUNK)), np.float64, _LOG_CHUNK)
-        chunk.flags.writeable = False
-        _LOG_TABLE.append(chunk)
-    parts = [
-        _LOG_TABLE[c][max(lo - c * _LOG_CHUNK, 0) : hi - c * _LOG_CHUNK]
-        for c in range(lo // _LOG_CHUNK, (hi - 1) // _LOG_CHUNK + 1)
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` picks of the fewest-pulls rule (ties to the lower
-    index) over the ``allowed`` arms, each pick adding one pull.
-
-    The rule visits count levels in turn: at level c it picks, in index
-    order, every allowed arm that started with at most c pulls.
-    """
-    idx = np.flatnonzero(allowed)
-    counts = pulls[idx]
-    low = counts.min()
-    # Each level picks at least one arm, and from the highest count on
-    # every allowed arm; either bound covers n picks.
-    levels = min(n, int(counts.max() - low) - (-n // len(idx)))
-    picked = counts <= low + np.arange(levels)[:, None]
-    return np.broadcast_to(idx, picked.shape)[picked][:n]
-
-
-def _run_blocks(
-    oracle, kind, streams, theta_star, log_const, max_rounds, uniform, lam_half, trace,
-    t, pulls, sums, sums_sq,
-):
-    """The rounds of :func:`_run` in verified blocks (see the module
-    docstring); returns ``(t, pulls, lower, upper, xi_held,
-    lemma_violations, converged)`` at the state where the run stops.
-    When ``trace`` is a list, one :class:`CociState` per round is appended.
-
-    Block arrays are arm-major: entry ``[i, s]`` is arm i after the block's
-    first s guessed pulls, or ``cols[s]`` in the per-state arrays.
-    """
-    m = len(pulls)
     arms = np.arange(m)[:, None]
-    theta = np.asarray(theta_star, dtype=np.float64)[:, None]
-    lam = np.asarray(lam_half, dtype=np.float64) if lam_half is not None else None
-    pulls = np.asarray(pulls, dtype=np.int64)
-    sums = np.asarray(sums, dtype=np.float64)
-    sums_sq = np.asarray(sums_sq, dtype=np.float64)
-    squares = kind.tau == 2  # only the variance estimate reads sums of squares
+    squares = tau == 2  # only the variance estimate reads sums of squares
     guess_from = np.ones(m, dtype=bool)  # all arms, or coci's last candidate set
     no_pick = np.iinfo(np.int64).max
     xi_held = True
@@ -441,10 +362,70 @@ def _run_blocks(
                 converged = not any(candidate_on_bounds(oracle, lo, up, i) for i in range(m))
                 if converged == mask[:, k].any():
                     raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
-            return t, pulls.tolist(), lo, up, xi_held, violations if lam is not None else None, converged
+            break
         whole = whole + 1 if last == size else 0
         # After a miss, the next block is twice the stretch that held.
         size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
+
+    sample_log = None
+    if record_trace:
+        # Each arm's first pulls[i] samples, read again from a fresh stream.
+        sample_log = tuple(
+            tuple(BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)).peek(p).tolist())
+            for i, p in enumerate(pulls.tolist())
+        )
+    output = tuple(oracle.maximizer(tuple(lo)))
+    return RunResult(
+        output=output,
+        rounds=t,
+        per_arm_pulls=tuple(pulls.tolist()),
+        correct=output == tuple(instance.optimal_decision()),
+        xi_held=xi_held,
+        converged=converged,
+        mode="uniform" if uniform else "coci",
+        seed=seed_key,
+        bound_value=bound_value,
+        bound_satisfied=(t <= bound_value) if bound_value is not None else None,
+        lemma_violations=violations if lam is not None else None,
+        final_box=ConfidenceBox(tuple(lo), tuple(up)),
+        trace=tuple(trace) if trace is not None else None,
+        sample_log=sample_log,
+    )
+
+
+def _logs(start: int, stop: int) -> np.ndarray:
+    """``math.log(t)`` for t in ``range(start, stop)``, ``1 <= start <
+    stop``, read from the level table, which first grows by whole chunks up
+    to the one holding ``stop - 1``. The entries come from ``math.log``:
+    ``np.log`` can differ from it in the last place."""
+    lo, hi = start - 1, stop - 1  # table indices
+    while len(_LOG_TABLE) * _LOG_CHUNK < hi:
+        base = len(_LOG_TABLE) * _LOG_CHUNK + 1
+        chunk = np.fromiter(map(math.log, range(base, base + _LOG_CHUNK)), np.float64, _LOG_CHUNK)
+        chunk.flags.writeable = False
+        _LOG_TABLE.append(chunk)
+    parts = [
+        _LOG_TABLE[c][max(lo - c * _LOG_CHUNK, 0) : hi - c * _LOG_CHUNK]
+        for c in range(lo // _LOG_CHUNK, (hi - 1) // _LOG_CHUNK + 1)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` picks of the fewest-pulls rule (ties to the lower
+    index) over the ``allowed`` arms, each pick adding one pull.
+
+    The rule visits count levels in turn: at level c it picks, in index
+    order, every allowed arm that started with at most c pulls.
+    """
+    idx = np.flatnonzero(allowed)
+    counts = pulls[idx]
+    low = counts.min()
+    # Each level picks at least one arm, and from the highest count on
+    # every allowed arm; either bound covers n picks.
+    levels = min(n, int(counts.max() - low) - (-n // len(idx)))
+    picked = counts <= low + np.arange(levels)[:, None]
+    return np.broadcast_to(idx, picked.shape)[picked][:n]
 
 
 def audit_xi(trace: Sequence[CociState], true_params: Sequence[float]) -> bool:

@@ -73,36 +73,12 @@ class HardnessReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _coordinate_ladder(center: float, epsilon: float) -> list[list[float]]:
-    """Values reachable from ``center`` keyed by generation (step count).
-
-    Generation g holds ``center - g epsilon`` and ``center + g epsilon``
-    while inside [0, 1]; the cube faces 0 and 1 enter once, at the first
-    generation whose step would cross them.
-    """
-    ladder: list[list[float]] = [[center]]
-    g = 0
-    lo_done = center == 0.0
-    hi_done = center == 1.0
-    while not (lo_done and hi_done):
-        g += 1
-        values = []
-        if not lo_done:
-            v = center - g * epsilon
-            if v > 0.0:
-                values.append(v)
-            else:
-                values.append(0.0)
-                lo_done = True
-        if not hi_done:
-            v = center + g * epsilon
-            if v < 1.0:
-                values.append(v)
-            else:
-                values.append(1.0)
-                hi_done = True
-        ladder.append(values)
-    return ladder
+def _shell(center: Sequence[float], epsilon: float, s: int) -> tuple[list[float], list[float]]:
+    """The bounds of shell s: ``center -/+ s epsilon``, clamped to the cube.
+    The lattice's coordinate values are the bounds of shells 0, 1, 2, ..."""
+    lower = [c - s * epsilon if c - s * epsilon > 0.0 else 0.0 for c in center]
+    upper = [c + s * epsilon if c + s * epsilon < 1.0 else 1.0 for c in center]
+    return lower, upper
 
 
 def compute_lambda(
@@ -112,10 +88,10 @@ def compute_lambda(
 ) -> LambdaEstimate:
     """Lower brackets of the per-arm flip radii on the epsilon-shell grid.
 
-    Shell s is the box whose bounds are the ladder's generation-s values
-    (``theta* -/+ s epsilon``, clamped to the cube). Arm i's flip shell is
-    the least s whose box holds a point where the i-th component differs
-    from the optimum's; the bracket is one step below it.
+    Shell s is the box of :func:`_shell` (``theta* -/+ s epsilon``, clamped
+    to the cube). Arm i's flip shell is the least s whose box holds a point
+    where the i-th component differs from the optimum's; the bracket is one
+    step below it.
 
     Bi-monotone oracles find it by bisection over s with the exact
     two-corner candidate test: the boxes nest, so "component i varies over
@@ -143,10 +119,7 @@ def _bisect_flip_shell(spec: OracleSpec, center, epsilon: float, i: int) -> Opti
     cube does not."""
 
     def varies(s: int) -> bool:
-        # The ladder's own float expressions, so the corners are lattice points.
-        lower = [c - s * epsilon if c - s * epsilon > 0.0 else 0.0 for c in center]
-        upper = [c + s * epsilon if c + s * epsilon < 1.0 else 1.0 for c in center]
-        return candidate_on_bounds(spec, lower, upper, i)
+        return candidate_on_bounds(spec, *_shell(center, epsilon, s), i)
 
     lo, hi = 0, math.ceil(1.0 / epsilon) + 1  # box(0) is theta*; box(hi) is the cube
     if not varies(hi):
@@ -171,11 +144,19 @@ def _lattice_flip_shells(spec: OracleSpec, center, epsilon: float) -> list[Optio
         )
 
     y_star = spec.maximizer(center)
-    ladders = [_coordinate_ladder(c, epsilon) for c in center]
-    prefixes = [list(lad[0]) for lad in ladders]
+    prefixes = [[c] for c in center]  # each coordinate's values in shell s-1
     flip_shell: list[Optional[int]] = [None] * m
-    for s in range(1, max(len(lad) for lad in ladders)):
-        news = [lad[s] if s < len(lad) else [] for lad in ladders]
+    previous = _shell(center, epsilon, 0)
+    for s in itertools.count(1):
+        lower, upper = _shell(center, epsilon, s)
+        # Each coordinate's new values: the faces that moved out from shell s-1.
+        news = [
+            [v for v, old in ((lo, lo_old), (up, up_old)) if v != old]
+            for lo, up, lo_old, up_old in zip(lower, upper, *previous)
+        ]
+        if not any(news):
+            return flip_shell  # shell s-1 is the cube
+        previous = lower, upper
         open_arms = {i for i in range(m) if flip_shell[i] is None}
         for pivot in range(m):
             if not news[pivot]:
@@ -194,7 +175,6 @@ def _lattice_flip_shells(spec: OracleSpec, center, epsilon: float) -> list[Optio
                     return flip_shell
         for prefix, new in zip(prefixes, news):
             prefix.extend(new)
-    return flip_shell
 
 
 def compute_reward_gaps(spec: OracleSpec, theta_star: Sequence[float]) -> tuple[float, ...]:

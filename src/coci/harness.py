@@ -8,9 +8,9 @@ adding trials never perturbs earlier ones, and a record's seed column alone
 reproduces its run. In ``both`` mode the adaptive and uniform samplers share
 the trial seed, hence identical per-arm sample streams (paired comparison).
 
-Result files: a records table (CSV or JSON lines) with columns
-``trial, seed, mode, rounds, correct, xi_held, bound_value, bound_satisfied,
-pulls_0..pulls_{m-1}, wall_ms`` and a separate single-object summary JSON.
+Result files: a records table (CSV or JSON lines) with one column per
+:class:`TrialRecord` field, in order, ``pulls`` spread over
+``pulls_0..pulls_{m-1}``, and a separate single-object summary JSON.
 Everything except the wall-clock column is bitwise reproducible.
 """
 
@@ -508,28 +508,17 @@ def summarize(
 # ---------------------------------------------------------------------------
 
 
-def _record_fields(m: int) -> list[str]:
-    return (
-        ["trial", "seed", "mode", "rounds", "correct", "xi_held", "bound_value", "bound_satisfied"]
-        + [f"pulls_{i}" for i in range(m)]
-        + ["wall_ms"]
-    )
-
-
-def _record_row(r: TrialRecord) -> list:
-    """A record's values in :func:`_record_fields` order."""
-    return [
-        r.trial,
-        r.seed,
-        r.mode,
-        r.rounds,
-        r.correct,
-        r.xi_held,
-        r.bound_value,
-        r.bound_satisfied,
-        *r.pulls,
-        r.wall_ms,
-    ]
+def _record_row(r: TrialRecord) -> dict:
+    """A record's row in the results table: its fields in order, with
+    ``pulls`` spread over ``pulls_0..pulls_{m-1}``."""
+    row = {}
+    for f in dataclass_fields(TrialRecord):
+        value = getattr(r, f.name)
+        if f.name == "pulls":
+            row.update((f"pulls_{i}", v) for i, v in enumerate(value))
+        else:
+            row[f.name] = value
+    return row
 
 
 def _cell(value) -> str:
@@ -553,23 +542,21 @@ def emit_results(
         raise CociError(f"unknown output format {fmt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m = len(records[0].pulls)
-    fields = _record_fields(m)
+    rows = [_record_row(r) for r in records]
     written = []
 
     if fmt == "csv":
         path = out_dir / "records.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(fields)
-            for r in records:
-                writer.writerow([_cell(v) for v in _record_row(r)])
+            writer.writerow(rows[0])
+            writer.writerows([_cell(v) for v in row.values()] for row in rows)
         written.append(path)
     else:
         path = out_dir / "records.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(json.dumps(dict(zip(fields, _record_row(r)))))
+            for row in rows:
+                fh.write(json.dumps(row))
                 fh.write("\n")
         written.append(path)
 
@@ -589,8 +576,21 @@ def _parse_bool(cell: str) -> bool | None:
     return cell == "true"
 
 
+#: The inverse of :func:`_cell` for each type of a :class:`TrialRecord` field
+#: but ``pulls``.
+_PARSE_CELL = {
+    int: int,
+    str: str,
+    float: float,
+    bool: _parse_bool,
+    Optional[bool]: _parse_bool,
+    Optional[float]: lambda cell: float(cell) if cell else None,
+}
+
+
 def parse_records_csv(path: str | Path) -> tuple[TrialRecord, ...]:
     """Inverse of the CSV emitter (round-trip safe)."""
+    hints = get_type_hints(TrialRecord)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -598,18 +598,6 @@ def parse_records_csv(path: str | Path) -> tuple[TrialRecord, ...]:
         records = []
         for row in reader:
             cells = dict(zip(header, row))
-            records.append(
-                TrialRecord(
-                    trial=int(cells["trial"]),
-                    seed=int(cells["seed"]),
-                    mode=cells["mode"],
-                    rounds=int(cells["rounds"]),
-                    correct=_parse_bool(cells["correct"]),
-                    xi_held=_parse_bool(cells["xi_held"]),
-                    bound_value=float(cells["bound_value"]) if cells["bound_value"] else None,
-                    bound_satisfied=_parse_bool(cells["bound_satisfied"]),
-                    pulls=tuple(int(cells[c]) for c in pull_cols),
-                    wall_ms=float(cells["wall_ms"]),
-                )
-            )
+            values = {name: _PARSE_CELL[hint](cells[name]) for name, hint in hints.items() if name != "pulls"}
+            records.append(TrialRecord(pulls=tuple(int(cells[c]) for c in pull_cols), **values))
     return tuple(records)

@@ -14,11 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import OracleSpec
+from .core import OracleSpec, integer_value
 from .errors import DomainError, UsageError
 
 _GRID_TOLERANCE = 1e-9
@@ -105,6 +106,7 @@ def _top_k_candidate_mask(k: int, lower: np.ndarray, upper: np.ndarray) -> np.nd
 
 def make_top_k_oracle(m: int, k: int) -> OracleSpec:
     """Top-k selection as an :class:`OracleSpec` (bi-monotone, own-direction up)."""
+    m, k = integer_value(m, "arm count m"), integer_value(k, "subset size k")
     if not (1 <= k <= m):
         raise UsageError(f"need 1 <= k <= m, got k={k}, m={m}")
     return OracleSpec(
@@ -177,6 +179,8 @@ class WaterSpec:
     grid_step: float
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.b, self.grid_step, *self.caps)):
+            raise UsageError("b, caps and grid_step must be real numbers, not bools")
         caps = tuple(float(c) for c in self.caps)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "costs", tuple(self.costs))

@@ -39,6 +39,7 @@ columns of an array, equal to :func:`greedy_osa` column by column.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -77,14 +78,6 @@ class OsaSpec:
     @property
     def m(self) -> int:
         return len(self.n)
-
-
-def marginal(spec: OsaSpec, theta: Sequence[float], i: int, level: int) -> float:
-    """Objective decrease from raising y_i from ``level`` to ``level + 1``."""
-    if level < 1:
-        raise UsageError("level must be >= 1")
-    w = spec.n[i] * spec.n[i] * theta[i]
-    return w / level - w / (level + 1)
 
 
 def _marginal_greater(
@@ -290,19 +283,12 @@ def _osa_contains(m: int, k: int, y: Sequence[float]) -> bool:
 
 
 def _enumerate_allocations(m: int, k: int):
-    """All integer allocations with y_i >= 1 and sum(y) <= k, lexicographic."""
+    """All integer allocations with y_i >= 1 and sum(y) <= k, lexicographic.
 
-    def rec(prefix: list[float], used: int, depth: int):
-        if depth == m - 1:
-            for v in range(1, k - used + 1):
-                yield tuple(prefix + [float(v)])
-            return
-        for v in range(1, k - used - (m - depth - 1) + 1):
-            prefix.append(float(v))
-            yield from rec(prefix, used + v, depth + 1)
-            prefix.pop()
-
-    yield from rec([], 0, 0)
+    Their prefix sums are the increasing m-tuples from 1..k, in the same
+    lexicographic order."""
+    for sums in itertools.combinations(range(1, k + 1), m):
+        yield tuple(float(b - a) for a, b in zip((0,) + sums, sums))
 
 
 def make_osa_oracle(n: Sequence[int], k: int) -> OracleSpec:

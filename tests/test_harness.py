@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from coci.cli import main as cli_main
 from coci.harness import (
     _SCHEMA,
     ExperimentConfig,
+    TrialRecord,
     emit_results,
     load_config,
     parse_config,
@@ -286,6 +287,21 @@ class TestEmit:
             "pulls_1",
             "wall_ms",
         }
+
+    def test_tables_share_the_record_fields(self, tmp_path):
+        # The CSV header and every JSON-lines object list TrialRecord's fields
+        # in order, pulls spread over pulls_0..pulls_{m-1}: a field added to
+        # the record reaches both tables.
+        result = run_experiment(quick_config(trials=2, mode="both"))
+        columns = []
+        for f in fields(TrialRecord):
+            columns += [f"pulls_{i}" for i in range(len(result.records[0].pulls))] if f.name == "pulls" else [f.name]
+        csv_path = emit_results(result.records, result.summary, tmp_path / "csv", "csv")[0]
+        with open(csv_path, newline="") as fh:
+            assert next(csv.reader(fh)) == columns
+        jsonl_path = emit_results(result.records, result.summary, tmp_path / "jsonl", "json-lines")[0]
+        lines = jsonl_path.read_text().splitlines()
+        assert len(lines) == 4 and all(list(json.loads(line)) == columns for line in lines)
 
     def test_summary_file_is_wall_clock_free(self, tmp_path):
         result = run_experiment(quick_config(trials=2))

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -46,6 +47,15 @@ class TestTopK:
     def test_subset_size_out_of_range(self, m, k):
         with pytest.raises(UsageError):
             make_top_k_oracle(m, k)
+
+    @pytest.mark.parametrize("m,k", [(4, True), (True, 1), (4, 1.0), (4.0, 1), (4, "1"), (np.float64(4), 1)])
+    def test_non_integer_sizes_are_rejected(self, m, k):
+        with pytest.raises(UsageError):
+            make_top_k_oracle(m, k)
+
+    def test_integer_types_are_read_exactly(self):
+        spec = make_top_k_oracle(np.int64(4), np.uint8(2))
+        assert spec.name == "top-2(m=4)" and spec.arm_count == 4 and type(spec.arm_count) is int
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_reward_matches_brute_force_on_grid(self, m):
@@ -93,6 +103,23 @@ class TestWaterMaximizer:
         for b, caps in [(nan, (1.0,)), (inf, (inf,)), (1.0, (inf,)), (0.5, (nan, 1.0))]:
             with pytest.raises(DomainError):
                 WaterSpec(b=b, caps=caps, costs=(QuadraticCost(),) * len(caps), grid_step=0.5)
+
+    @pytest.mark.parametrize(
+        "b,caps,step",
+        [
+            (True, (1.0,), 0.5),
+            (1.0, (True,), 0.5),
+            (0.5, (1.0, False), 0.5),
+            (1.0, (1.0,), True),
+            (1.0, (1.0,), np.True_),
+            ("1.0", (1.0,), 0.5),
+            (1.0, ("1.0",), 0.5),
+            (1.0, (1.0,), "0.5"),
+        ],
+    )
+    def test_bools_and_strings_are_rejected(self, b, caps, step):
+        with pytest.raises(UsageError):
+            WaterSpec(b=b, caps=caps, costs=(QuadraticCost(),) * len(caps), grid_step=step)
 
     def test_off_grid_threshold(self):
         with pytest.raises(UsageError):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
 from coci import condition, osa
 from coci.condition import CERTIFY_RUN, candidate_on_bounds, certified_mask, two_corner_box_mask
-from coci.osa import _bases, _greedy_osa_columns, _marginal_greater, make_osa_oracle, marginal
+from coci.osa import _bases, _enumerate_allocations, _greedy_osa_columns, _marginal_greater, make_osa_oracle
 
 from _reference import exact_osa_optimum, greedy_from_ones
 
@@ -81,13 +82,15 @@ class TestKnownOptima:
         assert greedy_osa(OsaSpec((4,), 7), (0.3,)) == (7,)
 
 
-class TestScratch:
-    def test_marginals_strictly_decrease(self):
-        spec = OsaSpec((2, 1), 8)
-        theta = (0.4, 0.7)
-        for i in range(2):
-            values = [marginal(spec, theta, i, level) for level in range(1, 8)]
-            assert all(b < a for a, b in zip(values, values[1:]))
+def test_enumeration_lists_every_allocation_once_in_order():
+    # Distinct valid allocations, comb(k, m) of them, are all there are.
+    for m in range(1, 5):
+        for k in range(m, 11):
+            allocations = list(_enumerate_allocations(m, k))
+            contains = make_osa_oracle((1,) * m, k).contains
+            assert allocations == sorted(set(allocations)), (m, k)
+            assert all(contains(y) for y in allocations), (m, k)
+            assert len(allocations) == math.comb(k, m), (m, k)
 
 
 class TestExactness:
