@@ -155,8 +155,7 @@ class OracleSpec:
     batch_maximizer: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.arm_count < 1:
-            raise UsageError("arm_count must be >= 1")
+        object.__setattr__(self, "arm_count", integer_value(self.arm_count, "arm_count", low=1))
 
 
 def reward(spec: OracleSpec, theta: Sequence[float], y: Sequence[float]) -> float:
@@ -257,7 +256,7 @@ class ProblemInstance:
         for i, model in enumerate(self.arm_models):
             got = model.parameter(self.estimator_kind)
             want = self.true_params[i]
-            if abs(got - want) > 1e-12:
+            if not abs(got - want) <= 1e-12:
                 raise DomainError(
                     f"arm {i}: model {self.estimator_kind.name.lower()} is {got!r}, "
                     f"declared parameter is {want!r}"

@@ -58,16 +58,15 @@ twice the stretch that held, and at least 64 rounds. The picks are checked:
   After a wrong coci guess the full candidate set there seeds the guesses.
 
 In a stable stretch (a full-size block after ``_STABLE_BLOCKS`` blocks kept
-whole, untraced and without the half-flip-radius audit), a bi-monotone
-block first bounds each run of ``CERTIFY_RUN`` states between an inner and
-an outer box by monotonicity (:func:`coci.condition.run_bounds`) and tests
-them in one mask call. By inclusion, that settles a uniform run where an
-arm is a candidate on its nonempty inner box, and a coci run whose
+whole), a bi-monotone block first bounds each run of ``CERTIFY_RUN`` states
+between an inner and an outer box (:func:`coci.condition.run_bounds`) and
+tests them in one mask call. By inclusion, that settles a uniform run where
+an arm is a candidate on its nonempty inner box, and a coci run whose
 candidates are the guessed set in every state; a settled run passes the xi
 audit by its extremes. Only open runs and the last state take state boxes.
 
-A traced run then records the kept states, each with its full candidate set
-from the exact test.
+A traced run then records the kept states, rebuilt from the block's
+estimate table, each with its full candidate set from the exact test.
 """
 
 from __future__ import annotations
@@ -242,11 +241,10 @@ def _run(
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = most
     whole = 0  # blocks kept whole since the run's start or its last miss
-    may_prepass = oracle.bi_monotone and trace is None and lam is None
     last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     while True:
-        prepass = may_prepass and size == most and whole >= _STABLE_BLOCKS
+        prepass = oracle.bi_monotone and size == most and whole >= _STABLE_BLOCKS
         size = min(size, max_rounds - t)
         guess = _fewest_pulls_order(pulls, guess_from, size + 1)
         counts = np.zeros((m, size + 1), dtype=np.int64)
@@ -284,19 +282,14 @@ def _run(
             shut &= (np.maximum(e_max - theta, theta - e_min) <= r_in).all(axis=0)
             if shut[:-1].all():
                 # Only the last state is left, and its run's inner box is its box.
-                cols = [size]
-                est, rad, mask = e_min[:, -1:], r_in[:, -1:], outer[:, -1:]
-                lower, upper = run_lo[:, -1:], run_up[:, -1:]
+                cols, mask = [size], outer[:, -1:]
+                states = pulls[:, None] + counts[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:]
             else:
                 shut[-1] = False
                 cols = np.flatnonzero(np.repeat(~shut, np.diff(starts, append=size + 1)))
-        block_counts = counts[:, cols]
-        block_pulls = pulls[:, None] + block_counts
         if mask is None:
-            est = table.ravel()[block_counts + arms * width]
-            rad = radius_from_logs(log_const, logs[cols], block_pulls)
-            lower = np.clip(est - rad, 0.0, 1.0)
-            upper = np.clip(est + rad, 0.0, 1.0)
+            states = _states(table, pulls, counts, logs, log_const, cols)
+        block_pulls, est, rad, lower, upper = states
 
         if oracle.bi_monotone:
             if mask is None:
@@ -335,20 +328,21 @@ def _run(
                     break
             k = last
 
-        if trace is not None:  # every state has its column
+        if trace is not None:
+            kept_states = _states(table, pulls, counts, logs, log_const, slice(last + 1))
             for s in range(1 if trace else 0, last + 1):  # a later block's state 0 is recorded
-                lo, up = tuple(lower[:, s].tolist()), tuple(upper[:, s].tolist())
+                p, e, r, lo, up = (tuple(v[:, s].tolist()) for v in kept_states)
                 cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
                 j = int(guess[s - 1]) if s else None  # the pull that led here
                 x = float(rows[0, j, counts[j, s]]) if s else None
-                p, e, r = (tuple(v[:, s].tolist()) for v in (block_pulls, est, rad))
                 trace.append(CociState(t + s, p, e, r, ConfidenceBox(lo, up), cands, j, x))
         # The settled runs before the last state passed their xi bound.
         if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
             xi_held = False
-        if lam is not None:  # every state has its column
+        if lam is not None:  # the radius of each kept pull's arm in the state it is pulled from
             kept = guess[:last]
-            violations += int(np.count_nonzero(rad[kept, np.arange(last)] < lam[kept]))
+            before = radius_from_logs(log_const, logs[:last], pulls[kept] + counts[kept, np.arange(last)])
+            violations += int(np.count_nonzero(before < lam[kept]))
         for i in range(m):
             streams[i].advance(int(counts[i, last]))
         t += last
@@ -391,6 +385,15 @@ def _run(
         trace=tuple(trace) if trace is not None else None,
         sample_log=sample_log,
     )
+
+
+def _states(table: np.ndarray, pulls: np.ndarray, counts: np.ndarray, logs: np.ndarray, log_const: float, cols):
+    """The pulls, estimates, radii and box sides (lower, upper) of a block's states ``cols``."""
+    at = counts[:, cols]
+    state_pulls = pulls[:, None] + at
+    est = table.ravel()[at + np.arange(len(pulls))[:, None] * table.shape[1]]
+    rad = radius_from_logs(log_const, logs[cols], state_pulls)
+    return state_pulls, est, rad, np.clip(est - rad, 0.0, 1.0), np.clip(est + rad, 0.0, 1.0)
 
 
 def _logs(start: int, stop: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import integer_value
 from .errors import DomainError, UsageError
 
 #: Sanity bound: variance estimates below this are a bug, not cancellation.
@@ -100,6 +101,7 @@ def confidence_radius(t: int, pulls: int, tau: int, delta: float) -> float:
     if tau not in (1, 2):
         raise UsageError(f"tau must be 1 or 2, got {tau!r}")
     check_delta(delta, tau)
+    t, pulls = integer_value(t, "t"), integer_value(pulls, "pulls")
     if t < tau or pulls < tau:
         raise UsageError(f"need t >= tau and pulls >= tau, got t={t}, pulls={pulls}")
     return float(radius_from_logs(math.log(4.0 / (tau * delta)), math.log(t), pulls))

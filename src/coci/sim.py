@@ -89,8 +89,8 @@ class DiscreteSupport(_Model):
             raise UsageError("values and probabilities must be nonempty and equal-length")
         if any(not (0.0 <= v <= 1.0) for v in values):
             raise DomainError("support values must lie in [0, 1]")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise DomainError("probabilities must be nonnegative and sum to 1")
+        if not (all(0.0 <= p <= 1.0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
+            raise DomainError("probabilities must be in [0, 1] and sum to 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
 
@@ -118,8 +118,8 @@ class ScaledBeta(_Model):
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("Beta shape parameters must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise DomainError(f"Beta shape parameters must be positive and finite, got ({self.a!r}, {self.b!r})")
 
     @property
     def mean(self) -> float:

@@ -1,5 +1,7 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from coci import (
@@ -11,6 +13,7 @@ from coci import (
     EstimatorKind,
     ParameterVector,
     QuadraticCost,
+    ScaledBeta,
     UsageError,
     WaterSpec,
     brute_force_maximizer,
@@ -43,6 +46,13 @@ class TestTypes:
             ConfidenceBox((-0.1,), (0.4,))
         with pytest.raises(UsageError):
             ConfidenceBox((0.1, 0.2), (0.4,))
+
+    def test_oracle_arm_count_is_an_integer(self):
+        oracle = make_best_arm_oracle(2)
+        assert type(replace(oracle, arm_count=np.int64(2)).arm_count) is int
+        for count in (2.5, True, "2", 0):
+            with pytest.raises(UsageError):
+                replace(oracle, arm_count=count)
 
 
 class TestReward:
@@ -134,6 +144,17 @@ class TestProblemInstance:
                 (0.8, 0.2),
                 EstimatorKind.MEAN,
                 models=(Bernoulli(0.8), Bernoulli(0.3)),
+            )
+
+    def test_model_parameter_must_not_be_nan(self):
+        # Shapes past half the largest float overflow their sum, so the
+        # model's variance is NaN; no declared parameter matches it.
+        with pytest.raises(DomainError):
+            build_instance(
+                make_best_arm_oracle(2),
+                (0.0, 0.25),
+                EstimatorKind.VARIANCE,
+                models=(ScaledBeta(1e308, 1e308), Bernoulli(0.5)),
             )
 
     def test_unique_optimum_check(self):

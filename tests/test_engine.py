@@ -599,16 +599,21 @@ class TestBlockLoop:
         # the run takes the most rounds. Each makes one mask call: the
         # per-state one for the first two, the pre-pass one for the rest,
         # which settles every run of states but the one where the run stops
-        # and so adds one per-state call in the last block.
+        # and so adds one per-state call in the last block. Traced and
+        # audited runs take the same blocks and calls.
         instance = build_instance(make_best_arm_oracle(3), (0.6, 0.5, 0.3), EstimatorKind.MEAN)
         counting, calls = _counted_mask(instance)
-        counting_prepasses, prepasses = _counted_prepasses()
-        with counting_prepasses:
-            result = run_uniform(counting, 0.05, seed=seed)
-        assert result.converged and result.rounds > 2 * engine._BLOCK_ROUNDS
-        blocks = (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
-        assert prepasses[0] == blocks - engine._STABLE_BLOCKS
-        assert calls[0] == blocks + 1
+        for kwargs in ({}, {"record_trace": True}, {"lambda_lower": (0.1, 0.1, 0.4)}):
+            calls[0] = 0
+            counting_prepasses, prepasses = _counted_prepasses()
+            with counting_prepasses:
+                result = run_uniform(counting, 0.05, seed=seed, **kwargs)
+            assert result.converged and result.rounds > 2 * engine._BLOCK_ROUNDS
+            blocks = (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
+            assert prepasses[0] == blocks - engine._STABLE_BLOCKS
+            assert calls[0] == blocks + 1
+            assert repr(result) == repr(scalar_run(instance, 0.05, uniform=True, seed=seed, **kwargs))
+            assert "lambda_lower" not in kwargs or result.lemma_violations > 0
 
     def test_paths_follow_the_oracle(self, best_arm_instance):
         # The mask checks every run on a bi-monotone oracle, traced or not;

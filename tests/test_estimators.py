@@ -124,6 +124,18 @@ class TestConfidenceRadius:
         with pytest.raises(UsageError):
             confidence_radius(3, 1, 3, 0.1)
 
+    def test_t_is_an_integer(self):
+        assert confidence_radius(np.int64(10), 2, 1, 0.1) == confidence_radius(10, 2, 1, 0.1)
+        for t in (10.5, True, "10"):
+            with pytest.raises(UsageError):
+                confidence_radius(t, 1, 1, 0.1)
+
+    def test_pulls_is_an_integer(self):
+        assert confidence_radius(10, np.int64(2), 1, 0.1) == confidence_radius(10, 2, 1, 0.1)
+        for pulls in (2.5, True, "2"):
+            with pytest.raises(UsageError):
+                confidence_radius(10, pulls, 1, 0.1)
+
 
 class TestClampBox:
     def test_interior(self):

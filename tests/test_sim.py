@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,19 @@ class TestModels:
             DiscreteSupport((0.2, 0.4), (0.6, 0.6))
         with pytest.raises(DomainError):
             ScaledBeta(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteSupport((0.0, 1.0), (math.nan, 1.0)),
+            lambda: ScaledBeta(math.nan, 1.0),
+            lambda: ScaledBeta(1.0, math.inf),
+        ],
+        ids=["support-nan", "beta-nan", "beta-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
 
 
 class TestVarianceInverse:
