@@ -22,12 +22,13 @@ The rounds step in blocks. The candidate set rarely changes (a few dozen
 times in a run of 60,000 rounds), so the next picks can be guessed: the
 fewest-pulls rule over the last candidate set, or over all arms for the
 uniform ablation. From the current state, one block guesses up to 2,048
-picks and computes the states they lead to as arrays. Each arm's running
-sums come from one sequential ``np.cumsum`` along a row that holds its
-current sum and then its read-ahead samples, so they add one sample at a
-time; sums of squares are formed only for variance estimates, the one
-estimator that reads them. They give a table of each arm's estimate after
-c more pulls, and a state's estimates are read from it by its pull counts.
+picks (8,192 in a stable stretch, see below) and computes the states they
+lead to as arrays. Each arm's running sums come from one sequential
+``np.cumsum`` along a row that holds its current sum and then its
+read-ahead samples, so they add one sample at a time; sums of squares are
+formed only for variance estimates, the one estimator that reads them.
+They give a table of each arm's estimate after c more pulls, and a state's
+estimates are read from it by its pull counts.
 ``level`` is read from a per-process table of ``math.log(t)`` values, grown
 in fixed chunks as runs reach larger t (``np.log`` can differ from
 ``math.log`` in the last place). Every float operation happens as in a
@@ -42,7 +43,7 @@ A block keeps the rounds up to the first state whose real pick differs
 from the guess, or that stops, or that reaches ``max_rounds``. That state
 depends only on picks already checked, so it is exact, and the next block
 starts there. A block costs about the same whatever its length, so a run's
-first block is as long as a block may be; after a miss, the next one is
+first block takes the full 2,048 rounds; after a miss, the next one is
 twice the stretch that held, and at least 64 rounds. The picks are checked:
 
 - on a bi-monotone oracle, by the exact two-corner test of the block's
@@ -57,16 +58,21 @@ twice the stretch that held, and at least 64 rounds. The picks are checked:
   uniform the last candidate found first and then the rest in index order.
   After a wrong coci guess the full candidate set there seeds the guesses.
 
-In a stable stretch (a full-size block after ``_STABLE_BLOCKS`` blocks kept
-whole), a bi-monotone block first bounds each run of ``CERTIFY_RUN`` states
-between an inner and an outer box (:func:`coci.condition.run_bounds`) and
-tests them in one mask call. By inclusion, that settles a uniform run where
-an arm is a candidate on its nonempty inner box, and a coci run whose
-candidates are the guessed set in every state; a settled run passes the xi
-audit by its extremes. Only open runs and the last state take state boxes.
+In a stable stretch (a block of at least the full size after
+``_STABLE_BLOCKS`` blocks kept whole), a bi-monotone block first bounds each
+run of ``CERTIFY_RUN`` states between an inner and an outer box
+(:func:`coci.condition.run_bounds`) and tests them in one mask call. By
+inclusion, that settles a uniform run where an arm is a candidate on its
+nonempty inner box, and a coci run whose candidates are the guessed set in
+every state; a settled run passes the xi audit by its extremes. Only open
+runs and the last state take state boxes, checked in parts of at most the
+full size up to the part where the block ends. Such a block costs mostly
+its fixed per-block work, so one kept whole is followed by one twice its
+size, up to 8,192 rounds; a miss falls back to the sizes above.
 
 A traced run then records the kept states, rebuilt from the block's
-estimate table, each with its full candidate set from the exact test.
+estimate table, each with its full candidate set: from one mask call on
+their boxes on a bi-monotone oracle, else from corner enumeration.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -88,13 +95,16 @@ from .hardness import sample_complexity_bound
 from .sim import BufferedArm, arm_stream
 
 _DEFAULT_MAX_ROUNDS = 10**6
-#: Most rounds one block of the block loop speculates (a run's first block
-#: takes that many), fewest after a missed guess, and the most entries of
-#: one (m, m, rounds) array in the top-k candidate mask.
+#: Block sizes in rounds: full size (a run's first block, and the most after
+#: a missed guess), the fewest after a missed guess, and the most in a
+#: stable stretch. Each is also capped so that m * m * rounds stays within
+#: _BLOCK_CELLS, the entries of one (m, m, boxes) array in the top-k mask.
 _BLOCK_ROUNDS = 2048
 _BLOCK_ROUNDS_MIN = 64
+_STABLE_ROUNDS = 8192
 _BLOCK_CELLS = 1 << 20
-#: Blocks kept whole in a row before a full-size block takes the pre-pass.
+#: Blocks kept whole in a row before a block of at least the full size
+#: takes the pre-pass.
 _STABLE_BLOCKS = 2
 #: Entries per chunk of the level table.
 _LOG_CHUNK = 1 << 15
@@ -239,12 +249,13 @@ def _run(
     xi_held = True
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
+    stable = max(most, min(_STABLE_ROUNDS, _BLOCK_CELLS // (m * m)))
     size = most
     whole = 0  # blocks kept whole since the run's start or its last miss
     last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     while True:
-        prepass = oracle.bi_monotone and size == most and whole >= _STABLE_BLOCKS
+        prepass = oracle.bi_monotone and size >= most and whole >= _STABLE_BLOCKS
         size = min(size, max_rounds - t)
         guess = _fewest_pulls_order(pulls, guess_from, size + 1)
         counts = np.zeros((m, size + 1), dtype=np.int64)
@@ -266,7 +277,10 @@ def _run(
         table = estimate_from_sums(kind, running[0], running[-1], pulls[:, None] + np.arange(width))
         logs = _logs(t, t + size + 1)
 
-        cols, mask = slice(None), None  # the states that take per-state boxes
+        # The states that take per-state boxes, in parts checked in turn up
+        # to the one where the block ends; ``lone`` holds the last state's
+        # values and mask when the pre-pass leaves only it.
+        parts, lone = [slice(None)], None
         if prepass:
             starts = np.append(np.arange(0, size, condition.CERTIFY_RUN), size)  # the last state alone
             run_lo, run_up, e_min, e_max, r_in = condition.run_bounds(
@@ -282,30 +296,42 @@ def _run(
             shut &= (np.maximum(e_max - theta, theta - e_min) <= r_in).all(axis=0)
             if shut[:-1].all():
                 # Only the last state is left, and its run's inner box is its box.
-                cols, mask = [size], outer[:, -1:]
-                states = pulls[:, None] + counts[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:]
+                parts = [[size]]
+                lone = (
+                    pulls[:, None] + counts[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:],
+                    outer[:, -1:],
+                )
             else:
                 shut[-1] = False
                 cols = np.flatnonzero(np.repeat(~shut, np.diff(starts, append=size + 1)))
-        if mask is None:
-            states = _states(table, pulls, counts, logs, log_const, cols)
-        block_pulls, est, rad, lower, upper = states
+                # Parts of at most a full-size block bound a grown block's state arrays.
+                parts = np.split(cols, range(most, len(cols), most))
 
         if oracle.bi_monotone:
-            if mask is None:
-                mask = block_mask(oracle, lower, upper)
-            stop = ~mask.any(axis=0)
-            stop[-1] |= t + size >= max_rounds
-            if uniform:
-                ends = stop  # the guess is the fewest-pulls rule over all arms
-            else:
-                pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
-                ends = stop | (pick != guess[cols])
-            k = int(ends.argmax()) if ends.any() else len(ends) - 1
+            for cols in parts:
+                if lone is None:
+                    block_pulls, est, rad, lower, upper = _states(table, pulls, counts, logs, log_const, cols)
+                    mask = block_mask(oracle, lower, upper)
+                else:
+                    block_pulls, est, rad, lower, upper, mask = lone
+                stop = ~mask.any(axis=0)
+                stop[-1] |= cols is parts[-1] and t + size >= max_rounds  # the last part ends at state size
+                if uniform:
+                    ends = stop  # the guess is the fewest-pulls rule over all arms
+                else:
+                    pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
+                    ends = stop | (pick != guess[cols])
+                k = int(ends.argmax()) if ends.any() else len(ends) - 1
+                if ends[k] or cols is parts[-1]:
+                    break
+                # The block runs on past this part, so every state of it is kept.
+                if (np.abs(est - theta) > rad).any():
+                    xi_held = False
             last, stopped = int(cols[k]) if prepass else k, stop[k]  # column k holds state last
             if not uniform:
                 guess_from = mask[:, k]
         else:
+            block_pulls, est, rad, lower, upper = _states(table, pulls, counts, logs, log_const, slice(None))
             last, stopped = size, False
             for s in range(size + 1):
                 at_cap = t + s >= max_rounds
@@ -327,18 +353,23 @@ def _run(
                     last = s
                     break
             k = last
-
-        if trace is not None:
-            kept_states = _states(table, pulls, counts, logs, log_const, slice(last + 1))
-            for s in range(1 if trace else 0, last + 1):  # a later block's state 0 is recorded
-                p, e, r, lo, up = (tuple(v[:, s].tolist()) for v in kept_states)
-                cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
-                j = int(guess[s - 1]) if s else None  # the pull that led here
-                x = float(rows[0, j, counts[j, s]]) if s else None
-                trace.append(CociState(t + s, p, e, r, ConfidenceBox(lo, up), cands, j, x))
         # The settled runs before the last state passed their xi bound.
         if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
             xi_held = False
+
+        if trace is not None:
+            first = 1 if trace else 0  # a later block's state 0 is recorded
+            kept_states = _states(table, pulls, counts, logs, log_const, slice(first, last + 1))
+            if oracle.bi_monotone:  # one mask call gives every kept state's candidate set
+                sets = block_mask(oracle, *kept_states[3:]).T.tolist()
+            for s, (p, e, r, lo, up) in enumerate(zip(*(v.T.tolist() for v in kept_states)), first):
+                if oracle.bi_monotone:
+                    cands = tuple(compress(range(m), sets[s - first]))
+                else:
+                    cands = tuple(i for i in range(m) if candidate_on_bounds(oracle, lo, up, i))
+                j = int(guess[s - 1]) if s else None  # the pull that led here
+                x = float(rows[0, j, counts[j, s]]) if s else None
+                trace.append(CociState(t + s, tuple(p), tuple(e), tuple(r), ConfidenceBox(lo, up), cands, j, x))
         if lam is not None:  # the radius of each kept pull's arm in the state it is pulled from
             kept = guess[:last]
             before = radius_from_logs(log_const, logs[:last], pulls[kept] + counts[kept, np.arange(last)])
@@ -357,9 +388,10 @@ def _run(
                 if converged == mask[:, k].any():
                     raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
             break
+        # A pre-passed block kept whole doubles, up to the stable cap; after
+        # a miss, the next block is twice the stretch that held.
         whole = whole + 1 if last == size else 0
-        # After a miss, the next block is twice the stretch that held.
-        size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
+        size = min(stable, 2 * size) if prepass and last == size else min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
 
     sample_log = None
     if record_trace:

@@ -453,13 +453,21 @@ _CAPS = st.sampled_from([1, 2, 7, 64, engine._BLOCK_ROUNDS])
 # Certified-mask and pre-pass run lengths: short ones put the edges of the
 # runs that one pair of boxes settles within reach of short runs.
 _RUNS = st.sampled_from([1, 3, condition.CERTIFY_RUN])
+# Stable caps as multiples of the block cap: 1 never grows a block, 3 stops
+# a doubling short of twice the block before, 4 is the shipped ratio. Short
+# caps put grown blocks, and open runs in them, within reach of short runs.
+_GROWTH = st.sampled_from([1, 3, engine._STABLE_ROUNDS // engine._BLOCK_ROUNDS])
 
 
-def _patched(cap, run_length, prepass=False):
-    """The block cap and the run length, patched; with ``prepass``, every
-    block is full size and takes the pre-pass, whatever came before it."""
+def _patched(cap, run_length, prepass=False, growth=None):
+    """The block cap, the stable cap (``growth`` times the block cap, or
+    the shipped one) and the run length, patched; with ``prepass``, every
+    block of at least the block cap takes the pre-pass, whatever came
+    before it, and none is smaller."""
     stack = ExitStack()
     stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS", cap))
+    if growth is not None:
+        stack.enter_context(mock.patch.object(engine, "_STABLE_ROUNDS", growth * cap))
     stack.enter_context(mock.patch.object(condition, "CERTIFY_RUN", run_length))
     if prepass:
         stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS_MIN", cap))
@@ -467,17 +475,43 @@ def _patched(cap, run_length, prepass=False):
     return stack
 
 
-def _counted_prepasses():
-    """``condition.run_bounds`` wrapped to count its calls, one per block
-    that takes the pre-pass."""
-    calls = [0]
-    bounds = condition.run_bounds
+def _logged_blocks():
+    """Patches that log every block as a dict: its size (from its one guess
+    call), whether it took the pre-pass, and the box count of each of its
+    ``block_mask`` calls but the pre-pass one; a trace's call included."""
+    blocks = []
+    guesses, bounds, mask = engine._fewest_pulls_order, condition.run_bounds, engine.block_mask
 
-    def count(*args):
-        calls[0] += 1
+    def guess(pulls, allowed, n):
+        blocks.append({"size": n - 1, "prepass": False, "boxes": []})
+        return guesses(pulls, allowed, n)
+
+    def prepass(*args):
+        blocks[-1]["prepass"] = True
+        blocks[-1]["boxes"].append(None)  # the pre-pass call comes next
         return bounds(*args)
 
-    return mock.patch.object(condition, "run_bounds", count), calls
+    def per_state(oracle, lower, upper):
+        boxes = blocks[-1]["boxes"]
+        if boxes and boxes[-1] is None:
+            boxes.pop()
+        else:
+            boxes.append(lower.shape[1])
+        return mask(oracle, lower, upper)
+
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(engine, "_fewest_pulls_order", guess))
+    stack.enter_context(mock.patch.object(condition, "run_bounds", prepass))
+    stack.enter_context(mock.patch.object(engine, "block_mask", per_state))
+    return stack, blocks
+
+
+def _check_parts(blocks, most):
+    """An untraced run's per-state mask calls: one of the block's states,
+    at most ``most + 1``, or after a pre-pass parts of at most ``most``."""
+    for block in blocks:
+        assert all(n <= (most if block["prepass"] else most + 1) for n in block["boxes"]), block
+        assert block["prepass"] or len(block["boxes"]) == 1
 
 
 class TestBlockLoop:
@@ -490,24 +524,26 @@ class TestBlockLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(),
+        prepass=st.booleans(), growth=_GROWTH,
     )
-    def test_matches_scalar_loop(self, case, run, cap, run_length, prepass):
+    def test_matches_scalar_loop(self, case, run, cap, run_length, prepass, growth):
         instance, delta, kwargs = case
-        with _patched(cap, run_length, prepass):
+        logging, blocks = _logged_blocks()
+        with _patched(cap, run_length, prepass, growth), logging:
             fast = run(instance, delta, **kwargs)
         slow = scalar_run(instance, delta, uniform=run is run_uniform, **kwargs)
         assert repr(fast) == repr(slow)
+        _check_parts(blocks, cap)
 
     @settings(max_examples=60, deadline=None)
     @given(
         case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(),
+        prepass=st.booleans(), growth=_GROWTH,
     )
-    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length, prepass):
+    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length, prepass, growth):
         instance, delta, kwargs = case
         (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
-        with _patched(cap, run_length, prepass):
+        with _patched(cap, run_length, prepass, growth):
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(slow, delta, uniform=run is run_uniform, **kwargs))
         # Untraced uniform corner enumeration tests arms in the reference's
@@ -519,14 +555,16 @@ class TestBlockLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(),
+        prepass=st.booleans(), growth=_GROWTH,
     )
-    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length, prepass):
+    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length, prepass, growth):
         instance, delta, kwargs = case
         fast, calls = _counted(instance)
-        with _patched(cap, run_length, prepass):
+        logging, blocks = _logged_blocks()
+        with _patched(cap, run_length, prepass, growth), logging:
             fast_run = run(fast, delta, **kwargs)
         assert repr(fast_run) == repr(scalar_run(instance, delta, uniform=run is run_uniform, **kwargs))
+        _check_parts(blocks, cap)
         # The mask checks every guessed pick. The maximizer serves only the
         # exact test at the stopping state (2m calls at most), the output
         # and the true optimum.
@@ -558,30 +596,43 @@ class TestBlockLoop:
     )
     def test_matches_scalar_loop_on_long_runs(self, theta, kind, run):
         instance = build_instance(make_best_arm_oracle(len(theta)), theta, kind)
-        fast = run(instance, 0.1, seed=20240605)
+        logging, blocks = _logged_blocks()
+        with logging:
+            fast = run(instance, 0.1, seed=20240605)
         assert fast.rounds > 20_000
         assert repr(fast) == repr(scalar_run(instance, 0.1, uniform=run is run_uniform, seed=20240605))
+        # Stable stretches grow past the full size, and a grown block's
+        # open states are checked in parts of at most the full size.
+        assert max(block["size"] for block in blocks) > engine._BLOCK_ROUNDS
+        _check_parts(blocks, engine._BLOCK_ROUNDS)
 
     @pytest.mark.parametrize("offset", [0.08, 0.1])
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
         # Declared parameters off from the arms' means make the xi audit
         # fail once the radii shrink below the offset, and on and off near
-        # that point: in runs the pre-pass leaves open for it, and with the
-        # pre-pass on every block, in runs of 1, 3 and 64 states.
+        # that point: in runs the pre-pass leaves open for it, with the
+        # pre-pass on every block, in runs of 1, 3 and 64 states, and with
+        # 64-round blocks that grow and check their open states in parts.
         instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
         object.__setattr__(instance, "true_params", ParameterVector((0.6 - offset, 0.5, 0.2)))
-        fails = 0
+        fails = parted = 0
+        full = engine._BLOCK_ROUNDS
         for seed in range(4):
             for run in (run_coci, run_uniform):
                 slow = scalar_run(instance, 0.1, uniform=run is run_uniform, seed=seed, max_rounds=5000)
                 fails += not slow.xi_held
-                for prepass, run_length in ((False, condition.CERTIFY_RUN), (True, 1), (True, 3), (True, 64)):
-                    counting, prepasses = _counted_prepasses()
-                    with counting, _patched(engine._BLOCK_ROUNDS, run_length, prepass):
+                for prepass, run_length, cap in (
+                    (False, condition.CERTIFY_RUN, full), (True, 1, full), (True, 3, full), (True, 64, full),
+                    (False, 3, 64),
+                ):
+                    logging, blocks = _logged_blocks()
+                    with logging, _patched(cap, run_length, prepass, engine._STABLE_ROUNDS // full):
                         fast = run(instance, 0.1, seed=seed, max_rounds=5000)
-                    assert repr(fast) == repr(slow), run_length
-                    assert prepasses[0] > 0 or not prepass
-        assert fails > 0
+                    assert repr(fast) == repr(slow), (run_length, cap)
+                    assert any(block["prepass"] for block in blocks) or not prepass
+                    _check_parts(blocks, cap)
+                    parted += not slow.xi_held and any(len(block["boxes"]) > 1 for block in blocks)
+        assert fails > 0 and parted > 0
 
     def test_mask_disagreement_raises(self, best_arm_instance):
         # A mask that never finds a candidate stops the block loop at once;
@@ -595,23 +646,29 @@ class TestBlockLoop:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniform_blocks_start_full(self, seed):
-        # A uniform block ends only where the run stops, so every block of
-        # the run takes the most rounds. Each makes one mask call: the
-        # per-state one for the first two, the pre-pass one for the rest,
-        # which settles every run of states but the one where the run stops
-        # and so adds one per-state call in the last block. Traced and
-        # audited runs take the same blocks and calls.
+        # A uniform block ends only where the run stops, so no block misses.
+        # The first two take the full size and one per-state mask call each.
+        # From the third on, each takes the pre-pass with one mask call, and
+        # the next doubles it up to the stable cap: 2,048, 2,048, 2,048,
+        # 4,096, 8,192, 8,192, ... rounds, the last block holding the stop.
+        # The pre-pass settles every run of states but the one where the run
+        # stops, which adds one per-state call in the last block. A traced
+        # run adds one call per block for its kept states' candidate sets.
+        # Traced and audited runs take the same blocks as the plain run.
+        full, stable = engine._BLOCK_ROUNDS, engine._STABLE_ROUNDS
         instance = build_instance(make_best_arm_oracle(3), (0.6, 0.5, 0.3), EstimatorKind.MEAN)
         counting, calls = _counted_mask(instance)
         for kwargs in ({}, {"record_trace": True}, {"lambda_lower": (0.1, 0.1, 0.4)}):
             calls[0] = 0
-            counting_prepasses, prepasses = _counted_prepasses()
-            with counting_prepasses:
+            logging, blocks = _logged_blocks()
+            with logging:
                 result = run_uniform(counting, 0.05, seed=seed, **kwargs)
-            assert result.converged and result.rounds > 2 * engine._BLOCK_ROUNDS
-            blocks = (result.rounds - 3) // engine._BLOCK_ROUNDS + 1
-            assert prepasses[0] == blocks - engine._STABLE_BLOCKS
-            assert calls[0] == blocks + 1
+            assert result.converged and result.rounds - 3 > 5 * full  # past the first block of the stable cap
+            sizes = [full, full, full, 2 * full] + [stable] * ((result.rounds - 3 - 5 * full) // stable + 1)
+            assert sum(sizes[:-1]) < result.rounds - 3 <= sum(sizes)
+            assert [block["size"] for block in blocks] == sizes
+            assert [block["prepass"] for block in blocks] == [False, False] + [True] * (len(sizes) - 2)
+            assert calls[0] == len(sizes) + 1 + ("record_trace" in kwargs) * len(sizes)
             assert repr(result) == repr(scalar_run(instance, 0.05, uniform=True, seed=seed, **kwargs))
             assert "lambda_lower" not in kwargs or result.lemma_violations > 0
 
