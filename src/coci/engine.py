@@ -23,10 +23,14 @@ times in a run of 60,000 rounds), so the next picks can be guessed: the
 fewest-pulls rule over the last candidate set, or over all arms for the
 uniform ablation. From the current state, one block guesses up to 2,048
 picks (8,192 in a stable stretch, see below) and computes the states they
-lead to as arrays. Each arm's running sums come from one sequential
-``np.cumsum`` along a row that holds its current sum and then its
-read-ahead samples, so they add one sample at a time; sums of squares are
-formed only for variance estimates, the one estimator that reads them.
+lead to as arrays, only those it reads. It builds no pick sequence: the
+rule visits pull-count levels in turn, so each arm's count after any
+number of picks, and the pick that follows, come from the levels at
+which the allowed arms join it (:func:`_pick_counts`). Each arm's running
+sums come from one sequential ``np.cumsum`` along a row that holds its
+current sum and then its read-ahead samples, so they add one sample at a
+time; sums of squares are formed only for variance estimates, the one
+estimator that reads them.
 They give a table of each arm's estimate after c more pulls, and a state's
 estimates are read from it by its pull counts.
 ``level`` is read from a per-process table of ``math.log(t)`` values, grown
@@ -66,9 +70,11 @@ inclusion, that settles a uniform run where an arm is a candidate on its
 nonempty inner box, and a coci run whose candidates are the guessed set in
 every state; a settled run passes the xi audit by its extremes. Only open
 runs and the last state take state boxes, checked in parts of at most the
-full size up to the part where the block ends. Such a block costs mostly
-its fixed per-block work, so one kept whole is followed by one twice its
-size, up to 8,192 rounds; a miss falls back to the sizes above.
+full size up to the part where the block ends. So such a block reads
+pull counts only at its run cuts, its open states, its last state and
+the states a trace writes. It costs mostly its fixed per-block work, so
+one kept whole is followed by one twice its size, up to 8,192 rounds; a
+miss falls back to the sizes above.
 
 A traced run then appends the kept states to its trace file as JSON
 lines, from the block's estimate table, in parts of at most a full block
@@ -231,7 +237,7 @@ def _run(
 
     # The constant term of every radius (see estimators.radius_from_logs).
     log_const = math.log(4.0 / (tau * delta))
-    arms = np.arange(m)[:, None]
+    arms = np.arange(m)
     squares = tau == 2  # only the variance estimate reads sums of squares
     guess_from = np.ones(m, dtype=bool)  # all arms, or coci's last candidate set
     no_pick = np.iinfo(np.int64).max
@@ -249,14 +255,23 @@ def _run(
         while True:
             prepass = oracle.bi_monotone and size >= most and whole >= _STABLE_BLOCKS
             size = min(size, max_rounds - t)
-            guess = _fewest_pulls_order(pulls, guess_from, size + 1)
-            counts = np.zeros((m, size + 1), dtype=np.int64)
-            np.cumsum(guess[:size] == arms, axis=1, out=counts[:, 1:])
+            logs = _logs(t, t + size + 1)
+            allowed = guess_from
+            # Pull counts, and the guess from each state, are read only where
+            # they are needed: first at every state, or at a pre-passed
+            # block's run cuts (each run's first and last state, then the
+            # last state alone); then at the states that its runs leave open
+            # and those a trace writes.
+            read = np.arange(size + 1)
+            if prepass:
+                starts = np.append(np.arange(0, size, condition.CERTIFY_RUN), size)
+                read = np.append(starts, np.append(starts[1:] - 1, size))
+            at, guessed = _pick_counts(pulls, allowed, read)
+            drawn = at[:, -1].tolist()
             # Row i of layer 0: arm i's running sum, then its read-ahead
             # samples; layer 1, for variance estimates only, the same for
             # squares. One cumsum along the rows adds one sample at a time;
             # table[i, c] is arm i's estimate after c more pulls.
-            drawn = counts[:, size].tolist()
             width = 1 + max(drawn)
             rows = np.zeros((1 + squares, m, width))
             rows[0, :, 0] = sums
@@ -267,30 +282,28 @@ def _run(
                 rows[1, :, 0] = sums_sq
             running = np.cumsum(rows, axis=2)
             table = estimate_from_sums(kind, running[0], running[-1], pulls[:, None] + np.arange(width))
-            logs = _logs(t, t + size + 1)
 
             # The states that take per-state boxes, in parts checked in turn up
             # to the one where the block ends; ``lone`` holds the last state's
             # values and mask when the pre-pass leaves only it.
-            parts, lone = [slice(None)], None
+            parts, lone = [read], None
             if prepass:
-                starts = np.append(np.arange(0, size, condition.CERTIFY_RUN), size)  # the last state alone
                 run_lo, run_up, e_min, e_max, r_in = condition.run_bounds(
-                    table, pulls, counts[:, starts], counts[:, np.append(starts[1:] - 1, size)], log_const,
-                    np.minimum.reduceat(logs, starts), np.maximum.reduceat(logs, starts),
+                    table, pulls, *np.split(at, 2, axis=1), log_const, np.minimum.reduceat(logs, starts),
+                    np.maximum.reduceat(logs, starts),
                 )
                 # Inner boxes, then outer ones; an empty inner box settles nothing.
                 settled = block_mask(oracle, run_lo, run_up)
                 inner, outer = np.split(settled & (run_lo <= run_up).all(axis=0), 2, axis=1)
                 # Uniform: no state of the run stops. Coci: every state's candidate
-                # set is guess_from, so each pick is the guess.
-                shut = inner.any(axis=0) if uniform else np.where(guess_from[:, None], inner, ~outer).all(axis=0)
+                # set is the allowed one, so each pick is the guess.
+                shut = inner.any(axis=0) if uniform else np.where(allowed[:, None], inner, ~outer).all(axis=0)
                 shut &= (np.maximum(e_max - theta, theta - e_min) <= r_in).all(axis=0)
                 if shut[:-1].all():
                     # Only the last state is left, and its run's inner box is its box.
-                    parts = [[size]]
+                    parts, guessed = [read[-1:]], guessed[-1:]
                     lone = (
-                        pulls[:, None] + counts[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:],
+                        pulls[:, None] + at[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:],
                         outer[:, -1:],
                     )
                 else:
@@ -302,7 +315,9 @@ def _run(
             if oracle.bi_monotone:
                 for cols in parts:
                     if lone is None:
-                        block_pulls, est, rad, lower, upper = _states(table, pulls, counts, logs, log_const, cols)
+                        if cols is not read:
+                            at, guessed = _pick_counts(pulls, allowed, cols)
+                        block_pulls, est, rad, lower, upper = _states(table, pulls, at, logs[cols], log_const)
                         mask = block_mask(oracle, lower, upper)
                     else:
                         block_pulls, est, rad, lower, upper, mask = lone
@@ -311,19 +326,18 @@ def _run(
                     if uniform:
                         ends = stop  # the guess is the fewest-pulls rule over all arms
                     else:
-                        pick = np.where(mask, block_pulls, no_pick).argmin(axis=0)
-                        ends = stop | (pick != guess[cols])
+                        ends = stop | (np.where(mask, block_pulls, no_pick).argmin(axis=0) != guessed)
                     k = int(ends.argmax()) if ends.any() else len(ends) - 1
                     if ends[k] or cols is parts[-1]:
                         break
                     # The block runs on past this part, so every state of it is kept.
                     if (np.abs(est - theta) > rad).any():
                         xi_held = False
-                last, stopped = int(cols[k]) if prepass else k, stop[k]  # column k holds state last
+                last, stopped = int(cols[k]), stop[k]  # column k holds state last
                 if not uniform:
                     guess_from = mask[:, k]
             else:
-                block_pulls, est, rad, lower, upper = _states(table, pulls, counts, logs, log_const, slice(None))
+                block_pulls, est, rad, lower, upper = _states(table, pulls, at, logs, log_const)
                 last, stopped = size, False
                 for s in range(size + 1):
                     at_cap = t + s >= max_rounds
@@ -339,7 +353,7 @@ def _run(
                         last, stopped, converged = s, True, chosen < 0
                         break
                     last_candidate = chosen
-                    if not uniform and chosen != guess[s]:
+                    if not uniform and chosen != guessed[s]:
                         # Guess on from the full candidate set here.
                         guess_from = np.array([candidate_on_bounds(oracle, lo, up, i) for i in range(m)])
                         last = s
@@ -355,7 +369,8 @@ def _run(
                 # and its last state, each written at once.
                 for start in range(first, last + 1, most + 1):
                     cols = np.arange(start, min(start + most + 1, last + 1))
-                    values = _states(table, pulls, counts, logs, log_const, cols)
+                    at = _pick_counts(pulls, allowed, cols)[0]
+                    values = _states(table, pulls, at, logs[cols], log_const)
                     if oracle.bi_monotone:  # one mask call gives the part's candidate sets
                         sets = block_mask(oracle, *values[3:]).T.tolist()
                     else:
@@ -363,8 +378,9 @@ def _run(
                             [candidate_on_bounds(oracle, lo, up, i) for i in range(m)]
                             for lo, up in zip(values[3].T.tolist(), values[4].T.tolist())
                         ]
-                    picks = guess[cols - 1]  # the pull that led to each state, but the run's first
-                    seen = rows[0, picks, counts[picks, cols]]
+                    # The pull that led to each state, but the run's first.
+                    picks = _next_picks(pulls, allowed, np.maximum(cols - 1, 0))[0]
+                    seen = rows[0, picks, at[picks, np.arange(len(cols))]]
                     states = zip(cols.tolist(), picks.tolist(), seen.tolist(), *(v.T.tolist() for v in values), sets)
                     lines = (
                         (t + s, j if s else "null", x if s else "null", p, e, r, lo, up, list(compress(range(m), c)))
@@ -373,14 +389,15 @@ def _run(
                     trace.write("".join(_TRACE_LINE % line for line in lines))
                 first = 1
             if lam is not None:  # the radius of each kept pull's arm in the state it is pulled from
-                kept = guess[:last]
-                before = radius_from_logs(log_const, logs[:last], pulls[kept] + counts[kept, np.arange(last)])
+                kept, n = _next_picks(pulls, allowed, np.arange(last))
+                before = radius_from_logs(log_const, logs[:last], n)
                 violations += int(np.count_nonzero(before < lam[kept]))
+            taken = block_pulls[:, k] - pulls  # each arm's pulls in the kept rounds
             for i in range(m):
-                streams[i].advance(int(counts[i, last]))
+                streams[i].advance(int(taken[i]))
             t += last
             pulls = block_pulls[:, k]
-            at_last = running[:, arms[:, 0], counts[:, last]]
+            at_last = running[:, arms, taken]
             sums, sums_sq = at_last[0], at_last[-1]
             if stopped:
                 lo, up = lower[:, k].tolist(), upper[:, k].tolist()
@@ -415,12 +432,12 @@ def _run(
     )
 
 
-def _states(table: np.ndarray, pulls: np.ndarray, counts: np.ndarray, logs: np.ndarray, log_const: float, cols):
-    """The pulls, estimates, radii and box sides (lower, upper) of a block's states ``cols``."""
-    at = counts[:, cols]
+def _states(table: np.ndarray, pulls: np.ndarray, at: np.ndarray, logs: np.ndarray, log_const: float):
+    """The pulls, estimates, radii and box sides (lower, upper) of a block's
+    states with pull counts ``at`` past ``pulls`` and levels ``logs``."""
     state_pulls = pulls[:, None] + at
     est = table.ravel()[at + np.arange(len(pulls))[:, None] * table.shape[1]]
-    rad = radius_from_logs(log_const, logs[cols], state_pulls)
+    rad = radius_from_logs(log_const, logs, state_pulls)
     return state_pulls, est, rad, np.clip(est - rad, 0.0, 1.0), np.clip(est + rad, 0.0, 1.0)
 
 
@@ -442,18 +459,43 @@ def _logs(start: int, stop: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _fewest_pulls_order(pulls: np.ndarray, allowed: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` picks of the fewest-pulls rule (ties to the lower
-    index) over the ``allowed`` arms, each pick adding one pull.
+def _next_picks(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Pick ``cols[j]``, counted from 0, of the fewest-pulls rule over the
+    ``allowed`` arms: its arm and that arm's pulls before it, as two arrays.
 
-    The rule visits count levels in turn: at level c it picks, in index
-    order, every allowed arm that started with at most c pulls.
+    Allowed arm i joins at level ``pulls[i] - min(pulls[allowed])``, level
+    L picks the arms joined by then in index order, each holding
+    ``min(pulls[allowed]) + L`` pulls, and from the last join on every
+    level picks all k allowed arms. So the picks before the last join are
+    listed one by one, up to the largest column (each level picks at least
+    one arm), and later ones follow from their column alone.
     """
     idx = np.flatnonzero(allowed)
-    counts = pulls[idx]
-    low = counts.min()
-    # Each level picks at least one arm, and from the highest count on
-    # every allowed arm; either bound covers n picks.
-    levels = min(n, int(counts.max() - low) - (-n // len(idx)))
-    picked = counts <= low + np.arange(levels)[:, None]
-    return np.broadcast_to(idx, picked.shape)[picked][:n]
+    join = pulls[idx]
+    low = join.min()
+    join = join - low
+    cols = np.asarray(cols, dtype=np.int64)
+    levels = min(int(join.max()), int(cols.max(initial=0)) + 1)
+    if levels:
+        early_level, early_pos = np.nonzero(join <= np.arange(levels)[:, None])  # in pick order
+        level, pos = np.divmod(cols - len(early_level), len(idx))
+        level += levels
+        early = cols < len(early_level)
+        at = cols[early]
+        level[early], pos[early] = early_level[at], early_pos[at]
+    else:  # every allowed arm has joined
+        level, pos = np.divmod(cols, len(idx))
+    return idx[pos], level + low
+
+
+def _pick_counts(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Each arm's pull count after the first ``cols[j]`` picks of the
+    fewest-pulls rule over the ``allowed`` arms, as an ``(m, len(cols))``
+    array, and the arm of pick ``cols[j]``, the next one. Up to that pick,
+    of arm a holding n pulls, an allowed arm i has had ``n - pulls[i]``
+    picks, one more if ``i < a``, or none if that is negative (it is yet
+    to join); an arm not allowed has had none."""
+    arm, n = _next_picks(pulls, allowed, cols)
+    counts = n - np.where(allowed, pulls, 1 << 62)[:, None]
+    counts += np.arange(len(pulls))[:, None] < arm
+    return np.maximum(counts, 0, out=counts), arm

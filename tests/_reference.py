@@ -9,7 +9,8 @@ inputs, so its optima and tie-breaks are authoritative, and
 that the engine's block loop must equal; with ``record_trace`` it also
 returns its trace, one :class:`CociState` per round, which
 :func:`render_trace` writes in the engine's trace-file format and
-:func:`read_trace` reads back.
+:func:`read_trace` reads back. :func:`fewest_pulls_picks` makes the
+fewest-pulls rule's picks one at a time.
 """
 
 from __future__ import annotations
@@ -239,6 +240,19 @@ def lattice_candidates(spec, box_lower, box_upper, resolution: int) -> tuple[boo
             if all(varied):
                 break
     return tuple(varied)
+
+
+def fewest_pulls_picks(pulls: Sequence[int], allowed: Sequence[bool], n: int) -> list[int]:
+    """The first ``n`` picks of the fewest-pulls rule, one at a time: each
+    the allowed arm with the fewest pulls, ties to the lower index, which
+    then holds one pull more."""
+    counts = list(pulls)
+    picks = []
+    for _ in range(n):
+        pick = min((i for i in range(len(counts)) if allowed[i]), key=counts.__getitem__)
+        counts[pick] += 1
+        picks.append(pick)
+    return picks
 
 
 def clamp_box(estimates: Sequence[float], radii: Sequence[float]) -> ConfidenceBox:

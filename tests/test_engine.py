@@ -34,7 +34,9 @@ from coci import (
 from coci import condition, engine
 from coci.sim import BufferedArm, arm_stream
 
-from _reference import CociState, audit_xi, clamp_box, grid_points, read_trace, render_trace, scalar_run
+from _reference import (
+    CociState, audit_xi, clamp_box, fewest_pulls_picks, grid_points, read_trace, render_trace, scalar_run,
+)
 
 
 @pytest.fixture(scope="module")
@@ -306,11 +308,40 @@ class TestPullOrder:
         # guessed pick is the fewest-pulled arm, ties to the lower index, of
         # the counts the earlier picks produce.
         counts = np.array(pulls, dtype=np.int64)
-        order = engine._fewest_pulls_order(counts, np.ones(len(pulls), dtype=bool), n)
+        order = engine._next_picks(counts, np.ones(len(pulls), dtype=bool), np.arange(n))[0]
         assert len(order) == n
         for pick in order.tolist():
             assert pick == int(counts.argmin())
             counts[pick] += 1
+
+    @settings(max_examples=400)
+    @given(m=st.integers(1, 8), tight=st.booleans(), data=st.data())
+    def test_pick_counts_match_the_pick_sequence(self, m, tight, data):
+        # A block reads its pull counts and picks from the rule's levels;
+        # they must equal the picks made one at a time and their running
+        # counts, at every column or any subset, past the block's last state
+        # too. An allowed arm far ahead joins past the last column.
+        low, high = (100, 102) if tight else (1, 30)
+        pulls = np.array(data.draw(st.lists(st.integers(low, high), min_size=m, max_size=m)), dtype=np.int64)
+        allowed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        allowed[data.draw(st.integers(0, m - 1))] = True
+        if data.draw(st.booleans()):
+            ahead = data.draw(st.integers(0, m - 1))
+            allowed[ahead] = True
+            pulls[ahead] += data.draw(st.sampled_from([40, 10**6]))
+        size = data.draw(st.integers(0, 300))
+        guess = np.array(fewest_pulls_picks(pulls.tolist(), allowed.tolist(), size + 2), dtype=np.int64)
+        counts = np.zeros((m, size + 2), dtype=np.int64)
+        np.cumsum(guess[:-1] == np.arange(m)[:, None], axis=1, out=counts[:, 1:])
+        every = list(range(size + 2))
+        cols = data.draw(st.one_of(st.just(every), st.lists(st.sampled_from([0, size, size + 1] + every), max_size=20)))
+        at, picks = engine._pick_counts(pulls, allowed, cols)
+        assert at.tolist() == counts[:, cols].tolist()
+        assert picks.tolist() == guess[cols].tolist()
+        # Each picked arm's pulls before its pick.
+        arm, n = engine._next_picks(pulls, allowed, cols)
+        assert arm.tolist() == guess[cols].tolist()
+        assert n.tolist() == (pulls[arm] + counts[arm, cols]).tolist()
 
     def test_infinite_radius_delta_rejected(self, best_arm_instance):
         # 4 / (tau delta) overflows: every radius would be inf, all tied.
@@ -530,15 +561,22 @@ def _patched(cap, run_length, prepass=False, growth=None):
 
 
 def _logged_blocks():
-    """Patches that log every block as a dict: its size (from its one guess
-    call), whether it took the pre-pass, and the box count of each of its
-    ``block_mask`` calls but the pre-pass one; a trace's call included."""
+    """Patches that log every block as a dict: its size (from its one call
+    to ``_logs``, for the levels of its states), whether it took the
+    pre-pass, the number of states it read pull counts at, and the box
+    count of each of its ``block_mask`` calls but the pre-pass one; a
+    trace's calls included."""
     blocks = []
-    guesses, bounds, mask = engine._fewest_pulls_order, condition.run_bounds, engine.block_mask
+    levels, counted = engine._logs, engine._pick_counts
+    bounds, mask = condition.run_bounds, engine.block_mask
 
-    def guess(pulls, allowed, n):
-        blocks.append({"size": n - 1, "prepass": False, "boxes": []})
-        return guesses(pulls, allowed, n)
+    def logs(start, stop):
+        blocks.append({"size": stop - start - 1, "prepass": False, "columns": 0, "boxes": []})
+        return levels(start, stop)
+
+    def pick_counts(pulls, allowed, cols):
+        blocks[-1]["columns"] += len(cols)
+        return counted(pulls, allowed, cols)
 
     def prepass(*args):
         blocks[-1]["prepass"] = True
@@ -554,7 +592,8 @@ def _logged_blocks():
         return mask(oracle, lower, upper)
 
     stack = ExitStack()
-    stack.enter_context(mock.patch.object(engine, "_fewest_pulls_order", guess))
+    stack.enter_context(mock.patch.object(engine, "_logs", logs))
+    stack.enter_context(mock.patch.object(engine, "_pick_counts", pick_counts))
     stack.enter_context(mock.patch.object(condition, "run_bounds", prepass))
     stack.enter_context(mock.patch.object(engine, "block_mask", per_state))
     return stack, blocks
@@ -661,6 +700,22 @@ class TestBlockLoop:
         # open states are checked in parts of at most the full size.
         assert max(block["size"] for block in blocks) > engine._BLOCK_ROUNDS
         _check_parts(blocks, engine._BLOCK_ROUNDS)
+
+    def test_settled_blocks_read_counts_at_run_cuts_only(self):
+        # A block reads pull counts only at the states it needs. On the c09
+        # instance uniform settles most stable blocks whole, with no
+        # per-state mask call; such a block reads them only at its run cuts,
+        # the first and last state of each run and the last state alone.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
+        logging, blocks = _logged_blocks()
+        with logging:
+            result = run_uniform(instance, 0.1, seed=0)
+        assert result.converged and result.correct
+        settled = [block for block in blocks if block["prepass"] and not block["boxes"]]
+        assert len(settled) > len(blocks) // 2
+        for block in settled:
+            assert block["columns"] == 2 * (-(-block["size"] // condition.CERTIFY_RUN) + 1), block
+            assert block["columns"] < block["size"] // 16
 
     @pytest.mark.parametrize("offset", [0.08, 0.1])
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
