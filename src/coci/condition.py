@@ -86,41 +86,30 @@ def certified_mask(
     box_mask: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lower: np.ndarray,
     upper: np.ndarray,
-    run: int | None = None,
 ) -> np.ndarray:
     """``box_mask(lower, upper)``, settled a run of boxes at a time.
 
     ``box_mask`` is the exact two-corner test of a bi-monotone oracle on a
     stack of boxes (see :attr:`OracleSpec.candidate_mask`). The stack is cut
-    into runs of ``run`` consecutive boxes (``CERTIFY_RUN`` when None), the
-    last one shorter, and one ``box_mask`` call tests every run's hull [min
-    lower, max upper] and, where every arm's one is nonempty, its
-    intersection [max lower, min upper]. Every box of a run lies in its
+    into runs of ``CERTIFY_RUN`` consecutive boxes, the last one shorter,
+    and one ``box_mask`` call tests every run's hull [min lower, max upper]
+    and intersection [max lower, min upper]. Every box of a run lies in its
     hull and holds its intersection, so by inclusion (see the module
     docstring) an arm that is not a candidate on the hull is none on any
-    box of the run, and an arm that is a candidate on the intersection is
-    one on every box. Runs with an arm left undecided are tested box by box
-    in one more call.
+    box of the run, and an arm that is a candidate on a nonempty
+    intersection is one on every box. Runs with an arm left undecided are
+    tested box by box in one more call.
     """
-    m, boxes = lower.shape
-    run = CERTIFY_RUN if run is None else run
-    starts = np.arange(0, boxes, run)
-    runs = len(starts)
-    hull_lo = np.minimum.reduceat(lower, starts, axis=1)
-    hull_up = np.maximum.reduceat(upper, starts, axis=1)
-    meet_lo = np.maximum.reduceat(lower, starts, axis=1)
-    meet_up = np.minimum.reduceat(upper, starts, axis=1)
-    meets = (meet_lo <= meet_up).all(axis=0)
-    settled = box_mask(
-        np.concatenate((hull_lo, meet_lo[:, meets]), axis=1),
-        np.concatenate((hull_up, meet_up[:, meets]), axis=1),
-    )
-    in_meet = np.zeros((m, runs), dtype=bool)
-    in_meet[:, meets] = settled[:, runs:]
-    open_runs = (settled[:, :runs] & ~in_meet).any(axis=0)
-    mask = np.repeat(in_meet, run, axis=1)[:, :boxes]
+    boxes = lower.shape[1]
+    starts = np.arange(0, boxes, CERTIFY_RUN)
+    lo = np.concatenate((np.minimum.reduceat(lower, starts, 1), np.maximum.reduceat(lower, starts, 1)), axis=1)
+    up = np.concatenate((np.maximum.reduceat(upper, starts, 1), np.minimum.reduceat(upper, starts, 1)), axis=1)
+    # Hulls, then intersections; an empty intersection settles nothing.
+    hull, meet = np.split(box_mask(lo, up) & (lo <= up).all(axis=0), 2, axis=1)
+    open_runs = (hull & ~meet).any(axis=0)
+    mask = np.repeat(meet, CERTIFY_RUN, axis=1)[:, :boxes]
     if open_runs.any():
-        open_boxes = np.repeat(open_runs, run)[:boxes]
+        open_boxes = np.repeat(open_runs, CERTIFY_RUN)[:boxes]
         mask[:, open_boxes] = box_mask(lower[:, open_boxes], upper[:, open_boxes])
     return mask
 

@@ -92,6 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Real
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -205,7 +206,7 @@ def _run(
     check_delta(delta, tau)
 
     bound_value = None
-    if h_lambda is not None and math.isfinite(h_lambda):
+    if h_lambda is not None and h_lambda != math.inf:  # None and +inf set no bound
         bound_value = sample_complexity_bound(h_lambda, m, tau, delta)
     if max_rounds is None:
         max_rounds = math.ceil(10 * bound_value) if bound_value is not None else _DEFAULT_MAX_ROUNDS
@@ -217,8 +218,8 @@ def _run(
     if lambda_lower is not None:
         if len(lambda_lower) != m:
             raise UsageError("lambda_lower must have one entry per arm")
-        if not all(0.0 <= v < math.inf for v in lambda_lower):
-            raise UsageError(f"lambda_lower entries must be finite and nonnegative, got {lambda_lower!r}")
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and 0.0 <= v < math.inf for v in lambda_lower):
+            raise UsageError(f"lambda_lower entries must be finite nonnegative numbers, got {lambda_lower!r}")
         lam = np.asarray(lambda_lower, dtype=np.float64) / 2.0
 
     entries = seed if isinstance(seed, (tuple, list)) else (seed,)

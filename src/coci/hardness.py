@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import Optional, Sequence
 
 from .condition import candidate_on_bounds
@@ -211,8 +212,8 @@ def compute_reward_gaps(spec: OracleSpec, theta_star: Sequence[float]) -> tuple[
 
 def sample_complexity_bound(h_lambda: float, m: int, tau: int, delta: float) -> float:
     """Round bound 2m + 12 H ln(24 H) + 4 H ln(4 / (tau delta))."""
-    if h_lambda <= 0:
-        raise UsageError(f"h_lambda must be positive, got {h_lambda!r}")
+    if isinstance(h_lambda, bool) or not isinstance(h_lambda, Real) or not h_lambda > 0:  # NaN fails > 0
+        raise UsageError(f"h_lambda must be a positive number, got {h_lambda!r}")
     return (
         2.0 * m
         + 12.0 * h_lambda * math.log(24.0 * h_lambda)
@@ -220,10 +221,14 @@ def sample_complexity_bound(h_lambda: float, m: int, tau: int, delta: float) -> 
     )
 
 
+def _check_radii(lower: Sequence[float]) -> None:
+    if len(lower) == 0 or not all(v >= 0 for v in lower):  # NaN fails v >= 0
+        raise UsageError(f"flip radii must be one or more nonnegative numbers, got {lower!r}")
+
+
 def h_from_lambda(lower: Sequence[float]) -> float:
     """Adaptive hardness sum(1 / radius^2); infinite when a radius is 0."""
-    if any(v < 0 for v in lower):
-        raise UsageError("flip radii must be nonnegative")
+    _check_radii(lower)
     if any(v == 0 for v in lower):
         return math.inf
     return math.fsum(1.0 / (v * v) for v in lower)
@@ -231,6 +236,7 @@ def h_from_lambda(lower: Sequence[float]) -> float:
 
 def h_uniform_from_lambda(lower: Sequence[float]) -> float:
     """Uniform-sampling hardness m / min(radius)^2."""
+    _check_radii(lower)
     worst = min(lower)
     if worst == 0:
         return math.inf

@@ -424,11 +424,8 @@ def run_experiment(
     workers = config.workers if workers is None else workers
 
     report: HardnessReport | None = None
-    h_lambda: float | None = None
     if config.hardness_epsilon is not None:
         report = problem_hardness(config, instance)
-        if math.isfinite(report.h_lambda):
-            h_lambda = report.h_lambda
 
     tasks = [
         (
@@ -438,7 +435,7 @@ def run_experiment(
             trial,
             config.master_seed,
             config.max_rounds,
-            h_lambda,
+            report.h_lambda if report is not None else None,
         )
         for trial in range(config.trials)
     ]

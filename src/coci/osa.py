@@ -33,8 +33,9 @@ mathematically equal marginals have unequal floating-point images.
 
 The candidate mask is :func:`coci.condition.two_corner_box_mask`, settled
 a run of boxes at a time by :func:`coci.condition.certified_mask`, with
-:func:`_greedy_osa_columns` as its solver: a batched greedy over the
-columns of an array, equal to :func:`greedy_osa` column by column.
+:func:`_greedy_osa_columns` as its solver: a batched greedy whose every
+step scans all columns of an array, equal to :func:`greedy_osa` column by
+column.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ def _greedy_osa_columns(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
 
     Every column starts from the threshold base :func:`_bases`, which the
     optimum dominates and which leaves at most floor(3 m / 2) + 1 steps (see
-    the module docstring). From there one numpy step per greedy step serves
-    every column still under budget, with the scalar's rules: arms in index
-    order, ``>=`` to the later one, zero-weight arms at one sample, and an
-    all-zero column's slack on the last group.
+    the module docstring). From there each greedy step is one numpy scan of
+    every column, which adds a sample only where the column's steps are not
+    yet spent. It keeps the scalar's rules: arms in index order, ``>=`` to
+    the later one, zero-weight arms at one sample, and an all-zero column's
+    slack on the last group.
 
     The float comparison is the scalar's fast path and has its premises:
     both integer products below 2^53 and the two floats distinct. Floats
@@ -203,11 +205,8 @@ def _greedy_osa_columns(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
     """
     m, k = spec.m, spec.k
     theta = np.asarray(theta, dtype=np.float64)
-    cols = theta.shape[1]
-    out = np.empty((m, cols), dtype=np.int64)
     if (m + 8) * k >= _BATCH_SIZE_LIMIT:
-        _solve_columns(spec, theta, out, range(cols))
-        return out
+        return _solve_columns(spec, theta, np.empty(theta.shape, dtype=np.int64), range(theta.shape[1]))
 
     y = _bases(spec, theta)
     steps = k - y.sum(axis=0).astype(np.int64)
@@ -216,52 +215,46 @@ def _greedy_osa_columns(spec: OsaSpec, theta: np.ndarray) -> np.ndarray:
     steps[zero] = 0
     bad = steps < 0  # never expected: the base is under budget
 
-    # Columns sorted by steps, most first: each greedy step works on the
-    # prefix of columns still under budget. Zero-weight arms (theta 0,
-    # marginal 0) take part in the scan: they never beat a positive arm
-    # and every positive arm beats them, so the scan picks what the
-    # scalar's scan over positive arms picks.
-    order = np.argsort(-steps)
-    y, t, bad = np.take(y, order, axis=1), np.take(theta, order, axis=1), bad[order]
-    at_least = np.cumsum(np.bincount(steps.clip(0), minlength=1)[::-1])[::-1]
+    # Zero-weight arms (theta 0, marginal 0) take part in the scan: they
+    # never beat a positive arm and every positive arm beats them, so the
+    # scan picks what the scalar's scan over positive arms picks.
     n2 = [float(v * v) for v in spec.n]
     big = max(spec.n) ** 2 * (k - m + 1) * (k - m + 2) >= _EXACT_INT
     arms = np.arange(m)[:, None]
-    for w in at_least[1:].tolist():
-        ys, ts = y[:, :w], t[:, :w]
-        lv = ys * (ys + 1.0)
-        best, bn2, blv, bt = np.zeros(w, dtype=np.int64), np.full(w, n2[0]), lv[0], ts[0]
+    for step in range(steps.max(initial=0)):
+        live = steps > step
+        lv = y * (y + 1.0)
+        best, bn2, blv, bt = np.zeros_like(steps), np.full_like(lv[0], n2[0]), lv[0], theta[0]
         for i in range(1, m):
             ci = n2[i] * blv
             cb = bn2 * lv[i]
-            lhs = ci * ts[i]
+            lhs = ci * theta[i]
             rhs = cb * bt
             take = lhs > rhs
             same = lhs == rhs
             if big:
                 # A zero parameter's product is exactly 0 however ci rounds.
                 inexact = (ci >= _EXACT_INT) | (cb >= _EXACT_INT)
-                bad[:w] |= inexact & (ts[i] > 0.0) & (bt > 0.0)
+                bad |= live & inexact & (theta[i] > 0.0) & (bt > 0.0)
             if same.any():
                 # Equal parameters: the integer products decide exactly.
-                tie = same & (ts[i] == bt)
-                bad[:w] |= same & ~tie
+                tie = same & (theta[i] == bt)
+                bad |= live & same & ~tie
                 take |= tie & (ci >= cb)
             best = np.where(take, i, best)
             bn2 = np.where(take, n2[i], bn2)
             blv = np.where(take, lv[i], blv)
-            bt = np.where(take, ts[i], bt)
-        ys += best == arms
+            bt = np.where(take, theta[i], bt)
+        y += (best == arms) & live
 
-    out[:, order] = y
-    _solve_columns(spec, theta, out, order[bad])
-    return out
+    return _solve_columns(spec, theta, y.astype(np.int64), np.flatnonzero(bad))
 
 
-def _solve_columns(spec: OsaSpec, theta: np.ndarray, out: np.ndarray, cols) -> None:
-    """Solve the given columns of ``theta`` with :func:`greedy_osa`, into ``out``."""
+def _solve_columns(spec: OsaSpec, theta: np.ndarray, out: np.ndarray, cols) -> np.ndarray:
+    """Solve the given columns of ``theta`` with :func:`greedy_osa` into ``out``, and return it."""
     for col in cols:
         out[:, col] = greedy_osa(spec, theta[:, col].tolist())
+    return out
 
 
 def _osa_reward_term(n: tuple[int, ...], i: int, theta_i: float, y_i: float) -> float:

@@ -290,7 +290,7 @@ def scalar_run(
     check_delta(delta, tau)
 
     bound_value = None
-    if h_lambda is not None and math.isfinite(h_lambda):
+    if h_lambda is not None and h_lambda != math.inf:
         bound_value = sample_complexity_bound(h_lambda, m, tau, delta)
     if max_rounds is None:
         max_rounds = math.ceil(10 * bound_value) if bound_value is not None else 10**6

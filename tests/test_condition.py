@@ -393,7 +393,7 @@ def test_generic_mask_matches_two_corner_test(case):
     for r in range(lower.shape[1]):
         lo, hi = lower[:, r].tolist(), upper[:, r].tolist()
         assert direct[:, r].tolist() == [candidate_on_bounds(spec, lo, hi, i) for i in range(spec.arm_count)], r
-    assert (certified_mask(box_mask, lower, upper, CERTIFY_RUN) == direct).all()
+    assert (certified_mask(box_mask, lower, upper) == direct).all()
     assert (block_mask(spec, lower, upper) == direct).all()
 
 

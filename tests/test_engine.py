@@ -110,9 +110,33 @@ class TestBasics:
                 run_coci(best_arm_instance, 0.05, seed=42, max_rounds=cap)
 
     def test_lambda_lower_is_finite_and_nonnegative(self, best_arm_instance):
-        for lam in ((math.nan, 0.4), (0.4, math.inf), (-0.1, 0.4)):
+        # Bools and strings are refused too: True would run as 1.0.
+        for lam in ((math.nan, 0.4), (0.4, math.inf), (-0.1, 0.4), (True, 0.4), (0.4, np.True_), ("0.4", 0.4)):
             with pytest.raises(UsageError):
                 run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=lam)
+        numpy = run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=(np.float64(0.4), np.int64(1)))
+        assert numpy == run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=(0.4, 1.0))
+
+    def test_h_lambda_must_be_a_hardness(self, best_arm_instance):
+        # NaN used to run with no bound under the default cap, and True
+        # with the bound of 1.0 and its cap; None and +inf set no bound.
+        for h in (math.nan, -math.inf, -1.0, 0.0, True, "5"):
+            with pytest.raises(UsageError):
+                run_coci(best_arm_instance, 0.05, seed=42, h_lambda=h)
+        plain = run_coci(best_arm_instance, 0.05, seed=42)
+        assert run_coci(best_arm_instance, 0.05, seed=42, h_lambda=math.inf) == plain
+        assert plain.bound_value is None and plain.bound_satisfied is None
+
+    def test_max_rounds_must_cover_the_set_up_pulls(self, best_arm_instance):
+        # tau * m set-up pulls: 2 for means at m = 2, 6 for variances at m = 3.
+        osa = build_instance(make_osa_oracle((2, 1, 1), 8), (0.2, 0.1, 0.05), EstimatorKind.VARIANCE)
+        for instance, pulls in ((best_arm_instance, 2), (osa, 6)):
+            for run in (run_coci, run_uniform):
+                for cap in (0, pulls - 1):
+                    with pytest.raises(UsageError, match="cannot cover initialization"):
+                        run(instance, 0.05, seed=42, max_rounds=cap)
+                result = run(instance, 0.05, seed=42, max_rounds=pulls)
+                assert (result.rounds, result.converged) == (pulls, False)
 
     def test_max_rounds_budget(self, best_arm_instance):
         result = run_coci(best_arm_instance, 0.05, seed=42, max_rounds=2)
@@ -753,6 +777,25 @@ class TestBlockLoop:
             wrong = replace(oracle, candidate_mask=lambda lower, upper: np.zeros(lower.shape, bool))
             with pytest.raises(AssertionError, match="candidate mask disagrees"):
                 run_coci(replace(instance, oracle=wrong), 0.05, seed=1)
+
+    def test_many_arms_shrink_blocks_to_the_cell_cap(self):
+        # At m = 24 a block's (m, m, boxes) top-k array reaches _BLOCK_CELLS
+        # at 1,820 boxes, so blocks hold 1,820 rounds, not 2,048; the other
+        # block-loop tests draw m <= 8. Plain and traced runs over more than
+        # one such block equal the reference.
+        m = 24
+        theta = tuple(0.9 - 0.8 * i / (m - 1) for i in range(m))
+        instance = build_instance(make_top_k_oracle(m, 3), theta, EstimatorKind.MEAN)
+        most = engine._BLOCK_CELLS // (m * m)
+        assert most == 1820 < engine._BLOCK_ROUNDS
+        for run in (run_coci, run_uniform):
+            for traced in (False, True):
+                logging, blocks = _logged_blocks()
+                with logging:
+                    fast = _fast(run, instance, 0.1, traced=traced, seed=1, max_rounds=3000)
+                sizes = [block["size"] for block in blocks]
+                assert fast[0].rounds == 3000 and sizes[0] == max(sizes) == most
+                _same(fast, _slow(instance, 0.1, uniform=run is run_uniform, traced=traced, seed=1, max_rounds=3000))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_uniform_blocks_start_full(self, seed):

@@ -10,6 +10,7 @@ from coci import (
     CapacityError,
     DegenerateInstanceError,
     QuadraticCost,
+    UsageError,
     WaterSpec,
     compute_lambda,
     compute_reward_gaps,
@@ -142,8 +143,25 @@ class TestBound:
         high = sample_complexity_bound(5.0, 4, 1, 0.1)
         assert high - low == pytest.approx(2.0)
 
+    def test_hardness_must_be_positive(self):
+        # NaN used to come back as a NaN bound, and True as the bound of 1.0.
+        for h in (math.nan, 0.0, -1.0, -math.inf, True, "5"):
+            with pytest.raises(UsageError):
+                sample_complexity_bound(h, 3, 1, 0.1)
+        assert sample_complexity_bound(math.inf, 3, 1, 0.1) == math.inf
+
 
 class TestHardnessMeasures:
+    @pytest.mark.parametrize("measure", [h_from_lambda, h_uniform_from_lambda])
+    def test_radii_must_be_nonnegative_numbers(self, measure):
+        # NaN used to come back as NaN, and the uniform measure took -1.0 to
+        # 2.0 and raised a bare ValueError on no radii.
+        for lower in ([math.nan], [0.5, math.nan], [-1.0, 0.5], []):
+            with pytest.raises(UsageError):
+                measure(lower)
+        assert measure([0.0, 0.5]) == math.inf
+        assert measure((0.5,)) == 4.0
+
     def test_adaptive_never_exceeds_uniform(self):
         rng = random.Random(3)
         for _ in range(50):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coci import ConfigError
+from coci import ConfigError, harness
 from coci.cli import main as cli_main
 from coci.harness import (
     _SCHEMA,
@@ -215,6 +216,17 @@ class TestRunExperiment:
             assert record.bound_value is not None
             assert record.bound_satisfied is (record.rounds <= record.bound_value)
 
+    def test_infinite_hardness_sets_no_bound(self, monkeypatch):
+        # A zero flip radius makes h_lambda infinite: the runs take no bound,
+        # as with hardness off.
+        real = harness.problem_hardness
+        monkeypatch.setattr(harness, "problem_hardness", lambda *args: replace(real(*args), h_lambda=math.inf))
+        result = run_experiment(quick_config(trials=3))
+        assert result.summary["hardness"]["h_lambda"] == math.inf
+        off = run_experiment(quick_config(trials=3, hardness_epsilon=None))
+        assert [replace(r, wall_ms=0.0) for r in result.records] == [replace(r, wall_ms=0.0) for r in off.records]
+        assert all(r.bound_value is None and r.bound_satisfied is None for r in result.records)
+
     def test_quick_fixture_regression(self):
         # Frozen summary of the shipped quick config (seeded, deterministic).
         result = run_experiment(quick_config())
@@ -266,6 +278,17 @@ class TestEmit:
                 b.xi_held,
                 b.pulls,
             )
+
+    def test_csv_roundtrip_without_hardness(self, tmp_path):
+        # Hardness off sets no bound: the bound cells are empty and read back
+        # as None.
+        result = run_experiment(quick_config(trials=3, hardness_epsilon=None))
+        assert all(r.bound_value is None and r.bound_satisfied is None for r in result.records)
+        path = emit_results(result.records, result.summary, tmp_path, "csv")[0]
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["bound_value"], row["bound_satisfied"]) for row in rows] == [("", "")] * len(result.records)
+        assert parse_records_csv(path) == result.records
 
     def test_jsonl_line_count(self, tmp_path):
         cfg = quick_config(trials=5, mode="coci")

@@ -4,10 +4,11 @@ import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coci import DomainError, OsaSpec, UsageError, greedy_osa
 from coci import condition, osa
@@ -272,6 +273,35 @@ def _column_cases(draw):
     return spec, columns
 
 
+@st.composite
+def _step_mix_cases(draw):
+    """A spec drawn as :func:`_column_cases` draws one, and a seed for
+    :func:`_step_mix`."""
+    m = draw(st.integers(1, 4))
+    size = st.integers(1, 6) if draw(st.integers(0, 4)) else st.integers(10**7, 10**9)
+    spec = OsaSpec(tuple(draw(st.lists(size, min_size=m, max_size=m))), draw(st.integers(m, 60)))
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+def _step_mix(spec, seed):
+    """An ``(m, N)`` stack of columns in random order: all-zero ones (no
+    greedy step from the base), ones with one positive parameter (one step
+    when k > m), all-equal ones, ones whose parameters copy each other, and
+    random ones with zeros and pool values, which take the batch's most
+    steps."""
+    m = spec.m
+    rng = np.random.default_rng(seed)
+    pool = rng.random((m, 120))
+    pool[rng.random(pool.shape) < 0.2] = 0.0
+    picks = rng.random(pool.shape) < 0.3
+    pool[picks] = rng.choice(_COLUMN_POOL, picks.sum())
+    copies = pool[rng.integers(0, m, (m, 30)), np.arange(30)]
+    single = np.diag(rng.random(m) * 0.9 + 0.1)
+    equal = np.repeat(np.append(rng.choice(_COLUMN_POOL, 5), rng.random(5))[None], m, axis=0)
+    theta = np.concatenate((pool, copies, single, equal, np.zeros((m, 4))), axis=1)
+    return theta[:, rng.permutation(theta.shape[1])]
+
+
 class TestBatchedSolver:
     @settings(max_examples=300, deadline=None)
     @given(_column_cases())
@@ -307,6 +337,24 @@ class TestBatchedSolver:
         assert got.shape == (spec.m, len(columns))
         for c, column in enumerate(columns):
             assert tuple(got[:, c].tolist()) == greedy_osa(spec, column), column
+
+    @settings(max_examples=200, deadline=None)
+    @given(_step_mix_cases())
+    # n^2 (k - m + 1) (k - m + 2) reaches 2^53 here: the scan checks that
+    # its integer products stay below it.
+    @example((OsaSpec((10**8, 1, 3), 12), 0))
+    def test_one_call_over_columns_of_every_step_count(self, case):
+        # One call on columns in random order whose greedy steps from the
+        # base run from 0 to the most; each step scans every column and
+        # must leave the finished ones alone.
+        spec, seed = case
+        theta = _step_mix(spec, seed)
+        steps = spec.k - _bases(spec, theta).sum(axis=0)
+        steps[~theta.any(axis=0)] = 0
+        assert 0 in steps and (spec.k == spec.m or 1 in steps), steps
+        got = _greedy_osa_columns(spec, theta)
+        for c, column in enumerate(theta.T.tolist()):
+            assert tuple(got[:, c].tolist()) == greedy_osa(spec, column), (column, steps[c])
 
     def _scalar_calls(self, monkeypatch, spec, columns):
         calls = [0]
@@ -391,6 +439,24 @@ def _walk_stacks(draw):
     return spec, lower, upper, run
 
 
+@st.composite
+def _emptied_stacks(draw):
+    """A stack of :func:`_walk_stacks` twice over, with runs of two boxes
+    or more, in which the first run and some others of two boxes or more
+    hold a point interval at 0 on one arm at their first box and one above
+    0 at their last, so that their intersections are empty."""
+    spec, lower, upper, run = draw(_walk_stacks())
+    lower, upper, run = np.tile(lower, 2), np.tile(upper, 2), max(run, 2)
+    boxes = lower.shape[1]
+    starts = [0] + draw(st.lists(st.sampled_from(range(0, boxes - 1, run)), max_size=4))
+    for start in starts:
+        last = min(start + run, boxes) - 1
+        i = draw(st.integers(0, spec.m - 1))
+        lower[i, start] = upper[i, start] = 0.0
+        lower[i, last] = upper[i, last] = draw(st.sampled_from([1e-9, 0.3, 1.0]))
+    return spec, lower, upper, run
+
+
 class TestCertifiedMask:
     """The OSA candidate mask settles runs of boxes by their hull and
     intersection; it must equal the per-box two-corner mask box for box."""
@@ -400,9 +466,29 @@ class TestCertifiedMask:
     def test_matches_the_per_box_mask(self, case):
         spec, lower, upper, run = case
         box_mask = _osa_box_mask(spec)
-        got = certified_mask(box_mask, lower, upper, run)
+        with mock.patch.object(condition, "CERTIFY_RUN", run):
+            got = certified_mask(box_mask, lower, upper)
         assert got.shape == lower.shape and got.dtype == bool
         assert (got == box_mask(lower, upper)).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_emptied_stacks())
+    def test_matches_the_per_box_mask_across_empty_intersections(self, case):
+        # Every run's intersection goes to the first call, empty or not;
+        # the empty ones certify no arm.
+        spec, lower, upper, run = case
+        sizes = []
+
+        def box_mask(lo, up):
+            sizes.append(lo.shape[1])
+            return _osa_box_mask(spec)(lo, up)
+
+        with mock.patch.object(condition, "CERTIFY_RUN", run):
+            got = certified_mask(box_mask, lower, upper)
+        starts = np.arange(0, lower.shape[1], run)
+        assert (np.maximum.reduceat(lower, starts, 1) > np.minimum.reduceat(upper, starts, 1)).any()
+        assert sizes[0] == 2 * len(starts)
+        assert (got == _osa_box_mask(spec)(lower, upper)).all()
 
     def test_oracle_mask_is_certified_at_the_module_run_length(self):
         # A stack that is not a multiple of the run length; the oracle's
@@ -419,16 +505,17 @@ class TestCertifiedMask:
         centre = np.array([[0.25], [0.01], [0.01]]) + np.cumsum(rng.normal(0.0, 1e-3, (3, boxes)), axis=1)
         radius = 0.3 / np.sqrt(np.arange(1, boxes + 1))
         lower, upper = np.clip(centre - radius, 0.0, 1.0), np.clip(centre + radius, 0.0, 1.0)
-        got = certified_mask(box_mask, lower, upper, CERTIFY_RUN)
+        got = certified_mask(box_mask, lower, upper)
         assert (got == make_osa_oracle(spec.n, spec.k).candidate_mask(lower, upper)).all()
         assert (got == _osa_box_mask(spec)(lower, upper)).all()
         assert sizes[0] <= 2 * 6 and sum(sizes[1:]) < boxes
 
     def test_disjoint_intervals_leave_no_intersection(self):
-        # Arm 0's intervals inside the run are disjoint, so the run has no
-        # intersection box, and no arm may be certified a candidate from
-        # one: the first call holds only the hull, and every arm that is a
-        # candidate on the hull goes to the per-box call.
+        # Arm 0's intervals inside the run are disjoint, so the run's
+        # intersection is empty, and no arm may be certified a candidate
+        # from it: the first call tests the hull and the empty intersection,
+        # and every arm that is a candidate on the hull goes to the per-box
+        # call.
         spec = OsaSpec((5, 1, 1), 10)
         lower = np.array([[0.10, 0.30, 0.50, 0.52], [0.0, 0.0, 0.0, 0.0], [0.0, 0.01, 0.0, 0.0]])
         upper = np.array([[0.20, 0.40, 0.60, 0.62], [0.5, 0.5, 0.5, 0.5], [0.02, 0.02, 0.02, 0.02]])
@@ -438,8 +525,9 @@ class TestCertifiedMask:
             sizes.append(lo.shape[1])
             return _osa_box_mask(spec)(lo, up)
 
-        got = certified_mask(box_mask, lower, upper, 4)
-        assert sizes == [1, 4]
+        with mock.patch.object(condition, "CERTIFY_RUN", 4):
+            got = certified_mask(box_mask, lower, upper)
+        assert sizes == [2, 4]
         expected = _osa_box_mask(spec)(lower, upper)
         assert (got == expected).all()
         assert expected.any() and not expected.all()
