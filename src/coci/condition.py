@@ -38,8 +38,10 @@ _CORNER_ARM_LIMIT = 20
 #: Most floats in one corner array of :func:`two_corner_box_mask`.
 _MASK_CELLS = 1 << 20
 #: Consecutive boxes that :func:`certified_mask` settles by one hull and one
-#: intersection test. Of 8 to 64, 64 ran fastest for OSA at m = 3, 8 and 16:
-#: longer runs leave more open, but a mask call costs mostly fixed overhead.
+#: intersection test; only that function reads it (the sampler's pre-pass
+#: has its own run length). Of 8 to 64, 64 ran fastest for OSA at m = 3, 8
+#: and 16: longer runs leave more open, but a mask call costs mostly fixed
+#: overhead.
 CERTIFY_RUN = 64
 
 

@@ -22,8 +22,8 @@ The rounds step in blocks. The candidate set rarely changes (a few dozen
 times in a run of 60,000 rounds), so the next picks can be guessed: the
 fewest-pulls rule over the last candidate set, or over all arms for the
 uniform ablation. From the current state, one block guesses up to 2,048
-picks (8,192 in a stable stretch, see below) and computes the states they
-lead to as arrays, only those it reads. It builds no pick sequence: the
+picks (up to 32,768 in a stable stretch, see below) and computes the states
+they lead to as arrays, only those it reads. It builds no pick sequence: the
 rule visits pull-count levels in turn, so each arm's count after any
 number of picks, and the pick that follows, come from the levels at
 which the allowed arms join it (:func:`_pick_counts`). Each arm's running
@@ -64,17 +64,21 @@ twice the stretch that held, and at least 64 rounds. The picks are checked:
 
 In a stable stretch (a block of at least the full size after
 ``_STABLE_BLOCKS`` blocks kept whole), a bi-monotone block first bounds each
-run of ``CERTIFY_RUN`` states between an inner and an outer box
+run of ``_PREPASS_RUN`` (1,024) states between an inner and an outer box
 (:func:`coci.condition.run_bounds`) and tests them in one mask call. By
 inclusion, that settles a uniform run where an arm is a candidate on its
 nonempty inner box, and a coci run whose candidates are the guessed set in
 every state; a settled run passes the xi audit by its extremes. Only open
-runs and the last state take state boxes, checked in parts of at most the
-full size up to the part where the block ends. So such a block reads
-pull counts only at its run cuts, its open states, its last state and
-the states a trace writes. It costs mostly its fixed per-block work, so
-one kept whole is followed by one twice its size, up to 8,192 rounds; a
-miss falls back to the sizes above.
+runs and the last state take state boxes, checked a run at a time (and at
+most the full size) up to the part where the block ends. So such a block
+reads pull counts only at its run cuts, its open states, its last state
+and the states a trace writes. It costs mostly its fixed per-block work,
+so one kept whole is followed by one twice its size, while its estimate
+table, m rows by about rounds / k pulls of its k allowed arms, stays
+within ``_STABLE_CELLS`` (2^15) cells: uniform blocks reach 32,768
+rounds, coci ones guessing from two of eight arms 8,192. A miss falls back
+to the sizes above. Untraced blocks form their running sums in place of
+the samples, which only a trace reads again.
 
 A traced run then appends the kept states to its trace file as JSON
 lines, from the block's estimate table, in parts of at most a full block
@@ -108,13 +112,22 @@ from .sim import BufferedArm, arm_stream
 
 _DEFAULT_MAX_ROUNDS = 10**6
 #: Block sizes in rounds: full size (a run's first block, and the most after
-#: a missed guess), the fewest after a missed guess, and the most in a
-#: stable stretch. Each is also capped so that m * m * rounds stays within
-#: _BLOCK_CELLS, the entries of one (m, m, boxes) array in the top-k mask.
+#: a missed guess) and the fewest after a missed guess. Both are also capped
+#: so that m * m * (rounds + 1) stays within _BLOCK_CELLS, the entries of one
+#: (m, m, boxes) array in the top-k mask over a block's states, which also
+#: bounds the pre-pass's run count.
 _BLOCK_ROUNDS = 2048
 _BLOCK_ROUNDS_MIN = 64
-_STABLE_ROUNDS = 8192
 _BLOCK_CELLS = 1 << 20
+#: Cells of a stable block's estimate table: m rows by about rounds / k
+#: pulls of the k allowed arms. A stable block doubles up to this cap.
+_STABLE_CELLS = 1 << 15
+#: States per run of the pre-pass. Of 256 to 4,096 (with cell caps of 2^15
+#: to 2^17), 1,024 and 2^15 ran fastest for uniform on the m = 8 best-arm
+#: instance, and within 5% of the fastest for coci: a run costs one
+#: reduceat segment per arm and two mask boxes, and a longer one is left
+#: open more often. certified_mask keeps its own run length.
+_PREPASS_RUN = 1024
 #: Blocks kept whole in a row before a block of at least the full size
 #: takes the pre-pass.
 _STABLE_BLOCKS = 2
@@ -136,13 +149,22 @@ _TRACE_LINE = (
 class RunResult:
     """Outcome of one run.
 
-    ``rounds`` equals the total number of samples drawn. ``xi_held`` records
-    whether every estimate stayed within its confidence radius of the truth
-    in every round (audited against the instance's true parameters).
+    ``output`` is the oracle's decision at the final box's lower corner, and
+    ``correct`` whether it equals the decision at the true parameters.
+    ``rounds`` equals the total number of samples drawn, and
+    ``per_arm_pulls`` splits them by arm. ``xi_held`` records whether every
+    estimate stayed within its confidence radius of the truth in every
+    round (audited against the instance's true parameters). ``converged``
+    is True when the run stopped because the candidate test left no arm on
+    the final box, and False when it reached ``max_rounds`` with one left.
+    ``mode`` is ``"coci"`` or ``"uniform"``, and ``seed`` the seed key of
+    the arms' streams as a tuple. ``bound_value`` is the round bound implied
+    by the supplied hardness, when any, and ``bound_satisfied`` whether
+    ``rounds`` stayed within it (None without one).
     ``lemma_violations`` counts pulls of an arm whose previous-round radius
     had already shrunk below half its flip radius (only audited when
-    ``lambda_lower`` is supplied). ``bound_value`` is the round bound implied
-    by the supplied hardness, when any.
+    ``lambda_lower`` is supplied). ``final_box`` is the confidence box of
+    the last state.
     """
 
     output: tuple[float, ...]
@@ -244,8 +266,10 @@ def _run(
     no_pick = np.iinfo(np.int64).max
     xi_held = True
     violations = 0
-    most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m)))
-    stable = max(most, min(_STABLE_ROUNDS, _BLOCK_CELLS // (m * m)))
+    most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m) - 1))
+    # The most rounds whose pre-pass mask call, two boxes for each run and
+    # for the last state, fits one (m, m, boxes) array of _BLOCK_CELLS.
+    longest = _PREPASS_RUN * (_BLOCK_CELLS // (2 * m * m) - 1)
     size = most
     whole = 0  # blocks kept whole since the run's start or its last miss
     last_candidate = 0  # corner enumeration: the arm uniform tests first
@@ -265,14 +289,15 @@ def _run(
             # and those a trace writes.
             read = np.arange(size + 1)
             if prepass:
-                starts = np.append(np.arange(0, size, condition.CERTIFY_RUN), size)
+                starts = np.append(np.arange(0, size, _PREPASS_RUN), size)
                 read = np.append(starts, np.append(starts[1:] - 1, size))
             at, guessed = _pick_counts(pulls, allowed, read)
             drawn = at[:, -1].tolist()
             # Row i of layer 0: arm i's running sum, then its read-ahead
             # samples; layer 1, for variance estimates only, the same for
-            # squares. One cumsum along the rows adds one sample at a time;
-            # table[i, c] is arm i's estimate after c more pulls.
+            # squares. One cumsum along the rows adds one sample at a time, in
+            # place unless a trace reads the samples; table[i, c] is arm i's
+            # estimate after c more pulls.
             width = 1 + max(drawn)
             rows = np.zeros((1 + squares, m, width))
             rows[0, :, 0] = sums
@@ -281,7 +306,7 @@ def _run(
             if squares:
                 np.multiply(rows[0], rows[0], out=rows[1])
                 rows[1, :, 0] = sums_sq
-            running = np.cumsum(rows, axis=2)
+            running = np.cumsum(rows, axis=2, out=rows if trace is None else None)
             table = estimate_from_sums(kind, running[0], running[-1], pulls[:, None] + np.arange(width))
 
             # The states that take per-state boxes, in parts checked in turn up
@@ -310,8 +335,10 @@ def _run(
                 else:
                     shut[-1] = False
                     cols = np.flatnonzero(np.repeat(~shut, np.diff(starts, append=size + 1)))
-                    # Parts of at most a full-size block bound a grown block's state arrays.
-                    parts = np.split(cols, range(most, len(cols), most))
+                    # Parts of at most one run, and a full-size block, keep a grown
+                    # block's state arrays small beside its estimate table.
+                    step = min(most, _PREPASS_RUN)
+                    parts = np.split(cols, range(step, len(cols), step))
 
             if oracle.bi_monotone:
                 for cols in parts:
@@ -408,10 +435,16 @@ def _run(
                     if converged == mask[:, k].any():
                         raise AssertionError(f"{oracle.name}: the candidate mask disagrees with the two-corner test")
                 break
-            # A pre-passed block kept whole doubles, up to the stable cap; after
-            # a miss, the next block is twice the stretch that held.
+            # A pre-passed block kept whole doubles up to the cap on its estimate
+            # table's cells for the next block's k allowed arms, and on its
+            # pre-pass's boxes; after a miss, the next block is twice the
+            # stretch that held.
             whole = whole + 1 if last == size else 0
-            size = min(stable, 2 * size) if prepass and last == size else min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
+            if prepass and last == size:
+                stable = min(_STABLE_CELLS * int(guess_from.sum()) // m, longest)
+                size = min(2 * size, max(most, stable))
+            else:
+                size = min(most, max(_BLOCK_ROUNDS_MIN, 2 * last))
     finally:
         if trace is not None:
             trace.close()

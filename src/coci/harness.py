@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import ProblemInstance, integer_value
 from .engine import RunResult, run_coci, run_uniform
 from .errors import CociError, ConfigError, UsageError
 from .estimators import EstimatorKind, check_delta
@@ -418,10 +418,11 @@ def run_experiment(
     """Execute all trials of a config and aggregate the summary.
 
     Trials run in parallel when ``workers > 1``; records are reduced in
-    trial order, so worker count does not affect the results.
+    trial order, so worker count does not affect the results. ``workers``
+    defaults to the config's and, like it, must be an integer of at least 1.
     """
+    workers = config.workers if workers is None else integer_value(workers, "workers", low=1)
     instance = build_problem(config)
-    workers = config.workers if workers is None else workers
 
     report: HardnessReport | None = None
     if config.hardness_epsilon is not None:

@@ -562,21 +562,23 @@ _CAPS = st.sampled_from([1, 2, 7, 64, engine._BLOCK_ROUNDS])
 # Certified-mask and pre-pass run lengths: short ones put the edges of the
 # runs that one pair of boxes settles within reach of short runs.
 _RUNS = st.sampled_from([1, 3, condition.CERTIFY_RUN])
-# Stable caps as multiples of the block cap: 1 never grows a block, 3 stops
-# a doubling short of twice the block before, 4 is the shipped ratio. Short
-# caps put grown blocks, and open runs in them, within reach of short runs.
-_GROWTH = st.sampled_from([1, 3, engine._STABLE_ROUNDS // engine._BLOCK_ROUNDS])
+# Stable caps in estimate-table cells: 1 never grows a block, a few hundred
+# stop a doubling short of twice the block before, in coci sooner than in
+# uniform, and put grown blocks, and open runs in them, within reach of
+# short runs; the last is the shipped cap.
+_CELLS = st.sampled_from([1, 200, 700, engine._STABLE_CELLS])
 
 
-def _patched(cap, run_length, prepass=False, growth=None):
-    """The block cap, the stable cap (``growth`` times the block cap, or
-    the shipped one) and the run length, patched; with ``prepass``, every
+def _patched(cap, run_length, prepass=False, cells=None):
+    """The block cap, the stable cell cap (when given) and the run length of
+    the pre-pass and of ``certified_mask``, patched; with ``prepass``, every
     block of at least the block cap takes the pre-pass, whatever came
     before it, and none is smaller."""
     stack = ExitStack()
     stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS", cap))
-    if growth is not None:
-        stack.enter_context(mock.patch.object(engine, "_STABLE_ROUNDS", growth * cap))
+    if cells is not None:
+        stack.enter_context(mock.patch.object(engine, "_STABLE_CELLS", cells))
+    stack.enter_context(mock.patch.object(engine, "_PREPASS_RUN", run_length))
     stack.enter_context(mock.patch.object(condition, "CERTIFY_RUN", run_length))
     if prepass:
         stack.enter_context(mock.patch.object(engine, "_BLOCK_ROUNDS_MIN", cap))
@@ -586,33 +588,37 @@ def _patched(cap, run_length, prepass=False, growth=None):
 
 def _logged_blocks():
     """Patches that log every block as a dict: its size (from its one call
-    to ``_logs``, for the levels of its states), whether it took the
-    pre-pass, the number of states it read pull counts at, and the box
-    count of each of its ``block_mask`` calls but the pre-pass one; a
-    trace's calls included."""
+    to ``_logs``, for the levels of its states), its allowed arm count, the
+    arm count ``m`` of its mask calls, whether it took the pre-pass and the
+    (m, boxes) shape of that mask call (``settle``), the number of states
+    it read pull counts at, and the box count of each of its other
+    ``block_mask`` calls; a trace's calls included."""
     blocks = []
     levels, counted = engine._logs, engine._pick_counts
     bounds, mask = condition.run_bounds, engine.block_mask
 
     def logs(start, stop):
-        blocks.append({"size": stop - start - 1, "prepass": False, "columns": 0, "boxes": []})
+        blocks.append({"size": stop - start - 1, "allowed": None, "m": None, "prepass": False, "settle": None,
+                       "columns": 0, "boxes": []})
         return levels(start, stop)
 
     def pick_counts(pulls, allowed, cols):
+        if blocks[-1]["allowed"] is None:
+            blocks[-1]["allowed"] = int(np.count_nonzero(allowed))
         blocks[-1]["columns"] += len(cols)
         return counted(pulls, allowed, cols)
 
     def prepass(*args):
-        blocks[-1]["prepass"] = True
-        blocks[-1]["boxes"].append(None)  # the pre-pass call comes next
+        blocks[-1]["prepass"] = True  # the pre-pass mask call comes next
         return bounds(*args)
 
     def per_state(oracle, lower, upper):
-        boxes = blocks[-1]["boxes"]
-        if boxes and boxes[-1] is None:
-            boxes.pop()
+        block = blocks[-1]
+        block["m"] = lower.shape[0]
+        if block["prepass"] and block["settle"] is None:
+            block["settle"] = lower.shape
         else:
-            boxes.append(lower.shape[1])
+            block["boxes"].append(lower.shape[1])
         return mask(oracle, lower, upper)
 
     stack = ExitStack()
@@ -624,9 +630,14 @@ def _logged_blocks():
 
 
 def _check_parts(blocks, most, traced=False):
-    """An untraced run's per-state mask calls: one of the block's states,
-    at most ``most + 1``, or after a pre-pass parts of at most ``most``. A
-    traced run's trace calls are not told apart, so it is not checked."""
+    """Every mask call's (m, m, boxes) top-k array stays within
+    ``_BLOCK_CELLS``. An untraced run's per-state mask calls: one of the
+    block's states, at most ``most + 1``, or after a pre-pass parts of at
+    most ``most``. A traced run's trace calls are not told apart, so they
+    are not checked for that."""
+    for block in blocks:
+        calls = block["boxes"] + ([block["settle"][1]] if block["prepass"] else [])
+        assert all(block["m"] ** 2 * n <= engine._BLOCK_CELLS for n in calls), block
     if traced:
         return
     for block in blocks:
@@ -644,12 +655,12 @@ class TestBlockLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         case=_top_k_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(), growth=_GROWTH,
+        prepass=st.booleans(), cells=_CELLS,
     )
-    def test_matches_scalar_loop(self, case, run, cap, run_length, prepass, growth):
+    def test_matches_scalar_loop(self, case, run, cap, run_length, prepass, cells):
         instance, delta, kwargs = case
         logging, blocks = _logged_blocks()
-        with _patched(cap, run_length, prepass, growth), logging:
+        with _patched(cap, run_length, prepass, cells), logging:
             fast = _fast(run, instance, delta, **kwargs)
         _same(fast, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
         _check_parts(blocks, cap, kwargs["traced"])
@@ -657,12 +668,12 @@ class TestBlockLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         case=_exact_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(), growth=_GROWTH,
+        prepass=st.booleans(), cells=_CELLS,
     )
-    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length, prepass, growth):
+    def test_exact_checks_match_scalar_loop(self, case, run, cap, run_length, prepass, cells):
         instance, delta, kwargs = case
         (fast, fast_calls), (slow, slow_calls) = _counted(instance), _counted(instance)
-        with _patched(cap, run_length, prepass, growth):
+        with _patched(cap, run_length, prepass, cells):
             fast_run = _fast(run, fast, delta, **kwargs)
         _same(fast_run, _slow(slow, delta, uniform=run is run_uniform, **kwargs))
         # Untraced uniform corner enumeration tests arms in the reference's
@@ -674,13 +685,13 @@ class TestBlockLoop:
     @settings(max_examples=60, deadline=None)
     @given(
         case=_osa_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS, run_length=_RUNS,
-        prepass=st.booleans(), growth=_GROWTH,
+        prepass=st.booleans(), cells=_CELLS,
     )
-    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length, prepass, growth):
+    def test_osa_mask_matches_scalar_loop(self, case, run, cap, run_length, prepass, cells):
         instance, delta, kwargs = case
         fast, calls = _counted(instance)
         logging, blocks = _logged_blocks()
-        with _patched(cap, run_length, prepass, growth), logging:
+        with _patched(cap, run_length, prepass, cells), logging:
             fast_run = _fast(run, fast, delta, **kwargs)
         _same(fast_run, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
         _check_parts(blocks, cap, kwargs["traced"])
@@ -729,7 +740,9 @@ class TestBlockLoop:
         # A block reads pull counts only at the states it needs. On the c09
         # instance uniform settles most stable blocks whole, with no
         # per-state mask call; such a block reads them only at its run cuts,
-        # the first and last state of each run and the last state alone.
+        # the first and last state of each run of 1,024 states and the last
+        # state alone, and its one mask call tests an inner and an outer box
+        # per run: 66 of each in a block of 32,768 rounds.
         instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
         logging, blocks = _logged_blocks()
         with logging:
@@ -738,8 +751,10 @@ class TestBlockLoop:
         settled = [block for block in blocks if block["prepass"] and not block["boxes"]]
         assert len(settled) > len(blocks) // 2
         for block in settled:
-            assert block["columns"] == 2 * (-(-block["size"] // condition.CERTIFY_RUN) + 1), block
-            assert block["columns"] < block["size"] // 16
+            assert block["columns"] == 2 * (-(-block["size"] // engine._PREPASS_RUN) + 1), block
+            assert block["settle"] == (8, block["columns"])
+            assert block["columns"] < block["size"] // 256
+        assert any(block["columns"] == 66 for block in settled)
 
     @pytest.mark.parametrize("offset", [0.08, 0.1])
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
@@ -756,11 +771,11 @@ class TestBlockLoop:
                 slow = scalar_run(instance, 0.1, uniform=run is run_uniform, seed=seed, max_rounds=5000)
                 fails += not slow.xi_held
                 for prepass, run_length, cap in (
-                    (False, condition.CERTIFY_RUN, full), (True, 1, full), (True, 3, full), (True, 64, full),
+                    (False, engine._PREPASS_RUN, full), (True, 1, full), (True, 3, full), (True, 64, full),
                     (False, 3, 64),
                 ):
                     logging, blocks = _logged_blocks()
-                    with logging, _patched(cap, run_length, prepass, engine._STABLE_ROUNDS // full):
+                    with logging, _patched(cap, run_length, prepass, engine._STABLE_CELLS):
                         fast = run(instance, 0.1, seed=seed, max_rounds=5000)
                     assert repr(fast) == repr(slow), (run_length, cap)
                     assert any(block["prepass"] for block in blocks) or not prepass
@@ -780,14 +795,14 @@ class TestBlockLoop:
 
     def test_many_arms_shrink_blocks_to_the_cell_cap(self):
         # At m = 24 a block's (m, m, boxes) top-k array reaches _BLOCK_CELLS
-        # at 1,820 boxes, so blocks hold 1,820 rounds, not 2,048; the other
-        # block-loop tests draw m <= 8. Plain and traced runs over more than
-        # one such block equal the reference.
+        # at 1,820 boxes, so blocks hold 1,819 rounds and 1,820 states, not
+        # 2,048 rounds; the other block-loop tests draw m <= 8. Plain and
+        # traced runs over more than one such block equal the reference.
         m = 24
         theta = tuple(0.9 - 0.8 * i / (m - 1) for i in range(m))
         instance = build_instance(make_top_k_oracle(m, 3), theta, EstimatorKind.MEAN)
-        most = engine._BLOCK_CELLS // (m * m)
-        assert most == 1820 < engine._BLOCK_ROUNDS
+        most = engine._BLOCK_CELLS // (m * m) - 1
+        assert most == 1819 < engine._BLOCK_ROUNDS
         for run in (run_coci, run_uniform):
             for traced in (False, True):
                 logging, blocks = _logged_blocks()
@@ -795,6 +810,7 @@ class TestBlockLoop:
                     fast = _fast(run, instance, 0.1, traced=traced, seed=1, max_rounds=3000)
                 sizes = [block["size"] for block in blocks]
                 assert fast[0].rounds == 3000 and sizes[0] == max(sizes) == most
+                _check_parts(blocks, most, traced)
                 _same(fast, _slow(instance, 0.1, uniform=run is run_uniform, traced=traced, seed=1, max_rounds=3000))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -802,33 +818,104 @@ class TestBlockLoop:
         # A uniform block ends only where the run stops, so no block misses.
         # The first two take the full size and one per-state mask call each.
         # From the third on, each takes the pre-pass with one mask call, and
-        # the next doubles it up to the stable cap: 2,048, 2,048, 2,048,
-        # 4,096, 8,192, 8,192, ... rounds, the last block holding the stop.
-        # The pre-pass settles every run of states but the one where the run
-        # stops, which adds one per-state call in the last block. A traced
-        # run adds one call per part of its kept states, of at most a full
-        # block and its last state: the first block's full + 1 states take
-        # one, a block of 8,192 four. Traced and audited runs take the same
-        # blocks as the plain run.
-        full, stable = engine._BLOCK_ROUNDS, engine._STABLE_ROUNDS
-        instance = build_instance(make_best_arm_oracle(3), (0.6, 0.5, 0.3), EstimatorKind.MEAN)
+        # the next doubles it up to the cell cap, 32,768 rounds at any m:
+        # 2,048, 2,048, 2,048, 4,096, 8,192, 16,384, 32,768, ... rounds, the
+        # last block holding the stop. The pre-pass settles every run of
+        # 1,024 states but the one where the run stops and, at seed 1, the
+        # one before it, whose inner box (the meet of its state boxes) has
+        # no candidate where each state box has one. The last block checks
+        # each open run with one per-state call. A traced run adds one call
+        # per part of its kept states, of at most a full block and its last
+        # state: the first block's full + 1 states take one, a block of
+        # 32,768 sixteen. Traced and audited runs take the same blocks and
+        # per-state calls as the plain run.
+        full, stable = engine._BLOCK_ROUNDS, engine._STABLE_CELLS
+        instance = build_instance(make_best_arm_oracle(3), (0.56, 0.5, 0.3), EstimatorKind.MEAN)
         counting, calls = _counted_mask(instance)
-        for kwargs in ({}, {"traced": True}, {"lambda_lower": (0.1, 0.1, 0.4)}):
+        grown = [full, full, full, 2 * full, 4 * full, 8 * full]
+        ends = None  # the plain run's per-state calls in its last block
+        for kwargs in ({}, {"traced": True}, {"lambda_lower": (0.03, 0.03, 0.2)}):
             calls[0] = 0
             logging, blocks = _logged_blocks()
             with logging:
                 fast = _fast(run_uniform, counting, 0.05, seed=seed, **kwargs)
             result = fast[0]
-            assert result.converged and result.rounds - 3 > 5 * full  # past the first block of the stable cap
-            sizes = [full, full, full, 2 * full] + [stable] * ((result.rounds - 3 - 5 * full) // stable + 1)
+            assert result.converged and result.rounds - 3 > sum(grown)  # past the first block of the cell cap
+            sizes = grown + [stable] * ((result.rounds - 3 - sum(grown)) // stable + 1)
             assert sum(sizes[:-1]) < result.rounds - 3 <= sum(sizes)
             assert [block["size"] for block in blocks] == sizes
             assert [block["prepass"] for block in blocks] == [False, False] + [True] * (len(sizes) - 2)
+            if ends is None:
+                ends = blocks[-1]["boxes"]
+                assert len(ends) == 1 + seed and all(n <= engine._PREPASS_RUN for n in ends)
             kept = [full + 1] + sizes[1:-1] + [result.rounds - 3 - sum(sizes[:-1])]
             parts = sum(-(-n // (full + 1)) for n in kept) if "traced" in kwargs else 0
-            assert calls[0] == len(sizes) + 1 + parts
+            assert calls[0] == len(sizes) + len(ends) + parts
             _same(fast, _slow(instance, 0.05, uniform=True, seed=seed, **kwargs))
             assert "lambda_lower" not in kwargs or result.lemma_violations > 0
+
+    def test_stable_blocks_fill_the_cell_cap(self):
+        # On the c09 instance (m = 8), a stable block doubles while its
+        # estimate table, m rows by about rounds / k pulls of the k allowed
+        # arms, stays within 2^15 cells. Uniform blocks reach 32,768 rounds
+        # and hold it; coci blocks guessing from the two close arms stay at
+        # 8,192, its idle rows counted. Both equal the reference.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
+        cap = engine._STABLE_CELLS
+        assert cap == 1 << 15
+        for run in (run_uniform, run_coci):
+            logging, blocks = _logged_blocks()
+            with logging:
+                result = run(instance, 0.1, seed=0)
+            assert result.converged and result.correct
+            stable = [block for block in blocks if block["prepass"]]
+            if run is run_uniform:
+                assert {block["allowed"] for block in blocks} == {8}
+                sizes = [block["size"] for block in stable]
+                assert sizes[-1] <= cap and sizes.count(cap) >= 5
+                assert sizes == sorted(sizes) and max(block["size"] for block in blocks) == cap
+            else:
+                pairs = [block for block in stable if block["allowed"] == 2]
+                assert len(pairs) >= 5
+                assert max(block["size"] for block in pairs) == cap * 2 // 8 == 8192
+                assert max(block["size"] for block in blocks) == 8192
+            _check_parts(blocks, engine._BLOCK_ROUNDS)
+            assert repr(result) == repr(scalar_run(instance, 0.1, uniform=run is run_uniform, seed=0))
+
+    def test_prepass_boxes_stay_within_the_block_cells(self):
+        # A pre-pass mask call tests two boxes per run, and its (m, m, boxes)
+        # top-k array must stay within _BLOCK_CELLS even where the cell cap
+        # would let a stable block grow further. With 2^14 block cells and
+        # runs of 4 states at m = 8, that holds blocks to 4 * (2^14 // 128 -
+        # 1) = 508 rounds and their pre-pass to 256 boxes.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
+        for run in (run_uniform, run_coci):
+            logging, blocks = _logged_blocks()
+            with logging, mock.patch.object(engine, "_BLOCK_CELLS", 1 << 14), _patched(256, 4):
+                result = run(instance, 0.1, seed=0, max_rounds=6000)
+                _check_parts(blocks, 256)
+            assert max(block["size"] for block in blocks) == 508
+            assert max(block["settle"][1] for block in blocks if block["prepass"]) == 256
+            assert repr(result) == repr(scalar_run(instance, 0.1, uniform=run is run_uniform, seed=0, max_rounds=6000))
+
+    def test_uniform_peak_memory_on_c09(self):
+        # The tracemalloc peak of a long uniform run stays within 1.25 times
+        # 1,769,895 bytes, its peak with stable blocks of at most 8,192
+        # rounds and pre-pass runs of 64 states (numpy 2.4.6). Its blocks
+        # of 32,768 rounds cumulate their samples in place and check open
+        # states one run at a time. The level table, shared by every run, is
+        # grown first, and a first run warms the arms' streams.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
+        rounds = run_uniform(instance, 0.1, seed=0).rounds
+        engine._logs(1, rounds + 2)
+        tracemalloc.start()
+        try:
+            result = run_uniform(instance, 0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rounds == rounds
+        assert peak <= 1.25 * 1_769_895, peak
 
     def test_paths_follow_the_oracle(self, best_arm_instance):
         # The mask checks every run on a bi-monotone oracle, traced or not;

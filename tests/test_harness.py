@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coci import ConfigError, harness
+from coci import ConfigError, UsageError, harness
 from coci.cli import main as cli_main
 from coci.harness import (
     _SCHEMA,
@@ -199,6 +199,13 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=2)
         strip = lambda r: (r.trial, r.seed, r.mode, r.rounds, r.correct, r.xi_held, r.pulls)  # noqa: E731
         assert [strip(r) for r in serial.records] == [strip(r) for r in parallel.records]
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.5, "2"])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        # The argument is held to the config field's rule: these used to
+        # run serially, or raise a bare TypeError.
+        with pytest.raises(UsageError, match="workers"):
+            run_experiment(quick_config(trials=2, hardness_epsilon=None), workers=workers)
 
     def test_import_leaves_the_process_pool_out(self):
         # One-worker runs never start a pool, so importing the harness must
