@@ -44,12 +44,18 @@ def validate_parameters(values: Sequence[float], arm_count: int | None = None) -
 
 
 def integer_value(value, label: str, low: int | None = None) -> int:
-    """``value`` as an ``int``; a bool, a non-integer or one below ``low`` is a :class:`UsageError`."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    """``value`` as an ``int``; a bool, a value that ``operator.index``
+    refuses (a float, or an array but a 0-d one) or one below ``low`` is a
+    :class:`UsageError`."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None:
         raise UsageError(f"{label} must be an integer, got {value!r}")
-    if low is not None and operator.index(value) < low:
+    if low is not None and index < low:
         raise UsageError(f"{label} must be >= {low}, got {value!r}")
-    return operator.index(value)
+    return index
 
 
 @dataclass(frozen=True)

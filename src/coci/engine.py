@@ -26,11 +26,16 @@ picks (up to 32,768 in a stable stretch, see below) and computes the states
 they lead to as arrays, only those it reads. It builds no pick sequence: the
 rule visits pull-count levels in turn, so each arm's count after any
 number of picks, and the pick that follows, come from the levels at
-which the allowed arms join it (:func:`_pick_counts`). Each arm's running
-sums come from one sequential ``np.cumsum`` along a row that holds its
-current sum and then its read-ahead samples, so they add one sample at a
-time; sums of squares are formed only for variance estimates, the one
-estimator that reads them.
+which the allowed arms join it (:func:`_pick_counts`). They depend only
+on the allowed arms' pull counts past their fewest, so a block that reads
+them at every state takes them from a per-process cache keyed by those
+(:func:`_plan`): one read-only entry per key holds the most states read,
+a smaller block reads a prefix of it, and the least recently read entries
+go once the entries pass ``_PLAN_CELLS`` (2^16) cells, m per state.
+Each arm's running sums come from one sequential ``np.cumsum`` along a
+row that holds its current sum and then its read-ahead samples, so they
+add one sample at a time; sums of squares are formed only for variance
+estimates, the one estimator that reads them.
 They give a table of each arm's estimate after c more pulls, and a state's
 estimates are read from it by its pull counts.
 ``level`` is read from a per-process table of ``math.log(t)`` values, grown
@@ -131,6 +136,12 @@ _PREPASS_RUN = 1024
 #: Blocks kept whole in a row before a block of at least the full size
 #: takes the pre-pass.
 _STABLE_BLOCKS = 2
+#: Cells (m x states) of the pick plans cached by :func:`_plan`, at most.
+_PLAN_CELLS = 1 << 16
+#: The pick plans: (counts, picks) of :func:`_pick_counts` at states 0 to
+#: n, read-only, keyed by the allowed arms' pull counts past their fewest
+#: (-1 for an arm not allowed), least recently read first.
+_PLANS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 #: Entries per chunk of the level table.
 _LOG_CHUNK = 1 << 15
 #: The level table: ``math.log(t)`` for t = 1, 2, ..., shared by every run
@@ -208,7 +219,7 @@ def _run(
     After the set-up pulls, the rounds step in verified blocks (see the
     module docstring) until a block ends at a state that stops.
 
-    ``seed`` is a nonnegative integer or a tuple or list of them.
+    ``seed`` is a nonnegative integer or a nonempty tuple or list of them.
     ``max_rounds`` defaults to ten times the round bound implied by
     ``h_lambda`` (10^6 without one). ``lambda_lower``, finite and
     nonnegative, enables the half-flip-radius pull audit. ``trace_path``
@@ -245,6 +256,8 @@ def _run(
         lam = np.asarray(lambda_lower, dtype=np.float64) / 2.0
 
     entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    if not entries:
+        raise UsageError("seed must hold at least one integer")
     seed_key = tuple(integer_value(v, "seed", low=0) for v in entries)
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
     theta = np.asarray(instance.true_params.values, dtype=np.float64)[:, None]
@@ -291,7 +304,9 @@ def _run(
             if prepass:
                 starts = np.append(np.arange(0, size, _PREPASS_RUN), size)
                 read = np.append(starts, np.append(starts[1:] - 1, size))
-            at, guessed = _pick_counts(pulls, allowed, read)
+                at, guessed = _pick_counts(pulls, allowed, read)
+            else:
+                at, guessed = _plan(pulls, allowed, size)
             drawn = at[:, -1].tolist()
             # Row i of layer 0: arm i's running sum, then its read-ahead
             # samples; layer 1, for variance estimates only, the same for
@@ -522,13 +537,37 @@ def _next_picks(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarra
     return idx[pos], level + low
 
 
+def _plan(pulls: np.ndarray, allowed: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pick_counts` at states 0 to ``size``, read from the plan
+    cache (see the module docstring). The counts and pick after s picks do
+    not depend on later picks, so a key's entry serves every smaller size.
+    A plan of more than ``_PLAN_CELLS`` cells is not kept."""
+    key = np.where(allowed, pulls - pulls[allowed].min(), -1).tobytes()
+    plan = _PLANS.pop(key, None)
+    if plan is None or plan[1].size <= size:
+        plan = _pick_counts(pulls, allowed, np.arange(size + 1))
+        cells = plan[0].size
+        if cells > _PLAN_CELLS:
+            return plan
+        held = sum(counts.size for counts, _ in _PLANS.values())
+        while held + cells > _PLAN_CELLS:
+            held -= _PLANS.pop(next(iter(_PLANS)))[0].size
+        for array in plan:
+            array.flags.writeable = False
+    _PLANS[key] = plan  # the most recently read
+    return plan[0][:, : size + 1], plan[1][: size + 1]
+
+
 def _pick_counts(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
     """Each arm's pull count after the first ``cols[j]`` picks of the
     fewest-pulls rule over the ``allowed`` arms, as an ``(m, len(cols))``
     array, and the arm of pick ``cols[j]``, the next one. Up to that pick,
     of arm a holding n pulls, an allowed arm i has had ``n - pulls[i]``
     picks, one more if ``i < a``, or none if that is negative (it is yet
-    to join); an arm not allowed has had none."""
+    to join); an arm not allowed has had none. A block that reads them at
+    all its states reads them through the plan cache (:func:`_plan`); the
+    pre-pass's run cuts, its open parts and the trace's parts call this
+    directly."""
     arm, n = _next_picks(pulls, allowed, cols)
     counts = n - np.where(allowed, pulls, 1 << 62)[:, None]
     counts += np.arange(len(pulls))[:, None] < arm

@@ -99,13 +99,13 @@ class TestBasics:
     def test_seed_is_integers(self, best_arm_instance):
         assert run_coci(best_arm_instance, 0.05, seed=np.int64(3)) == run_coci(best_arm_instance, 0.05, seed=3)
         assert run_coci(best_arm_instance, 0.05, seed=[np.int64(1), 2]).seed == (1, 2)
-        for seed in (2.5, (1.5, 2), -1, (3, -1), True, (True, 2), "12", None):
+        for seed in (2.5, (1.5, 2), -1, (3, -1), True, (True, 2), "12", None, (), [], np.array([1, 2])):
             with pytest.raises(UsageError):
                 run_coci(best_arm_instance, 0.05, seed=seed)
 
     def test_max_rounds_is_an_integer(self, best_arm_instance):
         assert run_coci(best_arm_instance, 0.05, seed=42, max_rounds=np.int64(2)).rounds == 2
-        for cap in (6.5, True, "10"):
+        for cap in (6.5, True, "10", np.array([5, 6])):
             with pytest.raises(UsageError):
                 run_coci(best_arm_instance, 0.05, seed=42, max_rounds=cap)
 
@@ -345,14 +345,7 @@ class TestPullOrder:
         # they must equal the picks made one at a time and their running
         # counts, at every column or any subset, past the block's last state
         # too. An allowed arm far ahead joins past the last column.
-        low, high = (100, 102) if tight else (1, 30)
-        pulls = np.array(data.draw(st.lists(st.integers(low, high), min_size=m, max_size=m)), dtype=np.int64)
-        allowed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
-        allowed[data.draw(st.integers(0, m - 1))] = True
-        if data.draw(st.booleans()):
-            ahead = data.draw(st.integers(0, m - 1))
-            allowed[ahead] = True
-            pulls[ahead] += data.draw(st.sampled_from([40, 10**6]))
+        pulls, allowed = _pulls_and_allowed(data, m, tight)
         size = data.draw(st.integers(0, 300))
         guess = np.array(fewest_pulls_picks(pulls.tolist(), allowed.tolist(), size + 2), dtype=np.int64)
         counts = np.zeros((m, size + 2), dtype=np.int64)
@@ -366,6 +359,51 @@ class TestPullOrder:
         arm, n = engine._next_picks(pulls, allowed, cols)
         assert arm.tolist() == guess[cols].tolist()
         assert n.tolist() == (pulls[arm] + counts[arm, cols]).tolist()
+
+    @settings(max_examples=200)
+    @given(m=st.integers(2, 8), tight=st.booleans(), data=st.data())
+    def test_plan_reads_match_pick_counts(self, m, tight, data):
+        # Every read of the plan cache equals _pick_counts at states 0 to
+        # size: a smaller read after a larger one of the same key (a prefix
+        # of its entry), a key read again after it was evicted, pulls
+        # shifted by a constant (the same key), plans larger than the
+        # budget (not kept), and any sequence of reads after those. The
+        # cached arrays are read-only and never hold more cells than the
+        # budget.
+        first, second = _pulls_and_allowed(data, m, tight), _pulls_and_allowed(data, m, tight)
+        second[1][:] = ~first[1]  # a different key: the allowed sets differ
+        second[1][0] = True
+        cases = [first, second, _pulls_and_allowed(data, m, tight)]
+        big, other = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        budget = m * (max(big, other) + 1)  # either plan fits, not both
+        reads = [(0, big, 0), (0, data.draw(st.integers(0, big)), 1), (1, other, 0), (0, big, 2)]
+        reads += data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 300), st.integers(0, 5)), max_size=10))
+        engine._PLANS.clear()
+        with mock.patch.object(engine, "_PLAN_CELLS", budget):
+            for n, (case, size, shift) in enumerate(reads):
+                pulls, allowed = cases[case]
+                at, picks = engine._plan(pulls + shift, allowed, size)
+                want_at, want_picks = engine._pick_counts(pulls + shift, allowed, np.arange(size + 1))
+                assert at.tolist() == want_at.tolist() and picks.tolist() == want_picks.tolist()
+                plans = list(engine._PLANS.values())
+                assert all(not array.flags.writeable for plan in plans for array in plan)
+                assert sum(counts.size for counts, _ in plans) <= budget
+                if n == 1:  # the same key, read from its entry
+                    assert len(plans) == 1 and plans[0][1].size == big + 1
+                if n == 2:  # the second plan evicted the first
+                    assert len(plans) == 1 and plans[0][1].size == other + 1
+
+    def test_plan_cache_evicts_the_least_recently_read(self):
+        # Three keys of 11 states each at m = 3, with room for two: a read
+        # of the first key after the second keeps it, so the third evicts
+        # the second.
+        engine._PLANS.clear()
+        allowed = np.ones(3, dtype=bool)
+        keys = [np.array(k, dtype=np.int64) for k in ([0, 0, 0], [0, 1, 0], [0, 0, 1])]
+        with mock.patch.object(engine, "_PLAN_CELLS", 2 * 3 * 11):
+            for key, size in ((0, 10), (1, 10), (0, 5), (2, 10)):
+                engine._plan(keys[key] + 7, allowed, size)
+        assert list(engine._PLANS) == [keys[0].tobytes(), keys[2].tobytes()]
 
     def test_infinite_radius_delta_rejected(self, best_arm_instance):
         # 4 / (tau delta) overflows: every radius would be inf, all tied.
@@ -419,6 +457,20 @@ class TestBoundPlumbing:
         )
         assert result.xi_held
         assert result.lemma_violations == 0
+
+
+def _pulls_and_allowed(data, m, tight):
+    """Pull counts close together (``tight``) or spread out, and an allowed
+    mask of at least one arm, sometimes with an allowed arm far ahead."""
+    low, high = (100, 102) if tight else (1, 30)
+    pulls = np.array(data.draw(st.lists(st.integers(low, high), min_size=m, max_size=m)), dtype=np.int64)
+    allowed = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    allowed[data.draw(st.integers(0, m - 1))] = True
+    if data.draw(st.booleans()):
+        ahead = data.draw(st.integers(0, m - 1))
+        allowed[ahead] = True
+        pulls[ahead] += data.draw(st.sampled_from([40, 10**6]))
+    return pulls, allowed
 
 
 def _settings(draw, m, tau):
@@ -592,21 +644,35 @@ def _logged_blocks():
     arm count ``m`` of its mask calls, whether it took the pre-pass and the
     (m, boxes) shape of that mask call (``settle``), the number of states
     it read pull counts at, and the box count of each of its other
-    ``block_mask`` calls; a trace's calls included."""
+    ``block_mask`` calls; a trace's calls included. Pull counts read from
+    the plan cache count once, hit or miss."""
     blocks = []
-    levels, counted = engine._logs, engine._pick_counts
+    levels, counted, planned = engine._logs, engine._pick_counts, engine._plan
     bounds, mask = condition.run_bounds, engine.block_mask
+    planning = [False]  # inside a plan read, whose own _pick_counts call is not logged
 
     def logs(start, stop):
         blocks.append({"size": stop - start - 1, "allowed": None, "m": None, "prepass": False, "settle": None,
                        "columns": 0, "boxes": []})
         return levels(start, stop)
 
-    def pick_counts(pulls, allowed, cols):
+    def log_read(allowed, columns):
         if blocks[-1]["allowed"] is None:
             blocks[-1]["allowed"] = int(np.count_nonzero(allowed))
-        blocks[-1]["columns"] += len(cols)
+        blocks[-1]["columns"] += columns
+
+    def pick_counts(pulls, allowed, cols):
+        if not planning[0]:
+            log_read(allowed, len(cols))
         return counted(pulls, allowed, cols)
+
+    def plan(pulls, allowed, size):
+        log_read(allowed, size + 1)
+        planning[0] = True
+        try:
+            return planned(pulls, allowed, size)
+        finally:
+            planning[0] = False
 
     def prepass(*args):
         blocks[-1]["prepass"] = True  # the pre-pass mask call comes next
@@ -624,6 +690,7 @@ def _logged_blocks():
     stack = ExitStack()
     stack.enter_context(mock.patch.object(engine, "_logs", logs))
     stack.enter_context(mock.patch.object(engine, "_pick_counts", pick_counts))
+    stack.enter_context(mock.patch.object(engine, "_plan", plan))
     stack.enter_context(mock.patch.object(condition, "run_bounds", prepass))
     stack.enter_context(mock.patch.object(engine, "block_mask", per_state))
     return stack, blocks
