@@ -32,15 +32,24 @@ them at every state takes them from a per-process cache keyed by those
 (:func:`_plan`): one read-only entry per key holds the most states read,
 a smaller block reads a prefix of it, and the least recently read entries
 go once the entries pass ``_PLAN_CELLS`` (2^16) cells, m per state.
-Each arm's running sums come from one sequential ``np.cumsum`` along a
-row that holds its current sum and then its read-ahead samples, so they
-add one sample at a time; sums of squares are formed only for variance
-estimates, the one estimator that reads them.
-They give a table of each arm's estimate after c more pulls, and a state's
-estimates are read from it by its pull counts.
-``level`` is read from a per-process table of ``math.log(t)`` values, grown
-in fixed chunks as runs reach larger t (``np.log`` can differ from
-``math.log`` in the last place). Every float operation happens as in a
+A run keeps one read-ahead of samples across blocks. Each arm's running
+sums come from one sequential ``np.cumsum`` along a row that holds its sum
+at ``base`` pulls and then its next samples, so they add one sample at a
+time; sums of squares are formed only for variance estimates, the one
+estimator that reads them. They give a table of each arm's estimate after
+c pulls past ``base``, and a state's estimates are read from it at column
+``pulls - base``. A block reuses the read-ahead while every arm's column
+at its last state is one the arm has (``cover``, its pulls past ``base``
+at the last state of the block that built it). Otherwise the arms'
+streams consume their pulls since ``base`` and the read-ahead is built
+again from the current state. So a coci block that keeps a few rounds of a flipping
+candidate set, and the shorter block after it, mostly read on in the
+read-ahead of an earlier block.
+``level`` is read from a per-process table of ``math.log(t)`` values, one
+array filled in fixed chunks as runs reach larger t (``np.log`` can differ
+from ``math.log`` in the last place). It and the plan cache are shared by
+the runs of a process, and one lock guards their updates, so runs in
+threads read what they would read alone. Every float operation happens as in a
 round-at-a-time loop, so the arrays are exact: numpy's elementwise ``+ - *
 / sqrt`` round exactly like Python floats, and ``clip`` to [0, 1] gives
 ``max(0.0, min(1.0, x))`` for every float x but NaN and -0.0, which ``est -
@@ -82,8 +91,8 @@ so one kept whole is followed by one twice its size, while its estimate
 table, m rows by about rounds / k pulls of its k allowed arms, stays
 within ``_STABLE_CELLS`` (2^15) cells: uniform blocks reach 32,768
 rounds, coci ones guessing from two of eight arms 8,192. A miss falls back
-to the sizes above. Untraced blocks form their running sums in place of
-the samples, which only a trace reads again.
+to the sizes above. An untraced run forms its running sums in place of its
+read-ahead samples, which only a trace reads again.
 
 A traced run then appends the kept states to its trace file as JSON
 lines, from the block's estimate table, in parts of at most a full block
@@ -99,6 +108,7 @@ read again from its arm's stream, keyed by (seed, arm).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import compress
 from numbers import Real
@@ -144,10 +154,14 @@ _PLAN_CELLS = 1 << 16
 _PLANS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 #: Entries per chunk of the level table.
 _LOG_CHUNK = 1 << 15
-#: The level table: ``math.log(t)`` for t = 1, 2, ..., shared by every run
-#: in the process. Chunk c holds t = c * _LOG_CHUNK + 1 to (c + 1) *
-#: _LOG_CHUNK; chunks are read-only and only ever appended.
-_LOG_TABLE: list[np.ndarray] = []
+#: The level table: ``math.log(t)`` at index t - 1 for t = 1 up to its
+#: length, a whole number of chunks, shared by every run in the process. It
+#: is a read-only view of the start of its buffer (``_LOG_TABLE.base``),
+#: whose entries past it are not filled yet.
+_LOG_TABLE = np.empty(0)
+#: Guards the growth of the level table and the plan cache's updates, for
+#: runs in threads of one process.
+_LOCK = threading.Lock()
 #: One line of a trace file, as ``json.dumps`` writes the state's dict: the
 #: ``str`` of an int, a finite float or a list of them is its JSON text.
 _TRACE_LINE = (
@@ -226,9 +240,10 @@ def _run(
     names a file that the run writes every round to, one JSON line per
     state with its full candidate set (see the module docstring).
 
-    The run keeps ``pulls``, ``sums`` and ``sums_sq`` as arrays over the
-    arms. Block arrays are arm-major: entry ``[i, s]`` is arm i after the
-    block's first s guessed pulls, or ``cols[s]`` in the per-state arrays.
+    The run keeps ``pulls`` as an array over the arms, and its read-ahead
+    as ``running``, ``table``, ``base`` and ``cover``. Block arrays are
+    arm-major: entry ``[i, s]`` is arm i after the block's first s guessed
+    pulls, or ``cols[s]`` in the per-state arrays.
     """
     oracle = instance.oracle
     m = oracle.arm_count
@@ -262,14 +277,17 @@ def _run(
     streams = [BufferedArm(instance.arm_models[i], arm_stream(seed_key, i)) for i in range(m)]
     theta = np.asarray(instance.true_params.values, dtype=np.float64)[:, None]
 
-    sums, sums_sq = np.zeros(m), np.zeros(m)
+    sums = np.zeros((2, m))  # each arm's sum and sum of squares
     for i in range(m):
         for _ in range(tau):
             x = streams[i].next()
-            sums[i] += x
-            sums_sq[i] += x * x
+            sums[0, i] += x
+            sums[1, i] += x * x
     pulls = np.full(m, tau, dtype=np.int64)
     t = tau * m
+    # The read-ahead (see the module docstring): no samples yet, so the first
+    # block builds it.
+    running, base, cover = sums[:, :, None], pulls, np.full(m, -1)
 
     # The constant term of every radius (see estimators.radius_from_logs).
     log_const = math.log(4.0 / (tau * delta))
@@ -307,22 +325,31 @@ def _run(
                 at, guessed = _pick_counts(pulls, allowed, read)
             else:
                 at, guessed = _plan(pulls, allowed, size)
-            drawn = at[:, -1].tolist()
-            # Row i of layer 0: arm i's running sum, then its read-ahead
-            # samples; layer 1, for variance estimates only, the same for
-            # squares. One cumsum along the rows adds one sample at a time, in
-            # place unless a trace reads the samples; table[i, c] is arm i's
-            # estimate after c more pulls.
-            width = 1 + max(drawn)
-            rows = np.zeros((1 + squares, m, width))
-            rows[0, :, 0] = sums
-            for i in range(m):
-                rows[0, i, 1 : 1 + drawn[i]] = streams[i].peek(drawn[i])
-            if squares:
-                np.multiply(rows[0], rows[0], out=rows[1])
-                rows[1, :, 0] = sums_sq
-            running = np.cumsum(rows, axis=2, out=rows if trace is None else None)
-            table = estimate_from_sums(kind, running[0], running[-1], pulls[:, None] + np.arange(width))
+            shift = pulls - base  # each arm's column of the current state in the read-ahead
+            if (shift + at[:, -1] > cover).any():
+                # The block needs a column some arm lacks: consume the pulls
+                # since the last build and read ahead anew from here. Row i of
+                # layer 0: arm i's running sum, then its read-ahead samples;
+                # layer 1, for variance estimates only, the same for squares.
+                # One cumsum along the rows adds one sample at a time, in place
+                # unless a trace reads the samples; table[i, c] is arm i's
+                # estimate after c pulls past base[i].
+                taken = shift.tolist()
+                for i in range(m):
+                    streams[i].advance(taken[i])
+                sums = running[:, arms, taken]
+                base, cover, shift = pulls, at[:, -1], np.zeros_like(pulls)
+                drawn = cover.tolist()
+                width = 1 + max(drawn)
+                rows = np.zeros((1 + squares, m, width))
+                rows[0, :, 0] = sums[0]
+                for i in range(m):
+                    rows[0, i, 1 : 1 + drawn[i]] = streams[i].peek(drawn[i])
+                if squares:
+                    np.multiply(rows[0], rows[0], out=rows[1])
+                    rows[1, :, 0] = sums[-1]
+                running = np.cumsum(rows, axis=2, out=rows if trace is None else None)
+                table = estimate_from_sums(kind, running[0], running[-1], base[:, None] + np.arange(width))
 
             # The states that take per-state boxes, in parts checked in turn up
             # to the one where the block ends; ``lone`` holds the last state's
@@ -330,8 +357,8 @@ def _run(
             parts, lone = [read], None
             if prepass:
                 run_lo, run_up, e_min, e_max, r_in = condition.run_bounds(
-                    table, pulls, *np.split(at, 2, axis=1), log_const, np.minimum.reduceat(logs, starts),
-                    np.maximum.reduceat(logs, starts),
+                    table, base, *np.split(at + shift[:, None], 2, axis=1), log_const,
+                    np.minimum.reduceat(logs, starts), np.maximum.reduceat(logs, starts),
                 )
                 # Inner boxes, then outer ones; an empty inner box settles nothing.
                 settled = block_mask(oracle, run_lo, run_up)
@@ -360,7 +387,7 @@ def _run(
                     if lone is None:
                         if cols is not read:
                             at, guessed = _pick_counts(pulls, allowed, cols)
-                        block_pulls, est, rad, lower, upper = _states(table, pulls, at, logs[cols], log_const)
+                        block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs[cols], log_const)
                         mask = block_mask(oracle, lower, upper)
                     else:
                         block_pulls, est, rad, lower, upper, mask = lone
@@ -380,7 +407,7 @@ def _run(
                 if not uniform:
                     guess_from = mask[:, k]
             else:
-                block_pulls, est, rad, lower, upper = _states(table, pulls, at, logs, log_const)
+                block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs, log_const)
                 last, stopped = size, False
                 for s in range(size + 1):
                     at_cap = t + s >= max_rounds
@@ -413,7 +440,7 @@ def _run(
                 for start in range(first, last + 1, most + 1):
                     cols = np.arange(start, min(start + most + 1, last + 1))
                     at = _pick_counts(pulls, allowed, cols)[0]
-                    values = _states(table, pulls, at, logs[cols], log_const)
+                    values = _states(table, pulls, at, shift, logs[cols], log_const)
                     if oracle.bi_monotone:  # one mask call gives the part's candidate sets
                         sets = block_mask(oracle, *values[3:]).T.tolist()
                     else:
@@ -423,7 +450,7 @@ def _run(
                         ]
                     # The pull that led to each state, but the run's first.
                     picks = _next_picks(pulls, allowed, np.maximum(cols - 1, 0))[0]
-                    seen = rows[0, picks, at[picks, np.arange(len(cols))]]
+                    seen = rows[0, picks, shift[picks] + at[picks, np.arange(len(cols))]]
                     states = zip(cols.tolist(), picks.tolist(), seen.tolist(), *(v.T.tolist() for v in values), sets)
                     lines = (
                         (t + s, j if s else "null", x if s else "null", p, e, r, lo, up, list(compress(range(m), c)))
@@ -435,13 +462,8 @@ def _run(
                 kept, n = _next_picks(pulls, allowed, np.arange(last))
                 before = radius_from_logs(log_const, logs[:last], n)
                 violations += int(np.count_nonzero(before < lam[kept]))
-            taken = block_pulls[:, k] - pulls  # each arm's pulls in the kept rounds
-            for i in range(m):
-                streams[i].advance(int(taken[i]))
             t += last
             pulls = block_pulls[:, k]
-            at_last = running[:, arms, taken]
-            sums, sums_sq = at_last[0], at_last[-1]
             if stopped:
                 lo, up = lower[:, k].tolist(), upper[:, k].tolist()
                 if oracle.bi_monotone:
@@ -481,31 +503,41 @@ def _run(
     )
 
 
-def _states(table: np.ndarray, pulls: np.ndarray, at: np.ndarray, logs: np.ndarray, log_const: float):
+def _states(
+    table: np.ndarray, pulls: np.ndarray, at: np.ndarray, shift: np.ndarray, logs: np.ndarray, log_const: float
+):
     """The pulls, estimates, radii and box sides (lower, upper) of a block's
-    states with pull counts ``at`` past ``pulls`` and levels ``logs``."""
+    states with pull counts ``at`` past ``pulls`` and levels ``logs``; each
+    arm's estimate at ``pulls`` is in column ``shift`` of the table."""
     state_pulls = pulls[:, None] + at
-    est = table.ravel()[at + np.arange(len(pulls))[:, None] * table.shape[1]]
+    est = table.ravel()[at + (shift + np.arange(len(pulls)) * table.shape[1])[:, None]]
     rad = radius_from_logs(log_const, logs, state_pulls)
     return state_pulls, est, rad, np.clip(est - rad, 0.0, 1.0), np.clip(est + rad, 0.0, 1.0)
 
 
 def _logs(start: int, stop: int) -> np.ndarray:
     """``math.log(t)`` for t in ``range(start, stop)``, ``1 <= start <
-    stop``, read from the level table, which first grows by whole chunks up
-    to the one holding ``stop - 1``. The entries come from ``math.log``:
-    ``np.log`` can differ from it in the last place."""
-    lo, hi = start - 1, stop - 1  # table indices
-    while len(_LOG_TABLE) * _LOG_CHUNK < hi:
-        base = len(_LOG_TABLE) * _LOG_CHUNK + 1
-        chunk = np.fromiter(map(math.log, range(base, base + _LOG_CHUNK)), np.float64, _LOG_CHUNK)
-        chunk.flags.writeable = False
-        _LOG_TABLE.append(chunk)
-    parts = [
-        _LOG_TABLE[c][max(lo - c * _LOG_CHUNK, 0) : hi - c * _LOG_CHUNK]
-        for c in range(lo // _LOG_CHUNK, (hi - 1) // _LOG_CHUNK + 1)
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    stop``, as a read-only view of the level table, which first grows by
+    whole chunks up to the one holding ``stop - 1``. The entries come from
+    ``math.log``: ``np.log`` can differ from it in the last place. A buffer
+    too small for them is replaced by one twice the filled entries, or the
+    entries needed if more, and the filled ones are copied; only entries up
+    to the chunk reached are computed."""
+    global _LOG_TABLE
+    if len(_LOG_TABLE) < stop - 1:
+        with _LOCK:
+            table = _LOG_TABLE
+            have, need = len(table), -(-(stop - 1) // _LOG_CHUNK) * _LOG_CHUNK
+            if have < need:  # not yet grown by another thread
+                buffer = table.base
+                if buffer is None or len(buffer) < need:
+                    buffer = np.empty(max(need, 2 * have))
+                    buffer[:have] = table
+                buffer[have:need] = np.fromiter(map(math.log, range(have + 1, need + 1)), np.float64, need - have)
+                table = buffer[:need]
+                table.flags.writeable = False
+                _LOG_TABLE = table
+    return _LOG_TABLE[start - 1 : stop - 1]
 
 
 def _next_picks(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -543,18 +575,19 @@ def _plan(pulls: np.ndarray, allowed: np.ndarray, size: int) -> tuple[np.ndarray
     not depend on later picks, so a key's entry serves every smaller size.
     A plan of more than ``_PLAN_CELLS`` cells is not kept."""
     key = np.where(allowed, pulls - pulls[allowed].min(), -1).tobytes()
-    plan = _PLANS.pop(key, None)
-    if plan is None or plan[1].size <= size:
-        plan = _pick_counts(pulls, allowed, np.arange(size + 1))
-        cells = plan[0].size
-        if cells > _PLAN_CELLS:
-            return plan
-        held = sum(counts.size for counts, _ in _PLANS.values())
-        while held + cells > _PLAN_CELLS:
-            held -= _PLANS.pop(next(iter(_PLANS)))[0].size
-        for array in plan:
-            array.flags.writeable = False
-    _PLANS[key] = plan  # the most recently read
+    with _LOCK:
+        plan = _PLANS.pop(key, None)
+        if plan is None or plan[1].size <= size:
+            plan = _pick_counts(pulls, allowed, np.arange(size + 1))
+            cells = plan[0].size
+            if cells > _PLAN_CELLS:
+                return plan
+            held = sum(counts.size for counts, _ in _PLANS.values())
+            while held + cells > _PLAN_CELLS:
+                held -= _PLANS.pop(next(iter(_PLANS)))[0].size
+            for array in plan:
+                array.flags.writeable = False
+        _PLANS[key] = plan  # the most recently read
     return plan[0][:, : size + 1], plan[1][: size + 1]
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import statistics
 import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -456,18 +455,30 @@ def run_experiment(
     return ExperimentResult(config=config, records=records, summary=summary, hardness=report)
 
 
+def _mean(values: Sequence[float]) -> float:
+    """``statistics.fmean``, by its own formula: the correctly rounded sum
+    over the count."""
+    return math.fsum(values) / len(values)
+
+
+def _median(values: Sequence[int]) -> int | float:
+    """``statistics.median``: the middle value of an odd count, as given,
+    or the mean of the two middle ones of an even count, a float."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
 def _mode_summary(records: Sequence[TrialRecord]) -> dict:
     rounds = [r.rounds for r in records]
     m = len(records[0].pulls)
     return {
         "trials": len(records),
         "error_rate": sum(not r.correct for r in records) / len(records),
-        "mean_rounds": statistics.fmean(rounds),
-        "median_rounds": statistics.median(rounds),
+        "mean_rounds": _mean(rounds),
+        "median_rounds": _median(rounds),
         "p95_rounds": float(np.percentile(rounds, 95)),
-        "mean_pulls_per_arm": [
-            statistics.fmean(r.pulls[i] for r in records) for i in range(m)
-        ],
+        "mean_pulls_per_arm": [_mean([r.pulls[i] for r in records]) for i in range(m)],
         "xi_frequency": sum(r.xi_held for r in records) / len(records),
         "bound_violations": sum(r.bound_satisfied is False for r in records),
     }

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 from contextlib import ExitStack
 from dataclasses import replace
@@ -645,34 +647,45 @@ def _logged_blocks():
     (m, boxes) shape of that mask call (``settle``), the number of states
     it read pull counts at, and the box count of each of its other
     ``block_mask`` calls; a trace's calls included. Pull counts read from
-    the plan cache count once, hit or miss."""
+    the plan cache count once, hit or miss. Also the pull counts at its
+    first state (``pulls``), each arm's pulls past them at its last state
+    (``last``, from its first read, which ends there), and how often it
+    built the read-ahead (``built``, its ``estimate_from_sums`` calls)."""
     blocks = []
     levels, counted, planned = engine._logs, engine._pick_counts, engine._plan
-    bounds, mask = condition.run_bounds, engine.block_mask
+    bounds, mask, estimates = condition.run_bounds, engine.block_mask, engine.estimate_from_sums
     planning = [False]  # inside a plan read, whose own _pick_counts call is not logged
 
     def logs(start, stop):
         blocks.append({"size": stop - start - 1, "allowed": None, "m": None, "prepass": False, "settle": None,
-                       "columns": 0, "boxes": []})
+                       "columns": 0, "boxes": [], "pulls": None, "last": None, "built": 0})
         return levels(start, stop)
 
-    def log_read(allowed, columns):
-        if blocks[-1]["allowed"] is None:
-            blocks[-1]["allowed"] = int(np.count_nonzero(allowed))
-        blocks[-1]["columns"] += columns
+    def log_read(pulls, allowed, columns, at):
+        block = blocks[-1]
+        if block["allowed"] is None:
+            block["allowed"] = int(np.count_nonzero(allowed))
+            block["pulls"], block["last"] = pulls.copy(), at[:, -1].copy()
+        block["columns"] += columns
 
     def pick_counts(pulls, allowed, cols):
+        at, picks = counted(pulls, allowed, cols)
         if not planning[0]:
-            log_read(allowed, len(cols))
-        return counted(pulls, allowed, cols)
+            log_read(pulls, allowed, len(cols), at)
+        return at, picks
 
     def plan(pulls, allowed, size):
-        log_read(allowed, size + 1)
         planning[0] = True
         try:
-            return planned(pulls, allowed, size)
+            at, picks = planned(pulls, allowed, size)
         finally:
             planning[0] = False
+        log_read(pulls, allowed, size + 1, at)
+        return at, picks
+
+    def build(*args):
+        blocks[-1]["built"] += 1
+        return estimates(*args)
 
     def prepass(*args):
         blocks[-1]["prepass"] = True  # the pre-pass mask call comes next
@@ -693,6 +706,7 @@ def _logged_blocks():
     stack.enter_context(mock.patch.object(engine, "_plan", plan))
     stack.enter_context(mock.patch.object(condition, "run_bounds", prepass))
     stack.enter_context(mock.patch.object(engine, "block_mask", per_state))
+    stack.enter_context(mock.patch.object(engine, "estimate_from_sums", build))
     return stack, blocks
 
 
@@ -997,17 +1011,148 @@ class TestBlockLoop:
         assert calls[0] == 0
 
 
+def _check_builds(blocks):
+    """Each block builds the read-ahead at most once: the first block, and
+    any whose last state needs a pull past those it reaches (each arm's
+    pulls at the last state of the block that built it). Returns the
+    builds, those of them that an arm the read-ahead held no samples of
+    caused, and the blocks that reused it up to an arm's last sample."""
+    reach = None
+    builds = uncovered = edges = 0
+    for block in blocks:
+        need = block["pulls"] + block["last"]
+        build = reach is None or bool((need > reach).any())
+        assert block["built"] == build, (block, reach)
+        if build:
+            builds += 1
+            uncovered += reach is not None and bool(((need > reach) & (reach == start)).any())
+            start, reach = block["pulls"], need
+        else:
+            edges += bool(((need == reach) & (block["last"] > 0)).any())
+    return builds, uncovered, edges
+
+
+@st.composite
+def _read_ahead_runs(draw):
+    """A top-k run whose read-ahead may serve several blocks: mean or
+    variance estimates, checked by the oracle's mask or, with its
+    bi-monotone flag cleared, by corner enumeration; a block cap; run
+    settings whose round cap may be the set-up pulls alone."""
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([EstimatorKind.MEAN, EstimatorKind.VARIANCE]))
+    top = 1.0 if kind is EstimatorKind.MEAN else 0.25
+    theta = draw(st.lists(st.sampled_from([top * j / 8 for j in range(9)]), min_size=m, max_size=m))
+    oracle = make_top_k_oracle(m, draw(st.integers(1, m)))
+    if draw(st.booleans()):
+        oracle = replace(oracle, candidate_mask=None, bi_monotone=False)
+    kwargs = _settings(draw, m, kind.tau)
+    kwargs["max_rounds"] = kind.tau * m if draw(st.booleans()) else min(kwargs["max_rounds"], 1500)
+    return build_instance(oracle, theta, kind), draw(st.floats(0.05, 0.6)), kwargs
+
+
+class TestReadAhead:
+    """A run builds its read-ahead of samples, running sums and estimates
+    again only when a block needs a pull past it; every other block reads
+    on in it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_read_ahead_runs(), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS)
+    def test_reused_read_ahead_matches_scalar_loop(self, case, run, cap):
+        instance, delta, kwargs = case
+        logging, blocks = _logged_blocks()
+        with mock.patch.object(engine, "_BLOCK_ROUNDS", cap), logging:
+            fast = _fast(run, instance, delta, **kwargs)
+        _same(fast, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
+        _check_builds(blocks)
+
+    def test_blocks_within_reach_reuse_it(self):
+        # On the top-2 bench instance the coci candidate set flips every few
+        # rounds: most blocks keep a few rounds and read on in the
+        # read-ahead of an earlier block, and some rebuild it because they
+        # allow an arm it holds no samples of. Uniform blocks are kept whole
+        # and need more pulls each time, so each one builds it.
+        # With 2-round blocks, some coci blocks read up to an arm's last
+        # sample in the read-ahead, and reuse it.
+        instance = build_instance(make_top_k_oracle(4, 2), (0.9, 0.7, 0.3, 0.1), EstimatorKind.MEAN)
+        for run, cap in ((run_coci, engine._BLOCK_ROUNDS), (run_uniform, engine._BLOCK_ROUNDS), (run_coci, 2)):
+            totals = [0, 0, 0, 0]  # blocks, builds, builds for an uncovered arm, reuses to the last sample
+            for seed in range(10):
+                logging, blocks = _logged_blocks()
+                with logging, mock.patch.object(engine, "_BLOCK_ROUNDS", cap):
+                    result = run(instance, 0.05, seed=seed)
+                assert repr(result) == repr(scalar_run(instance, 0.05, uniform=run is run_uniform, seed=seed))
+                totals = [a + b for a, b in zip(totals, (len(blocks), *_check_builds(blocks)))]
+            if run is run_uniform:
+                assert totals[0] == totals[1], totals
+            elif cap == 2:
+                assert totals[3] > 0, totals
+            else:
+                assert 4 * totals[1] < totals[0] and totals[2] > 0, totals
+
+    def test_an_arm_it_holds_no_samples_of_rebuilds_it(self):
+        # On a close three-arm best-arm instance, at seed 1, coci's
+        # candidate set narrows to two arms and widens again many times. A
+        # block that allows the third arm again, of which the read-ahead
+        # built for the two holds no samples, builds it again.
+        instance = build_instance(make_best_arm_oracle(3), (0.6, 0.55, 0.5), EstimatorKind.MEAN)
+        logging, blocks = _logged_blocks()
+        with logging:
+            result = run_coci(instance, 0.1, seed=1)
+        assert result.converged and result.correct
+        builds, uncovered, _ = _check_builds(blocks)
+        assert uncovered >= 10 and builds < len(blocks)
+
+
+class TestThreads:
+    def test_runs_in_threads_match_runs_alone(self, monkeypatch):
+        # Runs in threads of one process share the level table and the plan
+        # cache. Four threads start together behind a barrier on cold
+        # tables, with 1,024-entry chunks so that the table grows often, and
+        # a short switch interval so that they interleave inside its growth
+        # and the cache's updates. Every result equals its run alone, and
+        # the table holds math.log.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)  # c09
+        jobs = [(run_uniform, 0), (run_uniform, 1), (run_coci, 0), (run_coci, 1)]
+        monkeypatch.setattr(engine, "_LOG_CHUNK", 1 << 10)
+        alone = [repr(run(instance, 0.1, seed=seed, max_rounds=100_000)) for run, seed in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(engine, "_LOG_TABLE", np.empty(0))
+                monkeypatch.setattr(engine, "_PLANS", {})
+                barrier = threading.Barrier(len(jobs))
+                together = [None] * len(jobs)
+
+                def work(n):
+                    run, seed = jobs[n]
+                    barrier.wait(timeout=60)
+                    together[n] = repr(run(instance, 0.1, seed=seed, max_rounds=100_000))
+
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(len(jobs))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert together == alone  # a thread that raised leaves None
+                table = engine._LOG_TABLE
+                assert len(table) >= 100_000
+                assert table.tolist() == [math.log(t) for t in range(1, len(table) + 1)]
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestLevelTable:
-    """``level`` comes from a per-process table of ``math.log`` values that
-    grows in fixed-size chunks."""
+    """``level`` comes from a per-process table of ``math.log`` values, one
+    array filled by fixed-size chunks, that blocks read as views."""
 
     @pytest.fixture
     def table(self, monkeypatch):
         """A fresh, empty table with 7-entry chunks, so that short ranges
         straddle chunk edges."""
-        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        monkeypatch.setattr(engine, "_LOG_TABLE", np.empty(0))
         monkeypatch.setattr(engine, "_LOG_CHUNK", 7)
-        return engine._LOG_TABLE
 
     def test_entries_are_math_log(self, table):
         # The first call starts at a large t; later ones straddle one or
@@ -1018,20 +1163,44 @@ class TestLevelTable:
             got = engine._logs(start, stop)
             assert got.tolist() == [math.log(t) for t in range(start, stop)], (start, stop)
             largest = max(largest, stop)
-            # Entries cover t = 1 .. len(table) * 7.
-            assert largest - 1 <= len(table) * 7 < largest - 1 + 7
-        assert all(len(chunk) == 7 and not chunk.flags.writeable for chunk in table)
+            # Entries cover t = 1 .. len(table), whole chunks of 7.
+            table = engine._LOG_TABLE
+            assert largest - 1 <= len(table) < largest - 1 + 7 and len(table) % 7 == 0
+            assert table.tolist() == [math.log(t) for t in range(1, len(table) + 1)]
+            # A read-only view of the table, never a copy.
+            assert not got.flags.writeable and not table.flags.writeable
+            assert np.shares_memory(got, table)
 
     def test_straddles_the_real_chunk_edge(self, monkeypatch):
-        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        monkeypatch.setattr(engine, "_LOG_TABLE", np.empty(0))
         n = engine._LOG_CHUNK
         got = engine._logs(n - 2, n + 3)
         assert got.tolist() == [math.log(t) for t in range(n - 2, n + 3)]
-        assert len(engine._LOG_TABLE) == 2
+        assert len(engine._LOG_TABLE) == 2 * n
+        assert np.shares_memory(got, engine._LOG_TABLE)
+
+    def test_fills_only_to_the_chunk_reached(self, table, monkeypatch):
+        # A buffer too small is replaced by one twice the filled entries (or
+        # the entries needed, if more), but entries are computed only up to
+        # the chunk a call reaches, each once; a later call that fits fills
+        # the same buffer. Views read before a growth keep their values.
+        log, computed = math.log, []
+        monkeypatch.setattr(math, "log", lambda t: computed.append(t) or log(t))
+        steps = [(2, 7, 7), (9, 14, 14), (16, 21, 28), (23, 28, 28), (30, 35, 56), (100, 105, 105)]
+        views, buffers = [], []
+        for stop, filled, capacity in steps:
+            views.append((stop, engine._logs(1, stop)))
+            table = engine._LOG_TABLE
+            assert (len(table), len(table.base)) == (filled, capacity), stop
+            assert computed == list(range(1, filled + 1)), stop
+            buffers.append(table.base)
+        assert buffers[3] is buffers[2] and buffers[4] is not buffers[3]
+        for stop, view in views:
+            assert view.tolist() == [log(t) for t in range(1, stop)]
 
     @pytest.mark.parametrize("chunk", [7, 100])
     def test_run_across_table_growth_matches_scalar_loop(self, monkeypatch, chunk):
-        monkeypatch.setattr(engine, "_LOG_TABLE", [])
+        monkeypatch.setattr(engine, "_LOG_TABLE", np.empty(0))
         monkeypatch.setattr(engine, "_LOG_CHUNK", chunk)
         instance = build_instance(make_top_k_oracle(3, 1), (0.6, 0.5, 0.2), EstimatorKind.MEAN)
         for run in (run_coci, run_uniform):

@@ -3,12 +3,14 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coci import ConfigError, UsageError, harness
 from coci.cli import main as cli_main
@@ -214,6 +216,24 @@ class TestRunExperiment:
         env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr
+
+    def test_import_leaves_statistics_out(self):
+        # The summary's mean and median are computed in the harness, so
+        # importing it must not pay for statistics, fractions and decimal.
+        probe = "import sys, coci.harness; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.integers(0, 4 * 10**6), st.integers(0, 2**64)), min_size=1, max_size=40))
+    def test_mean_and_median_match_statistics(self, values):
+        # The summary's mean_rounds, median_rounds and mean_pulls_per_arm:
+        # the same value and type as the statistics functions they replace,
+        # an int median for an odd count and a float for an even one.
+        assert repr(harness._mean(values)) == repr(statistics.fmean(values))
+        median, want = harness._median(values), statistics.median(values)
+        assert (type(median), median) == (type(want), want)
 
     def test_hardness_attached_and_bound_checked(self):
         result = run_experiment(quick_config(trials=3))
