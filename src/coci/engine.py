@@ -39,8 +39,8 @@ time; sums of squares are formed only for variance estimates, the one
 estimator that reads them. They give a table of each arm's estimate after
 c pulls past ``base``, and a state's estimates are read from it at column
 ``pulls - base``. A block reuses the read-ahead while every arm's column
-at its last state is one the arm has (``cover``, its pulls past ``base``
-at the last state of the block that built it). Otherwise the arms'
+at its state ``size`` is one the arm has (``cover``, its pulls past
+``base`` at state ``size`` of the block that built it). Otherwise the arms'
 streams consume their pulls since ``base`` and the read-ahead is built
 again from the current state. So a coci block that keeps a few rounds of a flipping
 candidate set, and the shorter block after it, mostly read on in the
@@ -57,12 +57,19 @@ rad`` and ``est + rad`` never are, estimates being finite and radii
 positive. Samples come from ``BufferedArm`` read-ahead, which yields
 exactly the sequence of successive draws.
 
-A block keeps the rounds up to the first state whose real pick differs
-from the guess, or that stops, or that reaches ``max_rounds``. That state
-depends only on picks already checked, so it is exact, and the next block
-starts there. A block costs about the same whatever its length, so a run's
-first block takes the full 2,048 rounds; after a miss, the next one is
-twice the stretch that held, and at least 64 rounds. The picks are checked:
+A block of ``size`` rounds checks its states 0 to ``size - 1`` and leaves
+state ``size`` to the next block, which checks it first. The one exception
+is the round cap: a block whose state ``size`` reaches ``max_rounds``
+checks that state itself and, kept whole, stops there. A block ends at the
+first checked state whose real pick differs from the guess, or that stops,
+and is otherwise kept whole, ending at state ``size``. The state where it
+ends depends only on picks already checked, so it is exact, and the next
+block starts there (a wrong guess at the cap leaves it to a block of no
+rounds, which checks it and stops). A coci block ended by a wrong guess
+guesses on from the full candidate set there; a block kept whole keeps its
+guess. A block costs about the same whatever its length, so a run's first
+block takes the full 2,048 rounds; after a miss, the next one is twice the
+stretch that held, and at least 64 rounds. The picks are checked:
 
 - on a bi-monotone oracle, by the exact two-corner test of the block's
   states at once (:func:`coci.condition.block_mask`). A coci block ends at
@@ -74,20 +81,20 @@ twice the stretch that held, and at least 64 rounds. The picks are checked:
 - on any other oracle, by corner enumeration one state at a time, testing
   arms in a fixed order: coci in pull order up to the first candidate,
   uniform the last candidate found first and then the rest in index order.
-  After a wrong coci guess the full candidate set there seeds the guesses.
 
 In a stable stretch (a block of at least the full size after
 ``_STABLE_BLOCKS`` blocks kept whole), a bi-monotone block first bounds each
-run of ``_PREPASS_RUN`` (1,024) states between an inner and an outer box
-(:func:`coci.condition.run_bounds`) and tests them in one mask call. By
+run of ``_PREPASS_RUN`` (1,024) of its checked states between an inner and
+an outer box (:func:`coci.condition.run_bounds`) and tests them in one mask
+call; a cap state joins the last run, which is then left open. By
 inclusion, that settles a uniform run where an arm is a candidate on its
 nonempty inner box, and a coci run whose candidates are the guessed set in
 every state; a settled run passes the xi audit by its extremes. Only open
-runs and the last state take state boxes, checked a run at a time (and at
-most the full size) up to the part where the block ends. So such a block
-reads pull counts only at its run cuts, its open states, its last state
-and the states a trace writes. It costs mostly its fixed per-block work,
-so one kept whole is followed by one twice its size, while its estimate
+runs take state boxes, checked a run at a time (and at most the full size)
+up to the part where the block ends. So such a block reads pull counts
+only at its run cuts, its open states, state ``size`` and the states a
+trace writes. It costs mostly its fixed per-block work, so one kept whole
+is followed by one twice its size, while its estimate
 table, m rows by about rounds / k pulls of its k allowed arms, stays
 within ``_STABLE_CELLS`` (2^15) cells: uniform blocks reach 32,768
 rounds, coci ones guessing from two of eight arms 8,192. A miss falls back
@@ -231,7 +238,9 @@ def _run(
     (candidate, for coci), ties to the lower index. That is exactly the
     largest-radius one, because all radii share the round's ``level``.
     After the set-up pulls, the rounds step in verified blocks (see the
-    module docstring) until a block ends at a state that stops.
+    module docstring) until a block ends at a state that stops. Each block
+    leaves its state ``size`` to the next block unless that state is the
+    round cap, and audits xi on the checked states it keeps.
 
     ``seed`` is a nonnegative integer or a nonempty tuple or list of them.
     ``max_rounds`` defaults to ten times the round bound implied by
@@ -298,9 +307,9 @@ def _run(
     xi_held = True
     violations = 0
     most = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (m * m) - 1))
-    # The most rounds whose pre-pass mask call, two boxes for each run and
-    # for the last state, fits one (m, m, boxes) array of _BLOCK_CELLS.
-    longest = _PREPASS_RUN * (_BLOCK_CELLS // (2 * m * m) - 1)
+    # The most rounds whose pre-pass mask call, two boxes for each run, fits
+    # one (m, m, boxes) array of _BLOCK_CELLS.
+    longest = _PREPASS_RUN * (_BLOCK_CELLS // (2 * m * m))
     size = most
     whole = 0  # blocks kept whole since the run's start or its last miss
     last_candidate = 0  # corner enumeration: the arm uniform tests first
@@ -311,22 +320,25 @@ def _run(
         while True:
             prepass = oracle.bi_monotone and size >= most and whole >= _STABLE_BLOCKS
             size = min(size, max_rounds - t)
+            # The block checks states 0 to size - 1 and leaves state size to the
+            # next block, unless that state is the round cap: then it checks it.
+            capped = t + size == max_rounds
+            checked = size + capped
             logs = _logs(t, t + size + 1)
             allowed = guess_from
             # Pull counts, and the guess from each state, are read only where
             # they are needed: first at every state, or at a pre-passed
-            # block's run cuts (each run's first and last state, then the
-            # last state alone); then at the states that its runs leave open
-            # and those a trace writes.
-            read = np.arange(size + 1)
+            # block's run cuts (each run's first and last state) and state
+            # size; then at the states that its runs leave open and those a
+            # trace writes.
             if prepass:
-                starts = np.append(np.arange(0, size, _PREPASS_RUN), size)
-                read = np.append(starts, np.append(starts[1:] - 1, size))
-                at, guessed = _pick_counts(pulls, allowed, read)
+                cuts = np.append(np.arange(0, size or 1, _PREPASS_RUN), checked)  # the cap joins the last run
+                at, guessed = _pick_counts(pulls, allowed, np.concatenate((cuts[:-1], cuts[1:] - 1, [size])))
             else:
                 at, guessed = _plan(pulls, allowed, size)
+            ahead = at[:, -1]  # each arm's pulls past ``pulls`` at state size
             shift = pulls - base  # each arm's column of the current state in the read-ahead
-            if (shift + at[:, -1] > cover).any():
+            if (shift + ahead > cover).any():
                 # The block needs a column some arm lacks: consume the pulls
                 # since the last build and read ahead anew from here. Row i of
                 # layer 0: arm i's running sum, then its read-ahead samples;
@@ -338,7 +350,7 @@ def _run(
                 for i in range(m):
                     streams[i].advance(taken[i])
                 sums = running[:, arms, taken]
-                base, cover, shift = pulls, at[:, -1], np.zeros_like(pulls)
+                base, cover, shift = pulls, ahead, np.zeros_like(pulls)
                 drawn = cover.tolist()
                 width = 1 + max(drawn)
                 rows = np.zeros((1 + squares, m, width))
@@ -351,14 +363,12 @@ def _run(
                 running = np.cumsum(rows, axis=2, out=rows if trace is None else None)
                 table = estimate_from_sums(kind, running[0], running[-1], base[:, None] + np.arange(width))
 
-            # The states that take per-state boxes, in parts checked in turn up
-            # to the one where the block ends; ``lone`` holds the last state's
-            # values and mask when the pre-pass leaves only it.
-            parts, lone = [read], None
+            # The checked states that take per-state boxes, in parts checked in
+            # turn up to the one where the block ends.
             if prepass:
                 run_lo, run_up, e_min, e_max, r_in = condition.run_bounds(
-                    table, base, *np.split(at + shift[:, None], 2, axis=1), log_const,
-                    np.minimum.reduceat(logs, starts), np.maximum.reduceat(logs, starts),
+                    table, base, *np.split(at[:, :-1] + shift[:, None], 2, axis=1), log_const,
+                    np.minimum.reduceat(logs[:checked], cuts[:-1]), np.maximum.reduceat(logs[:checked], cuts[:-1]),
                 )
                 # Inner boxes, then outer ones; an empty inner box settles nothing.
                 settled = block_mask(oracle, run_lo, run_up)
@@ -367,59 +377,46 @@ def _run(
                 # set is the allowed one, so each pick is the guess.
                 shut = inner.any(axis=0) if uniform else np.where(allowed[:, None], inner, ~outer).all(axis=0)
                 shut &= (np.maximum(e_max - theta, theta - e_min) <= r_in).all(axis=0)
-                if shut[:-1].all():
-                    # Only the last state is left, and its run's inner box is its box.
-                    parts, guessed = [read[-1:]], guessed[-1:]
-                    lone = (
-                        pulls[:, None] + at[:, -1:], e_min[:, -1:], r_in[:, -1:], run_lo[:, -1:], run_up[:, -1:],
-                        outer[:, -1:],
-                    )
-                else:
-                    shut[-1] = False
-                    cols = np.flatnonzero(np.repeat(~shut, np.diff(starts, append=size + 1)))
-                    # Parts of at most one run, and a full-size block, keep a grown
-                    # block's state arrays small beside its estimate table.
-                    step = min(most, _PREPASS_RUN)
-                    parts = np.split(cols, range(step, len(cols), step))
+                shut[-1] &= not capped  # the cap state takes its own box
+                cols = np.flatnonzero(np.repeat(~shut, np.diff(cuts)))
+                # Parts of at most one run, and a full-size block, keep a grown
+                # block's state arrays small beside its estimate table.
+                step = min(most, _PREPASS_RUN)
+                parts = [cols[i : i + step] for i in range(0, len(cols), step)]
+            else:
+                at, guessed = at[:, :checked], guessed[:checked]
+                parts = [np.arange(checked)]
 
+            last, stopped = size, capped  # unless a checked state ends the block first
             if oracle.bi_monotone:
                 for cols in parts:
-                    if lone is None:
-                        if cols is not read:
-                            at, guessed = _pick_counts(pulls, allowed, cols)
-                        block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs[cols], log_const)
-                        mask = block_mask(oracle, lower, upper)
-                    else:
-                        block_pulls, est, rad, lower, upper, mask = lone
+                    if prepass:
+                        at, guessed = _pick_counts(pulls, allowed, cols)
+                    block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs[cols], log_const)
+                    mask = block_mask(oracle, lower, upper)
                     stop = ~mask.any(axis=0)
-                    stop[-1] |= cols is parts[-1] and t + size >= max_rounds  # the last part ends at state size
                     if uniform:
                         ends = stop  # the guess is the fewest-pulls rule over all arms
                     else:
                         ends = stop | (np.where(mask, block_pulls, no_pick).argmin(axis=0) != guessed)
                     k = int(ends.argmax()) if ends.any() else len(ends) - 1
-                    if ends[k] or cols is parts[-1]:
-                        break
-                    # The block runs on past this part, so every state of it is kept.
-                    if (np.abs(est - theta) > rad).any():
+                    if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():  # the states kept
                         xi_held = False
-                last, stopped = int(cols[k]), stop[k]  # column k holds state last
-                if not uniform:
-                    guess_from = mask[:, k]
+                    if ends[k]:
+                        last, stopped = int(cols[k]), stop[k]  # column k holds state last
+                        if not uniform:
+                            guess_from = mask[:, k]
+                        break
             else:
-                block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs, log_const)
-                last, stopped = size, False
-                for s in range(size + 1):
-                    at_cap = t + s >= max_rounds
-                    if s == size and not at_cap:
-                        break  # the next block checks this state first
+                block_pulls, est, rad, lower, upper = _states(table, pulls, at, shift, logs[:checked], log_const)
+                for s in range(checked):
                     lo, up = lower[:, s].tolist(), upper[:, s].tolist()
                     if uniform:
                         order = [last_candidate] + [i for i in range(m) if i != last_candidate]
                     else:
                         order = sorted(range(m), key=block_pulls[:, s].tolist().__getitem__)
                     chosen = next((i for i in order if candidate_on_bounds(oracle, lo, up, i)), -1)
-                    if chosen < 0 or at_cap:
+                    if chosen < 0 or t + s >= max_rounds:
                         last, stopped, converged = s, True, chosen < 0
                         break
                     last_candidate = chosen
@@ -429,9 +426,8 @@ def _run(
                         last = s
                         break
                 k = last
-            # The settled runs before the last state passed their xi bound.
-            if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
-                xi_held = False
+                if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
+                    xi_held = False
 
             if trace is not None:
                 # The kept states not yet written (a later block's state 0
@@ -463,7 +459,7 @@ def _run(
                 before = radius_from_logs(log_const, logs[:last], n)
                 violations += int(np.count_nonzero(before < lam[kept]))
             t += last
-            pulls = block_pulls[:, k]
+            pulls = pulls + ahead if last == size else block_pulls[:, k]
             if stopped:
                 lo, up = lower[:, k].tolist(), upper[:, k].tolist()
                 if oracle.bi_monotone:

@@ -243,6 +243,9 @@ def parse_config(raw: dict, name: str = "config") -> ExperimentConfig:
     except UsageError as exc:
         raise ConfigError("delta", str(exc)) from None
 
+    for field, applications in (("k", ("top-k", "osa")), ("n", ("osa",)), ("water", ("water",))):
+        if cfg[field] is not None and application not in applications:
+            raise ConfigError(field, f"applies only to {' and '.join(applications)}, not {application}")
     water = None
     if application == "best-arm":
         k = 1

@@ -49,8 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from .condition import certified_mask, two_corner_box_mask
-from .core import OracleSpec, integer_value
-from .errors import DomainError, UsageError
+from .core import OracleSpec, integer_value, validate_parameters
+from .errors import DomainError
 
 #: Integers below this convert to float exactly, so a float product of one
 #: with a parameter rounds once and is monotone in the exact product.
@@ -126,12 +126,7 @@ def greedy_osa(spec: OsaSpec, theta: Sequence[float]) -> tuple[int, ...]:
     always spent (an allocation with slack is never strictly better).
     """
     m = spec.m
-    theta = tuple(float(v) for v in theta)
-    if len(theta) != m:
-        raise UsageError(f"expected {m} parameters, got {len(theta)}")
-    for i, v in enumerate(theta):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"parameter {i} is {v!r}, outside [0, 1]")
+    theta = validate_parameters(theta, m)
 
     y = _base(spec, theta)
     arms = [i for i in range(m) if theta[i] > 0.0]

@@ -178,11 +178,8 @@ class BufferedArm:
         self._pos = 0
 
     def next(self) -> float:
-        if self._pos >= len(self._buffer):
-            self._buffer = self._model.draw(self._rng, _SAMPLE_BLOCK)
-            self._pos = 0
-        value = self._buffer[self._pos]
-        self._pos += 1
+        value = self.peek(1)[0]
+        self.advance(1)
         return float(value)
 
     def peek(self, n: int) -> np.ndarray:

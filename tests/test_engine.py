@@ -407,6 +407,12 @@ class TestPullOrder:
                 engine._plan(keys[key] + 7, allowed, size)
         assert list(engine._PLANS) == [keys[0].tobytes(), keys[2].tobytes()]
 
+    def test_run_inputs_rejected(self, best_arm_instance):
+        with pytest.raises(UsageError, match="no arm models"):
+            run_coci(replace(best_arm_instance, arm_models=()), 0.1, seed=0)
+        with pytest.raises(UsageError, match="one entry per arm"):
+            run_coci(best_arm_instance, 0.1, seed=0, lambda_lower=(0.1,))
+
     def test_infinite_radius_delta_rejected(self, best_arm_instance):
         # 4 / (tau delta) overflows: every radius would be inf, all tied.
         with pytest.raises(UsageError):
@@ -710,6 +716,28 @@ def _logged_blocks():
     return stack, blocks
 
 
+def _checked_rounds():
+    """Patches that log every block as the round of its state ``size``, the
+    last it reaches (from its one call to ``_logs``), and the set of rounds
+    of the states it forms boxes of, each state's round being the sum of its
+    pull counts. An untraced run forms boxes only to check states."""
+    blocks = []
+    levels, states = engine._logs, engine._states
+
+    def logs(start, stop):
+        blocks.append((stop - 1, set()))
+        return levels(start, stop)
+
+    def boxes(table, pulls, at, *args):
+        blocks[-1][1].update((pulls.sum() + at.sum(axis=0)).tolist())
+        return states(table, pulls, at, *args)
+
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(engine, "_logs", logs))
+    stack.enter_context(mock.patch.object(engine, "_states", boxes))
+    return stack, blocks
+
+
 def _check_parts(blocks, most, traced=False):
     """Every mask call's (m, m, boxes) top-k array stays within
     ``_BLOCK_CELLS``. An untraced run's per-state mask calls: one of the
@@ -821,9 +849,10 @@ class TestBlockLoop:
         # A block reads pull counts only at the states it needs. On the c09
         # instance uniform settles most stable blocks whole, with no
         # per-state mask call; such a block reads them only at its run cuts,
-        # the first and last state of each run of 1,024 states and the last
-        # state alone, and its one mask call tests an inner and an outer box
-        # per run: 66 of each in a block of 32,768 rounds.
+        # the first and last state of each run of 1,024 states, and at the
+        # state it leaves to the next block; its one mask call tests an inner
+        # and an outer box per run: 64 boxes and 65 states in a block of
+        # 32,768 rounds.
         instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
         logging, blocks = _logged_blocks()
         with logging:
@@ -832,10 +861,10 @@ class TestBlockLoop:
         settled = [block for block in blocks if block["prepass"] and not block["boxes"]]
         assert len(settled) > len(blocks) // 2
         for block in settled:
-            assert block["columns"] == 2 * (-(-block["size"] // engine._PREPASS_RUN) + 1), block
-            assert block["settle"] == (8, block["columns"])
+            assert block["columns"] == 2 * -(-block["size"] // engine._PREPASS_RUN) + 1, block
+            assert block["settle"] == (8, block["columns"] - 1)
             assert block["columns"] < block["size"] // 256
-        assert any(block["columns"] == 66 for block in settled)
+        assert any(block["columns"] == 65 for block in settled)
 
     @pytest.mark.parametrize("offset", [0.08, 0.1])
     def test_matches_scalar_loop_when_coverage_fails(self, offset):
@@ -967,17 +996,71 @@ class TestBlockLoop:
         # A pre-pass mask call tests two boxes per run, and its (m, m, boxes)
         # top-k array must stay within _BLOCK_CELLS even where the cell cap
         # would let a stable block grow further. With 2^14 block cells and
-        # runs of 4 states at m = 8, that holds blocks to 4 * (2^14 // 128 -
-        # 1) = 508 rounds and their pre-pass to 256 boxes.
+        # runs of 4 states at m = 8, that holds blocks to 4 * (2^14 // 128) =
+        # 512 rounds and their pre-pass to 256 boxes.
         instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
         for run in (run_uniform, run_coci):
             logging, blocks = _logged_blocks()
             with logging, mock.patch.object(engine, "_BLOCK_CELLS", 1 << 14), _patched(256, 4):
                 result = run(instance, 0.1, seed=0, max_rounds=6000)
                 _check_parts(blocks, 256)
-            assert max(block["size"] for block in blocks) == 508
+            assert max(block["size"] for block in blocks) == 512
             assert max(block["settle"][1] for block in blocks if block["prepass"]) == 256
             assert repr(result) == repr(scalar_run(instance, 0.1, uniform=run is run_uniform, seed=0, max_rounds=6000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.one_of(_top_k_runs(), _exact_runs()), run=st.sampled_from([run_coci, run_uniform]), cap=_CAPS,
+        run_length=_RUNS, prepass=st.booleans(),
+    )
+    def test_blocks_leave_their_last_state_to_the_next(self, case, run, cap, run_length, prepass):
+        # A block checks its states before state size and leaves that one
+        # to the next block, which checks it first; only a block whose state
+        # size is the round cap checks it itself. The run's final state is
+        # always checked. On either check path, with the pre-pass or not.
+        instance, delta, kwargs = case
+        kwargs["traced"] = False  # a trace forms the boxes of every kept state
+        logging, blocks = _checked_rounds()
+        with _patched(cap, run_length, prepass), logging:
+            fast = _fast(run, instance, delta, **kwargs)
+        _same(fast, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
+        for end, rounds in blocks:
+            assert end not in rounds or end == kwargs["max_rounds"], (end, sorted(rounds))
+        assert fast[0].rounds in blocks[-1][1]
+
+    def test_cap_inside_a_prepassed_block_stops_there(self):
+        # With the pre-pass on every block of 64 rounds and runs of 3
+        # states, a round cap at the set-up pulls, one round past them, at
+        # a run cut, inside a run, at a block's state size or in a grown
+        # block stops the run exactly there, as in the reference. The cap
+        # state joins the last run, which the block leaves open.
+        instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
+        for run in (run_coci, run_uniform):
+            for max_rounds in (8, 9, 68, 70, 71, 72, 200, 1000):
+                for traced in (False, True):
+                    logging, blocks = _logged_blocks()
+                    with _patched(64, 3, prepass=True), logging:
+                        fast = _fast(run, instance, 0.1, seed=0, max_rounds=max_rounds, traced=traced)
+                    assert fast[0].rounds == max_rounds and not fast[0].converged
+                    assert all(block["prepass"] for block in blocks)
+                    assert traced or blocks[-1]["boxes"]
+                    _check_parts(blocks, 64, traced)
+                    kwargs = {"seed": 0, "max_rounds": max_rounds, "traced": traced}
+                    _same(fast, _slow(instance, 0.1, uniform=run is run_uniform, **kwargs))
+
+    def test_wrong_guess_at_the_cap_leaves_it_to_an_empty_block(self):
+        # On the top-2 bench instance at seed 0, coci's guess is wrong in
+        # the states of rounds 507 and 654. With either as the round cap,
+        # the block that reaches it ends there, and a block of no rounds
+        # checks it again and stops the run, as in the reference.
+        instance = build_instance(make_top_k_oracle(4, 2), (0.9, 0.7, 0.3, 0.1), EstimatorKind.MEAN)
+        for max_rounds in (507, 654):
+            logging, blocks = _logged_blocks()
+            with logging:
+                result = run_coci(instance, 0.05, seed=0, max_rounds=max_rounds)
+            assert result.rounds == max_rounds and not result.converged
+            assert blocks[-2]["size"] > 0 and blocks[-1]["size"] == 0
+            assert repr(result) == repr(scalar_run(instance, 0.05, uniform=False, seed=0, max_rounds=max_rounds))
 
     def test_uniform_peak_memory_on_c09(self):
         # The tracemalloc peak of a long uniform run stays within 1.25 times

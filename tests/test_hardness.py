@@ -108,6 +108,11 @@ class TestRewardGaps:
         with pytest.raises(CapacityError):
             compute_reward_gaps(make_top_k_oracle(30, 15), [0.5 + i / 100 for i in range(30)])
 
+    def test_non_binary_class_rejected(self):
+        # An OSA allocation takes integer values past 1.
+        with pytest.raises(UsageError, match="not binary"):
+            compute_reward_gaps(make_osa_oracle((1, 1), 3), (0.2, 0.1))
+
     def test_full_subset_has_no_disagreeing_decision(self):
         gaps = compute_reward_gaps(make_top_k_oracle(2, 2), (0.8, 0.2))
         assert gaps == (math.inf, math.inf)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coci import ConfigError, UsageError, harness
+from coci import Bernoulli, CociError, ConfigError, UsageError, harness
 from coci.cli import main as cli_main
 from coci.harness import (
     _SCHEMA,
@@ -22,6 +22,7 @@ from coci.harness import (
     load_config,
     parse_config,
     parse_records_csv,
+    read_config,
     run_experiment,
     trial_seed,
 )
@@ -140,6 +141,73 @@ class TestConfigParsing:
                     "arms": [{"kind": "bernoulli", "p": 0.5}],
                 }
             )
+        assert err.value.field == "arms"
+
+    # One valid config per application, for the checks that span fields.
+    _BASES = {
+        "best-arm": {"application": "best-arm", "theta_star": [0.5, 0.2], "delta": 0.1},
+        "top-k": {"application": "top-k", "theta_star": [0.5, 0.2], "delta": 0.1, "k": 1},
+        "osa": {
+            "application": "osa", "theta_star": [0.2, 0.1], "n": [1, 1], "k": 5, "delta": 0.1,
+            "estimator": "variance",
+        },
+        "water": {"application": "water", "theta_star": [0.5, 0.2], "delta": 0.1, "water": _water()},
+    }
+
+    @pytest.mark.parametrize(
+        "application, field, value",
+        [
+            ("best-arm", "k", 3),
+            ("best-arm", "n", [1, 1]),
+            ("best-arm", "water", _water()),
+            ("top-k", "n", [1, 1]),
+            ("top-k", "water", _water()),
+            ("osa", "water", _water()),
+            ("water", "k", 1),
+            ("water", "n", [1, 1]),
+        ],
+    )
+    def test_field_of_another_application_rejected(self, application, field, value):
+        # A field that the application does not read is an error, not
+        # silently dropped; each base config parses without it.
+        base = self._BASES[application]
+        assert parse_config(base).application == application
+        with pytest.raises(ConfigError) as err:
+            parse_config({**base, field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "application, patch, field",
+        [
+            ("osa", {"n": None}, "n"),
+            ("osa", {"n": [1, 1, 1]}, "n"),
+            ("water", {"water": None}, "water"),
+            ("water", {"water": _water(costs=[{"kind": "quadratic"}])}, "water"),
+            ("water", {"theta_star": [0.5, 0.2, 0.1]}, "water.caps"),
+        ],
+        ids=["osa-no-n", "osa-n-length", "water-missing", "water-costs-length", "water-source-count"],
+    )
+    def test_application_field_errors(self, application, patch, field):
+        with pytest.raises(ConfigError) as err:
+            parse_config({**self._BASES[application], **patch})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "text, message", [("{not json", "invalid JSON"), ("[1, 2]", "must be an object")], ids=["json", "list"]
+    )
+    def test_read_config_rejects_bad_file(self, text, message, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as err:
+            read_config(path)
+        assert err.value.field == str(path)
+
+    def test_arm_models_off_their_parameters_rejected(self):
+        from coci.harness import build_problem
+
+        cfg = quick_config(models=(Bernoulli(0.5), Bernoulli(0.25)))
+        with pytest.raises(ConfigError) as err:
+            build_problem(cfg)
         assert err.value.field == "arms"
 
     def test_degenerate_parameters_rejected(self):
@@ -286,6 +354,21 @@ class TestEmit:
         assert len(rows) == 2
         assert len(rows[1]) == 11
 
+    def test_emit_rejects_no_records_and_unknown_format(self, tmp_path):
+        result = run_experiment(quick_config(trials=1, mode="coci", hardness_epsilon=None))
+        with pytest.raises(CociError, match="no records"):
+            emit_results((), result.summary, tmp_path)
+        with pytest.raises(CociError, match="unknown output format"):
+            emit_results(result.records, result.summary, tmp_path, "xml")
+        assert not any(tmp_path.iterdir())
+
+    def test_csv_rejects_bad_boolean_cell(self, tmp_path):
+        result = run_experiment(quick_config(trials=1, mode="coci", hardness_epsilon=None))
+        path = emit_results(result.records, result.summary, tmp_path, "csv")[0]
+        path.write_text(re.sub(r",(true|false),", ",yes,", path.read_text(), count=1))
+        with pytest.raises(CociError, match="bad boolean cell 'yes'"):
+            parse_records_csv(path)
+
     def test_csv_roundtrip(self, tmp_path):
         result = run_experiment(quick_config(trials=3))
         paths = emit_results(result.records, result.summary, tmp_path, "csv")
@@ -380,6 +463,26 @@ class TestCli:
         assert cli_main(["hardness", str(CONFIG_DIR / "quick.json")]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda_lower"] == [0.25, 0.25]
+
+    def test_run_without_output_path_prints_summary(self, tmp_path, capsys):
+        raw = {**json.loads((CONFIG_DIR / "quick.json").read_text()), "trials": 2, "output": {}}
+        path = tmp_path / "no-output.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["modes"]["coci"]["trials"] == 2
+        assert not any(p.name != path.name for p in tmp_path.iterdir())
+
+    def test_hardness_writes_out_file(self, tmp_path, capsys):
+        out = tmp_path / "hardness.json"
+        assert cli_main(["hardness", str(CONFIG_DIR / "quick.json"), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert json.loads(out.read_text())["lambda_lower"] == [0.25, 0.25]
+
+    def test_io_error_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "hardness.json"
+        assert cli_main(["hardness", str(CONFIG_DIR / "quick.json"), "--out", str(out)]) == 2
+        assert "i/o error" in capsys.readouterr().err
 
     def test_run_with_overrides(self, tmp_path, capsys):
         code = cli_main(
