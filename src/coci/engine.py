@@ -33,18 +33,18 @@ them at every state takes them from a per-process cache keyed by those
 a smaller block reads a prefix of it, and the least recently read entries
 go once the entries pass ``_PLAN_CELLS`` (2^16) cells, m per state.
 A run keeps one read-ahead of samples across blocks. Each arm's running
-sums come from one sequential ``np.cumsum`` along a row that holds its sum
-at ``base`` pulls and then its next samples, so they add one sample at a
-time; sums of squares are formed only for variance estimates, the one
-estimator that reads them. They give a table of each arm's estimate after
-c pulls past ``base``, and a state's estimates are read from it at column
-``pulls - base``. A block reuses the read-ahead while every arm's column
-at its state ``size`` is one the arm has (``cover``, its pulls past
-``base`` at state ``size`` of the block that built it). Otherwise the arms'
-streams consume their pulls since ``base`` and the read-ahead is built
-again from the current state. So a coci block that keeps a few rounds of a flipping
-candidate set, and the shorter block after it, mostly read on in the
-read-ahead of an earlier block.
+sums come from one sequential ``np.cumsum``, in place, along a row that
+holds its sum at ``base`` pulls and then its next samples, so they add one
+sample at a time; sums of squares are formed only for variance estimates,
+the one estimator that reads them. They give a table of each arm's
+estimate after c pulls past ``base``, and a state's estimates are read
+from it at column ``pulls - base``. A block reuses the read-ahead while
+every arm's column at its state ``size`` is one the arm has (``cover``,
+its pulls past ``base`` at state ``size`` of the block that built it).
+Otherwise the arms' streams consume their pulls since ``base`` and the
+read-ahead is built again from the current state. So a coci block that
+keeps a few rounds of a flipping candidate set, and the shorter block
+after it, mostly read on in the read-ahead of an earlier block.
 ``level`` is read from a per-process table of ``math.log(t)`` values, one
 array filled in fixed chunks as runs reach larger t (``np.log`` can differ
 from ``math.log`` in the last place). It and the plan cache are shared by
@@ -83,44 +83,45 @@ stretch that held, and at least 64 rounds. The picks are checked:
   uniform the last candidate found first and then the rest in index order.
 
 In a stable stretch (a block of at least the full size after
-``_STABLE_BLOCKS`` blocks kept whole), a bi-monotone block first bounds each
-run of ``_PREPASS_RUN`` (1,024) of its checked states between an inner and
-an outer box (:func:`coci.condition.run_bounds`) and tests them in one mask
+``_STABLE_BLOCKS`` blocks kept whole), an untraced bi-monotone block first
+bounds each run of ``_PREPASS_RUN`` (1,024) of its checked states between
+an inner and an outer box (:func:`coci.condition.run_bounds`) and tests them in one mask
 call; a cap state joins the last run, which is then left open. By
 inclusion, that settles a uniform run where an arm is a candidate on its
 nonempty inner box, and a coci run whose candidates are the guessed set in
 every state; a settled run passes the xi audit by its extremes. Only open
 runs take state boxes, checked a run at a time (and at most the full size)
 up to the part where the block ends. So such a block reads pull counts
-only at its run cuts, its open states, state ``size`` and the states a
-trace writes. It costs mostly its fixed per-block work, so one kept whole
-is followed by one twice its size, while its estimate
-table, m rows by about rounds / k pulls of its k allowed arms, stays
-within ``_STABLE_CELLS`` (2^15) cells: uniform blocks reach 32,768
-rounds, coci ones guessing from two of eight arms 8,192. A miss falls back
-to the sizes above. An untraced run forms its running sums in place of its
-read-ahead samples, which only a trace reads again.
+only at its run cuts, its open states and state ``size``. It costs mostly
+its fixed per-block work, so one kept whole is followed by one twice its
+size, while its estimate table, m rows by about rounds / k pulls of its k
+allowed arms, stays within ``_STABLE_CELLS`` (2^15) cells: uniform blocks
+reach 32,768 rounds, coci ones guessing from two of eight arms 8,192. A
+miss falls back to the sizes above.
 
-A traced run then appends the kept states to its trace file as JSON
-lines, from the block's estimate table, in parts of at most a full block
-and its last state, each part with one ``write`` call. A line holds ``t``,
-the pulled ``arm`` and its ``observation`` (both null in the first state),
-``pulls``, ``estimates``, ``radii``, the box sides ``lower`` and ``upper``
-and ``candidates``, the full candidate set as arm indices: from one mask
-call on the part's boxes on a bi-monotone oracle, else from corner
-enumeration. Memory does not grow with the rounds, and a sample can be
-read again from its arm's stream, keyed by (seed, arm).
+A traced run takes no pre-pass, as a trace needs every state's box, so its
+blocks stay within the full size. Each block writes the JSON lines of its
+states 0 to ``last - 1``, and of state ``last`` where the run stops (the
+next block writes it otherwise), in one ``write`` call from the arrays its
+check formed (:func:`_trace_lines`). A line holds ``t``, the pulled
+``arm`` and its ``observation`` (null in the first state), ``pulls``,
+``estimates``, ``radii``, the box sides ``lower`` and ``upper`` and
+``candidates``, the full candidate set as arm indices: the check's mask on
+a bi-monotone oracle, else corner enumeration. A pull is the guess from
+the state before, and its sample is read in the arm's read-ahead: a stream
+advances only where a block builds it, before its check.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from numbers import Real
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -273,8 +274,8 @@ def _run(
 
     lam = None  # half of each flip radius
     if lambda_lower is not None:
-        if len(lambda_lower) != m:
-            raise UsageError("lambda_lower must have one entry per arm")
+        if not isinstance(lambda_lower, (Sequence, np.ndarray)) or len(lambda_lower) != m:
+            raise UsageError(f"lambda_lower must be a sequence with one entry per arm, got {lambda_lower!r}")
         if not all(isinstance(v, Real) and not isinstance(v, bool) and 0.0 <= v < math.inf for v in lambda_lower):
             raise UsageError(f"lambda_lower entries must be finite nonnegative numbers, got {lambda_lower!r}")
         lam = np.asarray(lambda_lower, dtype=np.float64) / 2.0
@@ -294,8 +295,7 @@ def _run(
             sums[1, i] += x * x
     pulls = np.full(m, tau, dtype=np.int64)
     t = tau * m
-    # The read-ahead (see the module docstring): no samples yet, so the first
-    # block builds it.
+    # The read-ahead (see the module docstring), empty: the first block builds it.
     running, base, cover = sums[:, :, None], pulls, np.full(m, -1)
 
     # The constant term of every radius (see estimators.radius_from_logs).
@@ -315,10 +315,10 @@ def _run(
     last_candidate = 0  # corner enumeration: the arm uniform tests first
 
     trace = open(trace_path, "w", encoding="utf-8") if trace_path is not None else None
-    first = 0  # the first state of a block not yet in the trace
+    into = "null", "null"  # the pull into a block's state 0: its arm and sample, none in the run's first
     try:
         while True:
-            prepass = oracle.bi_monotone and size >= most and whole >= _STABLE_BLOCKS
+            prepass = trace is None and oracle.bi_monotone and size >= most and whole >= _STABLE_BLOCKS
             size = min(size, max_rounds - t)
             # The block checks states 0 to size - 1 and leaves state size to the
             # next block, unless that state is the round cap: then it checks it.
@@ -329,8 +329,7 @@ def _run(
             # Pull counts, and the guess from each state, are read only where
             # they are needed: first at every state, or at a pre-passed
             # block's run cuts (each run's first and last state) and state
-            # size; then at the states that its runs leave open and those a
-            # trace writes.
+            # size; then at the states that its runs leave open.
             if prepass:
                 cuts = np.append(np.arange(0, size or 1, _PREPASS_RUN), checked)  # the cap joins the last run
                 at, guessed = _pick_counts(pulls, allowed, np.concatenate((cuts[:-1], cuts[1:] - 1, [size])))
@@ -343,9 +342,8 @@ def _run(
                 # since the last build and read ahead anew from here. Row i of
                 # layer 0: arm i's running sum, then its read-ahead samples;
                 # layer 1, for variance estimates only, the same for squares.
-                # One cumsum along the rows adds one sample at a time, in place
-                # unless a trace reads the samples; table[i, c] is arm i's
-                # estimate after c pulls past base[i].
+                # One cumsum along the rows adds one sample at a time, in place;
+                # table[i, c] is arm i's estimate after c pulls past base[i].
                 taken = shift.tolist()
                 for i in range(m):
                     streams[i].advance(taken[i])
@@ -360,7 +358,7 @@ def _run(
                 if squares:
                     np.multiply(rows[0], rows[0], out=rows[1])
                     rows[1, :, 0] = sums[-1]
-                running = np.cumsum(rows, axis=2, out=rows if trace is None else None)
+                running = np.cumsum(rows, axis=2, out=rows)
                 table = estimate_from_sums(kind, running[0], running[-1], base[:, None] + np.arange(width))
 
             # The checked states that take per-state boxes, in parts checked in
@@ -423,37 +421,27 @@ def _run(
                     if not uniform and chosen != guessed[s]:
                         # Guess on from the full candidate set here.
                         guess_from = np.array([candidate_on_bounds(oracle, lo, up, i) for i in range(m)])
-                        last = s
+                        last, stopped = s, False  # before the cap, if the block reaches it
                         break
                 k = last
                 if (np.abs(est[:, : k + 1] - theta) > rad[:, : k + 1]).any():
                     xi_held = False
 
             if trace is not None:
-                # The kept states not yet written (a later block's state 0
-                # ended the block before), in parts of at most a full block
-                # and its last state, each written at once.
-                for start in range(first, last + 1, most + 1):
-                    cols = np.arange(start, min(start + most + 1, last + 1))
-                    at = _pick_counts(pulls, allowed, cols)[0]
-                    values = _states(table, pulls, at, shift, logs[cols], log_const)
-                    if oracle.bi_monotone:  # one mask call gives the part's candidate sets
-                        sets = block_mask(oracle, *values[3:]).T.tolist()
-                    else:
-                        sets = [
-                            [candidate_on_bounds(oracle, lo, up, i) for i in range(m)]
-                            for lo, up in zip(values[3].T.tolist(), values[4].T.tolist())
-                        ]
-                    # The pull that led to each state, but the run's first.
-                    picks = _next_picks(pulls, allowed, np.maximum(cols - 1, 0))[0]
-                    seen = rows[0, picks, shift[picks] + at[picks, np.arange(len(cols))]]
-                    states = zip(cols.tolist(), picks.tolist(), seen.tolist(), *(v.T.tolist() for v in values), sets)
-                    lines = (
-                        (t + s, j if s else "null", x if s else "null", p, e, r, lo, up, list(compress(range(m), c)))
-                        for s, j, x, p, e, r, lo, up, c in states
-                    )
-                    trace.write("".join(_TRACE_LINE % line for line in lines))
-                first = 1
+                # States 0 to last - 1, and last where the run stops (see the module docstring).
+                picks = guessed[:last]
+                reads = shift[picks] + at[picks, np.arange(last)]
+                seen = np.empty(last)
+                for i in range(m):
+                    seen[picks == i] = streams[i].peek(cover[i])[reads[picks == i]]
+                n = last + stopped
+                if oracle.bi_monotone:  # the check's mask holds the full candidate sets
+                    sets = mask[:, :n]
+                else:
+                    boxes = list(zip(lower[:, :n].T.tolist(), upper[:, :n].T.tolist()))
+                    sets = np.array([[candidate_on_bounds(oracle, *box, i) for box in boxes] for i in range(m)], bool)
+                trace.write(_trace_lines(t, into, picks, seen, sets, block_pulls, est, rad, lower, upper))
+                into = (picks[-1].item(), seen[-1].item()) if last else into  # the pull into the next state 0
             if lam is not None:  # the radius of each kept pull's arm in the state it is pulled from
                 kept, n = _next_picks(pulls, allowed, np.arange(last))
                 before = radius_from_logs(log_const, logs[:last], n)
@@ -509,6 +497,18 @@ def _states(
     est = table.ravel()[at + (shift + np.arange(len(pulls)) * table.shape[1])[:, None]]
     rad = radius_from_logs(log_const, logs, state_pulls)
     return state_pulls, est, rad, np.clip(est - rad, 0.0, 1.0), np.clip(est + rad, 0.0, 1.0)
+
+
+def _trace_lines(t: int, into: tuple, picks: np.ndarray, seen: np.ndarray, sets: np.ndarray, *states) -> str:
+    """Trace-file lines of the states of rounds t on, one per column of the
+    (m, n) candidate mask ``sets``: ``into`` is the pull into the first state
+    (arm and sample), ``picks`` and ``seen`` those into the next, ``states``
+    the pulls, estimates, radii and box sides. Under tracemalloc, making an
+    object scans its frame's line table, so a short function makes these."""
+    m, n = sets.shape
+    pulled = chain([into], zip(picks.tolist(), seen.tolist()))
+    lines = zip(range(t, t + n), pulled, *(v[:, :n].T.tolist() for v in states), sets.T.tolist())
+    return "".join(_TRACE_LINE % (s, *p, *v, list(compress(range(m), c))) for s, p, *v, c in lines)
 
 
 def _logs(start: int, stop: int) -> np.ndarray:
@@ -595,8 +595,7 @@ def _pick_counts(pulls: np.ndarray, allowed: np.ndarray, cols) -> tuple[np.ndarr
     picks, one more if ``i < a``, or none if that is negative (it is yet
     to join); an arm not allowed has had none. A block that reads them at
     all its states reads them through the plan cache (:func:`_plan`); the
-    pre-pass's run cuts, its open parts and the trace's parts call this
-    directly."""
+    pre-pass's run cuts and its open parts call this directly."""
     arm, n = _next_picks(pulls, allowed, cols)
     counts = n - np.where(allowed, pulls, 1 << 62)[:, None]
     counts += np.arange(len(pulls))[:, None] < arm

@@ -100,8 +100,8 @@ def compute_lambda(
     first flip shell. Other oracles enumerate the lattice shell by shell,
     which raises ``CapacityError`` past ``_POINT_LIMIT`` points.
     """
-    if not epsilon > 0:
-        raise UsageError(f"epsilon must be positive, got {epsilon!r}")
+    if isinstance(epsilon, bool) or not isinstance(epsilon, Real) or not 0 < epsilon < math.inf:  # NaN fails too
+        raise UsageError(f"epsilon must be a finite positive number, got {epsilon!r}")
     m = spec.arm_count
     center = validate_parameters(theta_star, m)
     if spec.bi_monotone:

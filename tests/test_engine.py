@@ -112,8 +112,12 @@ class TestBasics:
                 run_coci(best_arm_instance, 0.05, seed=42, max_rounds=cap)
 
     def test_lambda_lower_is_finite_and_nonnegative(self, best_arm_instance):
-        # Bools and strings are refused too: True would run as 1.0.
-        for lam in ((math.nan, 0.4), (0.4, math.inf), (-0.1, 0.4), (True, 0.4), (0.4, np.True_), ("0.4", 0.4)):
+        # Bools and strings are refused too: True would run as 1.0. So are
+        # an iterator and a bare number, which have no length.
+        for lam in (
+            (math.nan, 0.4), (0.4, math.inf), (-0.1, 0.4), (True, 0.4), (0.4, np.True_), ("0.4", 0.4),
+            iter([0.4, 0.4]), 5,
+        ):
             with pytest.raises(UsageError):
                 run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=lam)
         numpy = run_coci(best_arm_instance, 0.05, seed=42, lambda_lower=(np.float64(0.4), np.int64(1)))
@@ -652,7 +656,7 @@ def _logged_blocks():
     arm count ``m`` of its mask calls, whether it took the pre-pass and the
     (m, boxes) shape of that mask call (``settle``), the number of states
     it read pull counts at, and the box count of each of its other
-    ``block_mask`` calls; a trace's calls included. Pull counts read from
+    ``block_mask`` calls. Pull counts read from
     the plan cache count once, hit or miss. Also the pull counts at its
     first state (``pulls``), each arm's pulls past them at its last state
     (``last``, from its first read, which ends there), and how often it
@@ -720,7 +724,7 @@ def _checked_rounds():
     """Patches that log every block as the round of its state ``size``, the
     last it reaches (from its one call to ``_logs``), and the set of rounds
     of the states it forms boxes of, each state's round being the sum of its
-    pull counts. An untraced run forms boxes only to check states."""
+    pull counts. A run forms boxes only to check states."""
     blocks = []
     levels, states = engine._logs, engine._states
 
@@ -738,18 +742,14 @@ def _checked_rounds():
     return stack, blocks
 
 
-def _check_parts(blocks, most, traced=False):
+def _check_parts(blocks, most):
     """Every mask call's (m, m, boxes) top-k array stays within
-    ``_BLOCK_CELLS``. An untraced run's per-state mask calls: one of the
-    block's states, at most ``most + 1``, or after a pre-pass parts of at
-    most ``most``. A traced run's trace calls are not told apart, so they
-    are not checked for that."""
+    ``_BLOCK_CELLS``. A block's per-state mask calls, traced or not: one of
+    the block's states, at most ``most + 1``, or after a pre-pass parts of
+    at most ``most``."""
     for block in blocks:
         calls = block["boxes"] + ([block["settle"][1]] if block["prepass"] else [])
         assert all(block["m"] ** 2 * n <= engine._BLOCK_CELLS for n in calls), block
-    if traced:
-        return
-    for block in blocks:
         assert all(n <= (most if block["prepass"] else most + 1) for n in block["boxes"]), block
         assert block["prepass"] or len(block["boxes"]) == 1
 
@@ -772,7 +772,7 @@ class TestBlockLoop:
         with _patched(cap, run_length, prepass, cells), logging:
             fast = _fast(run, instance, delta, **kwargs)
         _same(fast, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
-        _check_parts(blocks, cap, kwargs["traced"])
+        _check_parts(blocks, cap)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -803,7 +803,7 @@ class TestBlockLoop:
         with _patched(cap, run_length, prepass, cells), logging:
             fast_run = _fast(run, fast, delta, **kwargs)
         _same(fast_run, _slow(instance, delta, uniform=run is run_uniform, **kwargs))
-        _check_parts(blocks, cap, kwargs["traced"])
+        _check_parts(blocks, cap)
         # The mask checks every guessed pick, traced states included. The
         # maximizer serves only the exact test at the stopping state (2m
         # calls at most), the output and the true optimum.
@@ -920,7 +920,7 @@ class TestBlockLoop:
                     fast = _fast(run, instance, 0.1, traced=traced, seed=1, max_rounds=3000)
                 sizes = [block["size"] for block in blocks]
                 assert fast[0].rounds == 3000 and sizes[0] == max(sizes) == most
-                _check_parts(blocks, most, traced)
+                _check_parts(blocks, most)
                 _same(fast, _slow(instance, 0.1, uniform=run is run_uniform, traced=traced, seed=1, max_rounds=3000))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -934,11 +934,10 @@ class TestBlockLoop:
         # 1,024 states but the one where the run stops and, at seed 1, the
         # one before it, whose inner box (the meet of its state boxes) has
         # no candidate where each state box has one. The last block checks
-        # each open run with one per-state call. A traced run adds one call
-        # per part of its kept states, of at most a full block and its last
-        # state: the first block's full + 1 states take one, a block of
-        # 32,768 sixteen. Traced and audited runs take the same blocks and
-        # per-state calls as the plain run.
+        # each open run with one per-state call. An audited run takes the
+        # same blocks and calls as the plain run. A traced run takes no
+        # pre-pass: every block holds the full size and makes one mask call,
+        # on its states, from which it writes its trace.
         full, stable = engine._BLOCK_ROUNDS, engine._STABLE_CELLS
         instance = build_instance(make_best_arm_oracle(3), (0.56, 0.5, 0.3), EstimatorKind.MEAN)
         counting, calls = _counted_mask(instance)
@@ -951,16 +950,21 @@ class TestBlockLoop:
                 fast = _fast(run_uniform, counting, 0.05, seed=seed, **kwargs)
             result = fast[0]
             assert result.converged and result.rounds - 3 > sum(grown)  # past the first block of the cell cap
-            sizes = grown + [stable] * ((result.rounds - 3 - sum(grown)) // stable + 1)
-            assert sum(sizes[:-1]) < result.rounds - 3 <= sum(sizes)
-            assert [block["size"] for block in blocks] == sizes
-            assert [block["prepass"] for block in blocks] == [False, False] + [True] * (len(sizes) - 2)
-            if ends is None:
-                ends = blocks[-1]["boxes"]
-                assert len(ends) == 1 + seed and all(n <= engine._PREPASS_RUN for n in ends)
-            kept = [full + 1] + sizes[1:-1] + [result.rounds - 3 - sum(sizes[:-1])]
-            parts = sum(-(-n // (full + 1)) for n in kept) if "traced" in kwargs else 0
-            assert calls[0] == len(sizes) + len(ends) + parts
+            if "traced" in kwargs:
+                sizes = [full] * ((result.rounds - 3) // full + 1)
+                assert [block["size"] for block in blocks] == sizes
+                assert not any(block["prepass"] for block in blocks)
+                assert all(block["boxes"] == [full] for block in blocks)
+                assert calls[0] == len(sizes)
+            else:
+                sizes = grown + [stable] * ((result.rounds - 3 - sum(grown)) // stable + 1)
+                assert sum(sizes[:-1]) < result.rounds - 3 <= sum(sizes)
+                assert [block["size"] for block in blocks] == sizes
+                assert [block["prepass"] for block in blocks] == [False, False] + [True] * (len(sizes) - 2)
+                if ends is None:
+                    ends = blocks[-1]["boxes"]
+                    assert len(ends) == 1 + seed and all(n <= engine._PREPASS_RUN for n in ends)
+                assert calls[0] == len(sizes) + len(ends)
             _same(fast, _slow(instance, 0.05, uniform=True, seed=seed, **kwargs))
             assert "lambda_lower" not in kwargs or result.lemma_violations > 0
 
@@ -1017,9 +1021,9 @@ class TestBlockLoop:
         # A block checks its states before state size and leaves that one
         # to the next block, which checks it first; only a block whose state
         # size is the round cap checks it itself. The run's final state is
-        # always checked. On either check path, with the pre-pass or not.
+        # always checked. On either check path, with the pre-pass or not,
+        # traced or not: a trace is written from the states checked.
         instance, delta, kwargs = case
-        kwargs["traced"] = False  # a trace forms the boxes of every kept state
         logging, blocks = _checked_rounds()
         with _patched(cap, run_length, prepass), logging:
             fast = _fast(run, instance, delta, **kwargs)
@@ -1033,7 +1037,9 @@ class TestBlockLoop:
         # states, a round cap at the set-up pulls, one round past them, at
         # a run cut, inside a run, at a block's state size or in a grown
         # block stops the run exactly there, as in the reference. The cap
-        # state joins the last run, which the block leaves open.
+        # state joins the last run, which the block leaves open. A traced
+        # run takes no pre-pass: its blocks stay at 64 rounds, but the one
+        # the cap cuts, and each makes one mask call.
         instance = build_instance(make_best_arm_oracle(8), (0.75, 0.7) + (0.3,) * 6, EstimatorKind.MEAN)
         for run in (run_coci, run_uniform):
             for max_rounds in (8, 9, 68, 70, 71, 72, 200, 1000):
@@ -1042,11 +1048,39 @@ class TestBlockLoop:
                     with _patched(64, 3, prepass=True), logging:
                         fast = _fast(run, instance, 0.1, seed=0, max_rounds=max_rounds, traced=traced)
                     assert fast[0].rounds == max_rounds and not fast[0].converged
-                    assert all(block["prepass"] for block in blocks)
-                    assert traced or blocks[-1]["boxes"]
-                    _check_parts(blocks, 64, traced)
+                    if traced:
+                        assert not any(block["prepass"] for block in blocks)
+                        assert all(block["size"] == 64 for block in blocks[:-1])
+                        assert all(len(block["boxes"]) == 1 for block in blocks)
+                    else:
+                        assert all(block["prepass"] for block in blocks)
+                        assert blocks[-1]["boxes"]
+                    _check_parts(blocks, 64)
                     kwargs = {"seed": 0, "max_rounds": max_rounds, "traced": traced}
                     _same(fast, _slow(instance, 0.1, uniform=run is run_uniform, **kwargs))
+
+    def test_traced_blocks_write_the_states_they_check(self):
+        # A traced block takes no pre-pass, even where every block of 64
+        # rounds would take it untraced, and writes its trace from the
+        # states its check formed: one plan read of its states, one
+        # _states call and one mask call on the states it checks.
+        instance = build_instance(make_top_k_oracle(4, 2), (0.9, 0.7, 0.3, 0.1), EstimatorKind.MEAN)
+        for run in (run_coci, run_uniform):
+            logging, blocks = _logged_blocks()
+            formed, states = [], engine._states
+
+            def count(*args):
+                formed.append(len(blocks))
+                return states(*args)
+
+            with _patched(64, 3, prepass=True), logging, mock.patch.object(engine, "_states", count):
+                fast = _fast(run, instance, 0.05, seed=0, traced=True)
+            assert fast[0].converged and len(blocks) > 10
+            for block in blocks:
+                assert not block["prepass"] and block["boxes"] == [block["size"]], block
+                assert block["columns"] == block["size"] + 1, block
+            assert formed == list(range(1, len(blocks) + 1))
+            _same(fast, _slow(instance, 0.05, uniform=run is run_uniform, seed=0, traced=True))
 
     def test_wrong_guess_at_the_cap_leaves_it_to_an_empty_block(self):
         # On the top-2 bench instance at seed 0, coci's guess is wrong in
@@ -1061,6 +1095,18 @@ class TestBlockLoop:
             assert result.rounds == max_rounds and not result.converged
             assert blocks[-2]["size"] > 0 and blocks[-1]["size"] == 0
             assert repr(result) == repr(scalar_run(instance, 0.05, uniform=False, seed=0, max_rounds=max_rounds))
+
+    def test_corner_enumeration_miss_before_the_cap_goes_on(self):
+        # A coci block checked by corner enumeration whose state size is
+        # the round cap, 506 here, and whose guess is wrong before it ends
+        # there without stopping; the run goes on and converges at 471. It
+        # used to stop there with no verdict and raise UnboundLocalError.
+        oracle = replace(make_top_k_oracle(4, 3), bi_monotone=False, candidate_mask=None)
+        instance = build_instance(oracle, (0.875, 0.125, 0.625, 0.75), EstimatorKind.MEAN)
+        for traced in (False, True):
+            fast = _fast(run_coci, instance, 0.28, seed=(76, 30), max_rounds=506, traced=traced)
+            assert fast[0].converged and fast[0].rounds == 471
+            _same(fast, _slow(instance, 0.28, uniform=False, seed=(76, 30), max_rounds=506, traced=traced))
 
     def test_uniform_peak_memory_on_c09(self):
         # The tracemalloc peak of a long uniform run stays within 1.25 times

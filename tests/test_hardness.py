@@ -50,6 +50,14 @@ class TestComputeLambda:
         assert all(v > 0.05 for v in est.lower)
         assert not any(est.saturated)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0, -1, "0.1", True])
+    def test_epsilon_is_a_finite_positive_number(self, epsilon):
+        # inf used to return NaN flip radii, "0.1" to raise a bare
+        # TypeError, and True to run as 1.
+        for run in (compute_lambda, hardness_report):
+            with pytest.raises(UsageError, match="epsilon"):
+                run(make_best_arm_oracle(2), (0.8, 0.2), epsilon=epsilon)
+
     def test_capacity_check(self):
         # Only the lattice enumeration has a point limit.
         spec = replace(make_best_arm_oracle(5), bi_monotone=False)
